@@ -11,15 +11,14 @@ Exit codes: 0 ok, 1 findings, 2 I/O, 3 syntax, 4 infeasible, 5 internal.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import concretize as cz
 from . import testcase as tc
-from .canonical import dumps_canonical
-from .errors import InfeasibleLevels, SamplingExhausted, ScenarioError
+from .canonical import dumps_canonical, json_syntax_error
+from .errors import ScenarioError
 from .functional import check_consistency, parse_functional
 from .logical import LogicalScenario, deserialize_logical, serialize_logical, validate_logical
 from .lowering import load_parameter_catalog, lower_to_logical
@@ -52,13 +51,15 @@ def generate_suite(scenario: LogicalScenario, method: str, k: int, n: int, seed:
                   for p in scenario.parameters}
     else:
         raise ScenarioError(f"unknown method {method!r}")
-    scenarios = cz.pairwise_cover(scenario, levels)
-    if method != "pairwise":
-        scenarios = [dataclasses.replace(
-            c, method=method,
-            scenario_id=c.scenario_id.replace("-pairwise-", f"-{method}-"))
-            for c in scenarios]
-    return scenarios, levels
+    return cz.pairwise_cover(scenario, levels, method), levels
+
+
+def _write_suite(logical: LogicalScenario, args, seed: int, target: Path):
+    """Build the suite, measure its coverage and write both to ``target``."""
+    scenarios, levels = generate_suite(logical, args.method, args.k, args.n, seed)
+    coverage = cz.coverage_metrics(logical, levels, scenarios)
+    target.write_text(dumps_canonical(cz.suite_to_dict(scenarios, coverage)), encoding="utf-8")
+    return scenarios, coverage
 
 
 def _emit_findings(path, findings, as_json):
@@ -87,12 +88,27 @@ def cmd_validate(args) -> int:
     return status
 
 
-def _lower_one(path, vocabulary, catalog):
+def _gate(path, logical: LogicalScenario, args) -> int:
+    """Validate a logical scenario, report its findings and return the exit
+    status: 4 if a constraint is infeasible, 1 for other findings, else 0."""
+    findings = validate_logical(logical).findings
+    if not findings:
+        return EXIT_OK
+    _emit_findings(path, findings, args.json)
+    if any(f.code == "INTERVAL_INFEASIBLE" for f in findings):
+        return EXIT_INFEASIBLE
+    return EXIT_FINDINGS
+
+
+def _lower_one(path, vocabulary, catalog, args):
+    """Parse, check and lower one DSL file; returns (logical or None, status)."""
     scenario = parse_functional(_read(path), vocabulary)
-    report = check_consistency(scenario, vocabulary)
-    if report.findings:
-        return scenario, None, report
-    return scenario, lower_to_logical(scenario, catalog), report
+    findings = check_consistency(scenario, vocabulary).findings
+    if findings:
+        _emit_findings(path, findings, args.json)
+        return None, EXIT_FINDINGS
+    logical = lower_to_logical(scenario, catalog)
+    return logical, _gate(path, logical, args)
 
 
 def cmd_lower(args) -> int:
@@ -100,24 +116,16 @@ def cmd_lower(args) -> int:
     catalog = load_parameter_catalog(_read(args.catalog), vocabulary)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    status = EXIT_OK
+    worst = EXIT_OK
     for path in args.scenarios:
-        functional, logical, report = _lower_one(path, vocabulary, catalog)
-        if logical is None:
-            _emit_findings(path, report.findings, args.json)
-            status = EXIT_FINDINGS
-            continue
-        validation = validate_logical(logical)
-        if not validation.ok:
-            _emit_findings(path, validation.findings, args.json)
-            if any(f.code == "INTERVAL_INFEASIBLE" for f in validation.findings):
-                return EXIT_INFEASIBLE
-            status = EXIT_FINDINGS
+        logical, status = _lower_one(path, vocabulary, catalog, args)
+        worst = max(worst, status)
+        if status != EXIT_OK:
             continue
         target = out / f"{logical.scenario_id}.logical.json"
         target.write_text(serialize_logical(logical), encoding="utf-8")
         print(f"{path} -> {target}")
-    return status
+    return worst
 
 
 def cmd_concretize(args) -> int:
@@ -125,18 +133,11 @@ def cmd_concretize(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for index, path in enumerate(args.scenarios):
         logical = deserialize_logical(_read(path))
-        validation = validate_logical(logical)
-        if not validation.ok:
-            _emit_findings(path, validation.findings, args.json)
-            if any(f.code == "INTERVAL_INFEASIBLE" for f in validation.findings):
-                return EXIT_INFEASIBLE
-            return EXIT_FINDINGS
-        seed = cz.derive_seed(args.seed, index)
-        scenarios, levels = generate_suite(logical, args.method, args.k, args.n, seed)
-        coverage = cz.coverage_metrics(logical, levels, scenarios)
+        status = _gate(path, logical, args)
+        if status != EXIT_OK:
+            return status
         target = out / f"{logical.scenario_id}.suite.json"
-        target.write_text(dumps_canonical(cz.suite_to_dict(scenarios, coverage)),
-                          encoding="utf-8")
+        scenarios, coverage = _write_suite(logical, args, cz.derive_seed(args.seed, index), target)
         print(f"{path} -> {target} ({len(scenarios)} scenarios, "
               f"pair coverage {coverage.pair_coverage:.3f})")
     return EXIT_OK
@@ -158,8 +159,11 @@ def _export_cases(logical, scenarios, args, destination) -> dict:
 
 def cmd_export(args) -> int:
     logical = deserialize_logical(_read(args.logical))
-    suite = json.loads(_read(args.suite))
-    scenarios = [cz.concrete_from_dict(d) for d in suite["scenarios"]]
+    try:
+        document = json.loads(_read(args.suite))
+    except json.JSONDecodeError as exc:
+        raise json_syntax_error(exc) from exc
+    scenarios = cz.suite_from_dict(document)
     manifest = _export_cases(logical, scenarios, args, args.out)
     print(f"{args.suite} -> {args.out} ({manifest['case_count']} test cases)")
     return EXIT_OK
@@ -173,26 +177,16 @@ def cmd_pipeline(args) -> int:
     (out / "concrete").mkdir(parents=True, exist_ok=True)
     summary = []
     for index, path in enumerate(args.scenarios):
-        functional, logical, report = _lower_one(path, vocabulary, catalog)
-        if logical is None:
-            _emit_findings(path, report.findings, args.json)
-            return EXIT_FINDINGS
-        validation = validate_logical(logical)
-        if not validation.ok:
-            _emit_findings(path, validation.findings, args.json)
-            if any(f.code == "INTERVAL_INFEASIBLE" for f in validation.findings):
-                return EXIT_INFEASIBLE
-            return EXIT_FINDINGS
+        logical, status = _lower_one(path, vocabulary, catalog, args)
+        if status != EXIT_OK:
+            return status
 
         logical_path = out / "logical" / f"{logical.scenario_id}.logical.json"
         logical_path.write_text(serialize_logical(logical), encoding="utf-8")
 
-        seed = cz.derive_seed(args.seed, index)
-        scenarios, levels = generate_suite(logical, args.method, args.k, args.n, seed)
-        coverage = cz.coverage_metrics(logical, levels, scenarios)
         suite_path = out / "concrete" / f"{logical.scenario_id}.suite.json"
-        suite_path.write_text(dumps_canonical(cz.suite_to_dict(scenarios, coverage)),
-                              encoding="utf-8")
+        scenarios, coverage = _write_suite(logical, args, cz.derive_seed(args.seed, index),
+                                           suite_path)
 
         cases_dir = out / "cases" / logical.scenario_id
         manifest = _export_cases(logical, scenarios, args, cases_dir)
@@ -286,9 +280,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InfeasibleLevels, SamplingExhausted) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -7,18 +7,16 @@ All generators are pure functions of their inputs and the seed.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
-from .canonical import content_hash, dumps_canonical
+from .canonical import check_document, content_hash, dumps_canonical, load_json
 from .errors import (
     BadK,
     InfeasibleLevels,
     SamplingExhausted,
-    ScenarioSyntaxError,
     SchemaViolation,
     SourceMismatch,
 )
@@ -209,14 +207,15 @@ def _greedy_cover(rows: list[tuple], pair_sets: list[set], all_pairs: set) -> li
     return suite
 
 
-def pairwise_cover(scenario: LogicalScenario, levels: dict) -> list[ConcreteScenario]:
+def pairwise_cover(scenario: LogicalScenario, levels: dict,
+                   method: str = "pairwise") -> list[ConcreteScenario]:
     """Covering suite: every feasible level pair appears in >= 1 scenario.
 
     Feasibility is decided by full-row enumeration, so the suite never
     contains a constraint-violating scenario and pairs without any feasible
     completion are simply excluded. A bounded exact search tries to hit the
     lower bound (the largest single-pair level product) before falling back
-    to the greedy construction.
+    to the greedy construction. ``method`` labels the scenarios and their ids.
     """
     names, value_lists, rows = _level_rows(scenario, levels)
     if not names:
@@ -226,7 +225,7 @@ def pairwise_cover(scenario: LogicalScenario, levels: dict) -> list[ConcreteScen
             "no combination of the given levels satisfies the constraints")
     rows = sorted(rows)
     if len(names) == 1:
-        return [_wrap(scenario, {names[0]: row[0]}, "pairwise", i)
+        return [_wrap(scenario, {names[0]: row[0]}, method, i)
                 for i, row in enumerate(rows)]
 
     pair_sets = [_row_pairs(row) for row in rows]
@@ -241,7 +240,7 @@ def pairwise_cover(scenario: LogicalScenario, levels: dict) -> list[ConcreteScen
     if chosen is None:
         chosen = _greedy_cover(rows, pair_sets, all_pairs)
 
-    return [_wrap(scenario, dict(zip(names, rows[index])), "pairwise", position)
+    return [_wrap(scenario, dict(zip(names, rows[index])), method, position)
             for position, index in enumerate(chosen)]
 
 
@@ -296,9 +295,9 @@ def coverage_metrics(scenario: LogicalScenario, levels: dict,
 
     names, value_lists, rows = _level_rows(scenario, levels)
 
-    total_pairs: set = set()
-    for combo in product(*value_lists):
-        total_pairs |= _row_pairs(combo)
+    # every level list is non-empty, so each pair of distinct levels occurs in
+    # some combination of the full product
+    total_pairs = sum(len(set(a)) * len(set(b)) for a, b in combinations(value_lists, 2))
     feasible_pairs: set = set()
     for row in rows:
         feasible_pairs |= _row_pairs(row)
@@ -328,7 +327,7 @@ def coverage_metrics(scenario: LogicalScenario, levels: dict,
         pair_coverage=float(pair_coverage),
         boundary_coverage=float(boundary_coverage),
         scenario_count=len(scenarios),
-        infeasible_combination_count=len(total_pairs) - len(feasible_pairs),
+        infeasible_combination_count=total_pairs - len(feasible_pairs),
     )
 
 
@@ -345,13 +344,8 @@ def concrete_to_dict(concrete: ConcreteScenario) -> dict:
 
 
 def concrete_from_dict(document: dict) -> ConcreteScenario:
-    if not isinstance(document, dict):
-        raise SchemaViolation("concrete scenario document must be an object")
-    if document.get("format") != "concrete/1":
-        raise SchemaViolation("expected format 'concrete/1'")
-    for key in ("scenario_id", "source_ref", "assignments", "method"):
-        if key not in document:
-            raise SchemaViolation(f"concrete scenario: missing field {key!r}")
+    check_document(document, "concrete scenario",
+                   ("scenario_id", "source_ref", "assignments", "method"), "concrete/1")
     return ConcreteScenario(
         scenario_id=document["scenario_id"],
         source_ref=dict(document["source_ref"]),
@@ -367,11 +361,7 @@ def serialize_concrete(concrete: ConcreteScenario) -> str:
 
 
 def deserialize_concrete(source: str) -> ConcreteScenario:
-    try:
-        document = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise ScenarioSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    return concrete_from_dict(document)
+    return concrete_from_dict(load_json(source))
 
 
 def concrete_hash(concrete: ConcreteScenario) -> str:
@@ -391,3 +381,10 @@ def suite_to_dict(scenarios: list[ConcreteScenario], coverage: CoverageReport | 
             "infeasible_combination_count": coverage.infeasible_combination_count,
         }
     return document
+
+
+def suite_from_dict(document: dict) -> list[ConcreteScenario]:
+    check_document(document, "concrete suite", ("scenarios",), "concrete-suite/1")
+    if not isinstance(document["scenarios"], list):
+        raise SchemaViolation("concrete suite: 'scenarios' must be an array")
+    return [concrete_from_dict(d) for d in document["scenarios"]]

@@ -6,6 +6,27 @@ Exit codes follow the CLI contract: 0 ok, 1 findings, 2 I/O, 3 syntax/content,
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One rule violation; ``line`` is the DSL source line when known."""
+
+    code: str
+    message: str
+    elements: tuple[str, ...] = ()
+    line: int | None = field(default=None, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class Report:
+    findings: tuple[Finding, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.findings
+
 
 class ScenarioError(Exception):
     """Base class for all scenkit errors."""

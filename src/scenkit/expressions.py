@@ -109,7 +109,7 @@ def parse_expression(text: str):
 def parse_comparison(text: str):
     """Split ``lhs <cmp> rhs`` and parse both sides. Returns (lhs, op, rhs)."""
     tokens = _tokenize(text)
-    splits = [i for i, tok in enumerate(tokens) if tok[0] == "op" and tok[1] in ("<", "<=", ">", ">=", "=")]
+    splits = [i for i, tok in enumerate(tokens) if tok[0] == "op" and tok[1] in COMPARATORS]
     if len(splits) != 1:
         raise ScenarioSyntaxError(f"expected exactly one comparator in {text!r}")
     i = splits[0]

@@ -16,34 +16,38 @@ instance's entity term whose allowed values contain the value, so
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 
-from .canonical import content_hash, dumps_canonical
+from .canonical import check_document, content_hash, dumps_canonical, load_json
 from .errors import (
     ArityMismatch,
     DuplicateInstance,
+    Finding,
     IllegalApplication,
     IllegalAttributeValue,
+    Report,
     ScenarioSyntaxError,
-    SchemaViolation,
     UnknownTerm,
     UnknownVariationTarget,
 )
 from .vocabulary import Term, Vocabulary, normalize_name
 
 
+# ``line`` is the DSL source line of a parsed element; it takes no part in
+# equality, hashing or serialization.
 @dataclass(frozen=True)
 class EntityInstance:
     instance_id: str
     term: str
+    line: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class RelationPhrase:
     relation: str
     arguments: tuple[str, ...]
+    line: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,7 @@ class AttributeAssignment:
     instance_id: str
     attribute: str
     value: str
+    line: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -68,20 +73,17 @@ class FunctionalScenario:
         return None
 
 
-@dataclass(frozen=True)
-class Finding:
-    code: str
-    message: str
-    elements: tuple[str, ...] = ()
+ConsistencyReport = Report
 
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    findings: tuple[Finding, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
+# Findings that make a DSL text malformed: ``parse_functional`` raises the
+# first of them, in source order, as the error class mapped here.
+PARSE_ERRORS = {
+    "DUPLICATE_INSTANCE": DuplicateInstance,
+    "DUPLICATE_ASSIGNMENT": ScenarioSyntaxError,
+    "ILLEGAL_VALUE": IllegalAttributeValue,
+    "ILLEGAL_APPLICATION": IllegalApplication,
+    "ARITY_MISMATCH": ArityMismatch,
+}
 
 
 def _edit_distance(a: str, b: str) -> int:
@@ -105,6 +107,9 @@ def _hint(word: str, vocabulary: Vocabulary) -> str | None:
 
 
 class _Builder:
+    """Binds every word to a declared instance or a vocabulary term; the
+    well-formedness rules are left to ``check_consistency``."""
+
     def __init__(self, vocabulary: Vocabulary):
         self.vocabulary = vocabulary
         self.scenario_id: str | None = None
@@ -114,10 +119,8 @@ class _Builder:
         self.by_id: dict[str, EntityInstance] = {}
 
     def declare(self, instance_id: str, term: Term, line: int):
-        if instance_id in self.by_id:
-            raise DuplicateInstance(f"line {line}: instance {instance_id!r} already declared")
-        instance = EntityInstance(instance_id=instance_id, term=term.name)
-        self.by_id[instance_id] = instance
+        instance = EntityInstance(instance_id=instance_id, term=term.name, line=line)
+        self.by_id.setdefault(instance_id, instance)
         self.instances.append(instance)
         return instance
 
@@ -128,26 +131,9 @@ class _Builder:
         return instance
 
     def assign(self, instance: EntityInstance, attribute: Term, raw_value: str, line: int):
-        value = normalize_name(raw_value)
-        if value not in attribute.allowed_values:
-            raise IllegalAttributeValue(
-                f"line {line}: {raw_value!r} is not an allowed value of {attribute.name!r}"
-            )
-        if instance.term not in attribute.applies_to:
-            raise IllegalApplication(
-                f"line {line}: attribute {attribute.name!r} does not apply to {instance.term!r}"
-            )
-        if any(
-            a.instance_id == instance.instance_id and a.attribute == attribute.name
-            for a in self.attributes
-        ):
-            raise ScenarioSyntaxError(
-                f"duplicate assignment of {attribute.name!r} on {instance.instance_id!r}",
-                line=line,
-            )
-        self.attributes.append(
-            AttributeAssignment(instance_id=instance.instance_id, attribute=attribute.name, value=value)
-        )
+        self.attributes.append(AttributeAssignment(
+            instance_id=instance.instance_id, attribute=attribute.name,
+            value=normalize_name(raw_value), line=line))
 
     def classify(self, instance: EntityInstance, raw_value: str, line: int):
         """Resolve ``<id> is <value>`` to the unique applicable attribute."""
@@ -168,21 +154,8 @@ class _Builder:
 
     def relate(self, instance: EntityInstance, relation: Term, argument_ids: list[str], line: int):
         arguments = [instance] + [self.resolve_instance(a, line) for a in argument_ids]
-        if len(arguments) != relation.arity:
-            raise ArityMismatch(
-                f"line {line}: relation {relation.name!r} expects {relation.arity} arguments, "
-                f"got {len(arguments)}"
-            )
-        if relation.applies_to:
-            for argument in arguments:
-                if argument.term not in relation.applies_to:
-                    raise IllegalApplication(
-                        f"line {line}: relation {relation.name!r} does not apply to "
-                        f"{argument.term!r}"
-                    )
-        self.relations.append(
-            RelationPhrase(relation=relation.name, arguments=tuple(a.instance_id for a in arguments))
-        )
+        self.relations.append(RelationPhrase(
+            relation=relation.name, arguments=tuple(a.instance_id for a in arguments), line=line))
 
     def statement(self, words: list[str], line: int):
         if words[0] == "scenario":
@@ -251,6 +224,7 @@ class _Builder:
 
 
 def parse_functional(dsl: str, vocabulary: Vocabulary) -> FunctionalScenario:
+    """Parse DSL text; the first ``PARSE_ERRORS`` finding is raised with its line."""
     builder = _Builder(vocabulary)
     for line_number, raw_line in enumerate(dsl.splitlines(), start=1):
         line = raw_line.split("#", 1)[0]
@@ -258,7 +232,15 @@ def parse_functional(dsl: str, vocabulary: Vocabulary) -> FunctionalScenario:
             words = statement.split()
             if words:
                 builder.statement(words, line_number)
-    return builder.build()
+    scenario = builder.build()
+    errors = [f for f in check_consistency(scenario, vocabulary).findings if f.code in PARSE_ERRORS]
+    if errors:
+        first = min(errors, key=lambda f: f.line)
+        error = PARSE_ERRORS[first.code]
+        if error is ScenarioSyntaxError:
+            raise ScenarioSyntaxError(first.message, line=first.line)
+        raise error(f"line {first.line}: {first.message}")
+    return scenario
 
 
 def format_functional(scenario: FunctionalScenario) -> str:
@@ -282,7 +264,7 @@ def _match_exclusion(pattern_pair, first: RelationPhrase, second: RelationPhrase
     return True
 
 
-def check_consistency(scenario: FunctionalScenario, vocabulary: Vocabulary) -> ConsistencyReport:
+def check_consistency(scenario: FunctionalScenario, vocabulary: Vocabulary) -> Report:
     findings: list[Finding] = []
 
     seen_ids: set[str] = set()
@@ -290,7 +272,7 @@ def check_consistency(scenario: FunctionalScenario, vocabulary: Vocabulary) -> C
         if instance.instance_id in seen_ids:
             findings.append(
                 Finding("DUPLICATE_INSTANCE", f"instance {instance.instance_id!r} declared twice",
-                        (instance.instance_id,))
+                        (instance.instance_id,), instance.line)
             )
         seen_ids.add(instance.instance_id)
         term = vocabulary.lookup(instance.term)
@@ -307,7 +289,7 @@ def check_consistency(scenario: FunctionalScenario, vocabulary: Vocabulary) -> C
             findings.append(
                 Finding("DUPLICATE_ASSIGNMENT",
                         f"attribute {assignment.attribute!r} assigned twice on "
-                        f"{assignment.instance_id!r}", key)
+                        f"{assignment.instance_id!r}", key, assignment.line)
             )
         assigned.add(key)
         term = vocabulary.lookup(assignment.attribute)
@@ -321,10 +303,12 @@ def check_consistency(scenario: FunctionalScenario, vocabulary: Vocabulary) -> C
             continue
         if assignment.value not in term.allowed_values:
             findings.append(Finding("ILLEGAL_VALUE",
-                                    f"{assignment.value!r} not allowed for {term.name!r}", key))
+                                    f"{assignment.value!r} not allowed for {term.name!r}", key,
+                                    assignment.line))
         if instance.term not in term.applies_to:
             findings.append(Finding("ILLEGAL_APPLICATION",
-                                    f"attribute {term.name!r} does not apply to {instance.term!r}", key))
+                                    f"attribute {term.name!r} does not apply to {instance.term!r}",
+                                    key, assignment.line))
 
     for phrase in scenario.relations:
         term = vocabulary.lookup(phrase.relation)
@@ -335,7 +319,7 @@ def check_consistency(scenario: FunctionalScenario, vocabulary: Vocabulary) -> C
         if len(phrase.arguments) != term.arity:
             findings.append(Finding("ARITY_MISMATCH",
                                     f"relation {term.name!r} used with {len(phrase.arguments)} arguments",
-                                    phrase.arguments))
+                                    phrase.arguments, phrase.line))
         for argument in phrase.arguments:
             instance = scenario.instance(argument)
             if instance is None:
@@ -344,7 +328,7 @@ def check_consistency(scenario: FunctionalScenario, vocabulary: Vocabulary) -> C
             elif term.applies_to and instance.term not in term.applies_to:
                 findings.append(Finding("ILLEGAL_APPLICATION",
                                         f"relation {term.name!r} does not apply to {instance.term!r}",
-                                        (argument,)))
+                                        (argument,), phrase.line))
 
     flagged: set[frozenset[int]] = set()
     for exclusion in vocabulary.exclusions:
@@ -378,7 +362,7 @@ def check_consistency(scenario: FunctionalScenario, vocabulary: Vocabulary) -> C
                             f"{term.name!r}", (instance.instance_id, term.name))
                 )
 
-    return ConsistencyReport(findings=tuple(findings))
+    return Report(findings=tuple(findings))
 
 
 def enumerate_variations(
@@ -438,12 +422,10 @@ def functional_to_dict(scenario: FunctionalScenario) -> dict:
 
 
 def functional_from_dict(document: dict) -> FunctionalScenario:
-    if not isinstance(document, dict):
-        raise SchemaViolation("functional scenario document must be an object")
-    for key in ("scenario_id", "vocabulary_ref", "instances", "relations", "attributes"):
-        if key not in document:
-            raise SchemaViolation(f"functional scenario: missing field {key!r}")
-    ref = document["vocabulary_ref"]
+    check_document(document, "functional scenario",
+                   ("scenario_id", "vocabulary_ref", "instances", "relations", "attributes"),
+                   "functional/1")
+    ref = check_document(document["vocabulary_ref"], "vocabulary_ref", ("domain_name", "version"))
     return FunctionalScenario(
         scenario_id=document["scenario_id"],
         vocabulary_ref=(ref["domain_name"], ref["version"]),
@@ -460,11 +442,7 @@ def serialize_functional(scenario: FunctionalScenario) -> str:
 
 
 def deserialize_functional(source: str) -> FunctionalScenario:
-    try:
-        document = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise ScenarioSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    return functional_from_dict(document)
+    return functional_from_dict(load_json(source))
 
 
 def functional_hash(scenario: FunctionalScenario) -> str:

@@ -8,12 +8,11 @@ constraints over those parameters.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from . import expressions
-from .canonical import content_hash, dumps_canonical
-from .errors import ScenarioSyntaxError, SchemaViolation
+from .canonical import check_document, content_hash, dumps_canonical, load_json
+from .errors import Finding, Report, SchemaViolation
 
 DISTRIBUTION_TYPES = ("uniform", "truncated-gaussian")
 
@@ -102,42 +101,29 @@ class LogicalScenario:
         return None
 
 
-@dataclass(frozen=True)
-class Finding:
-    code: str
-    message: str
-    elements: tuple[str, ...] = ()
+ValidationReport = Report
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[Finding, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
-def _distribution_findings(parameter: Parameter) -> list[Finding]:
+def range_findings(name: str, lo: float, hi: float,
+                   distribution: Distribution | None) -> list[Finding]:
+    """``EMPTY_RANGE`` and ``BAD_DISTRIBUTION`` findings for one parameter."""
     findings = []
-    distribution = parameter.distribution
+    if lo > hi:
+        findings.append(Finding("EMPTY_RANGE", f"{name}: range [{lo}, {hi}] is empty", (name,)))
     if distribution is None:
         return findings
     if distribution.type not in DISTRIBUTION_TYPES:
         findings.append(Finding("BAD_DISTRIBUTION",
-                                f"{parameter.name}: unknown distribution {distribution.type!r}",
-                                (parameter.name,)))
+                                f"{name}: unknown distribution {distribution.type!r}", (name,)))
     elif distribution.type == "truncated-gaussian":
         if distribution.stddev is None or distribution.stddev <= 0:
-            findings.append(Finding("BAD_DISTRIBUTION",
-                                    f"{parameter.name}: stddev must be > 0", (parameter.name,)))
-        if distribution.mean is None or not parameter.lo <= distribution.mean <= parameter.hi:
-            findings.append(Finding("BAD_DISTRIBUTION",
-                                    f"{parameter.name}: mean outside range", (parameter.name,)))
+            findings.append(Finding("BAD_DISTRIBUTION", f"{name}: stddev must be > 0", (name,)))
+        if distribution.mean is None or not lo <= distribution.mean <= hi:
+            findings.append(Finding("BAD_DISTRIBUTION", f"{name}: mean outside range", (name,)))
     return findings
 
 
-def validate_logical(scenario: LogicalScenario) -> ValidationReport:
+def validate_logical(scenario: LogicalScenario) -> Report:
     """Invariant checks plus a sound-but-incomplete interval feasibility check."""
     findings: list[Finding] = []
 
@@ -148,11 +134,8 @@ def validate_logical(scenario: LogicalScenario) -> ValidationReport:
                                     f"parameter {parameter.name!r} declared twice",
                                     (parameter.name,)))
         seen.add(parameter.name)
-        if parameter.lo > parameter.hi:
-            findings.append(Finding("EMPTY_RANGE",
-                                    f"{parameter.name}: range [{parameter.lo}, {parameter.hi}] "
-                                    "is empty", (parameter.name,)))
-        findings.extend(_distribution_findings(parameter))
+        findings.extend(range_findings(parameter.name, parameter.lo, parameter.hi,
+                                       parameter.distribution))
 
     env = {p.name: (p.lo, p.hi) for p in scenario.parameters}
     for constraint in scenario.constraints:
@@ -179,7 +162,7 @@ def validate_logical(scenario: LogicalScenario) -> ValidationReport:
                                     "cannot be satisfied within the declared ranges",
                                     (constraint.id,)))
 
-    return ValidationReport(findings=tuple(findings))
+    return Report(findings=tuple(findings))
 
 
 def distribution_to_dict(distribution: Distribution | None):
@@ -276,7 +259,7 @@ def _constraint_from_dict(record: dict) -> Constraint:
         kind = record["kind"]
         provenance = _provenance_from_dict(record.get("provenance", {}))
         if kind == "inequality":
-            if record["op"] not in ("<", "<=", ">", ">=", "="):
+            if record["op"] not in expressions.COMPARATORS:
                 raise SchemaViolation(f"bad comparator {record['op']!r}")
             expressions.parse_expression(record["lhs"])
             expressions.parse_expression(record["rhs"])
@@ -295,13 +278,8 @@ def _constraint_from_dict(record: dict) -> Constraint:
 
 
 def logical_from_dict(document: dict) -> LogicalScenario:
-    if not isinstance(document, dict):
-        raise SchemaViolation("logical scenario document must be an object")
-    if document.get("format") != "logical/1":
-        raise SchemaViolation("expected format 'logical/1'")
-    for key in ("scenario_id", "source_ref", "parameters", "constraints"):
-        if key not in document:
-            raise SchemaViolation(f"logical scenario: missing field {key!r}")
+    check_document(document, "logical scenario",
+                   ("scenario_id", "source_ref", "parameters", "constraints"), "logical/1")
     if not isinstance(document["parameters"], list) or not isinstance(document["constraints"], list):
         raise SchemaViolation("'parameters' and 'constraints' must be arrays")
     return LogicalScenario(
@@ -317,11 +295,7 @@ def serialize_logical(scenario: LogicalScenario) -> str:
 
 
 def deserialize_logical(source: str) -> LogicalScenario:
-    try:
-        document = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise ScenarioSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    return logical_from_dict(document)
+    return logical_from_dict(load_json(source))
 
 
 def logical_hash(scenario: LogicalScenario) -> str:

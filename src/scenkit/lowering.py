@@ -8,19 +8,18 @@ terms. Constraint templates name argument slots with single capital letters
 
 from __future__ import annotations
 
-import json
 import re
 import string
 from dataclasses import dataclass, field
 
 from . import expressions
+from .canonical import check_document, load_json
 from .errors import (
     BadDistribution,
     BadRange,
     ConstraintInstantiationError,
     MissingTemplate,
     OverrideWidensRange,
-    ScenarioSyntaxError,
     SchemaViolation,
     UnboundConstraintParameter,
     UnknownTerm,
@@ -34,6 +33,7 @@ from .logical import (
     LogicalScenario,
     Parameter,
     distribution_from_dict,
+    range_findings,
 )
 from .vocabulary import Vocabulary
 
@@ -85,18 +85,17 @@ class ParameterCatalog:
     relation_templates: dict = field(default_factory=dict)  # relation -> [ConstraintTemplate]
 
 
+def _check_range(name: str, lo: float, hi: float, distribution: Distribution | None = None):
+    """Raise the first ``EMPTY_RANGE``/``BAD_DISTRIBUTION`` finding as an error."""
+    for finding in range_findings(name, lo, hi, distribution):
+        raise (BadRange if finding.code == "EMPTY_RANGE" else BadDistribution)(finding.message)
+
+
 def _check_template(template: ParameterTemplate, where: str):
     if not _LOCAL_NAME_RE.match(template.local_name):
         raise SchemaViolation(f"{where}: bad parameter name {template.local_name!r} "
                               "(lowercase, no hyphens)")
-    if template.lo > template.hi:
-        raise BadRange(f"{where}.{template.local_name}: lo {template.lo} > hi {template.hi}")
-    distribution = template.distribution
-    if distribution is not None and distribution.type == "truncated-gaussian":
-        if distribution.stddev is None or distribution.stddev <= 0:
-            raise BadDistribution(f"{where}.{template.local_name}: stddev must be > 0")
-        if distribution.mean is None or not template.lo <= distribution.mean <= template.hi:
-            raise BadDistribution(f"{where}.{template.local_name}: mean outside range")
+    _check_range(f"{where}.{template.local_name}", template.lo, template.hi, template.distribution)
     if template.kind not in ("scalar-static", "scalar-initial"):
         raise SchemaViolation(f"{where}.{template.local_name}: bad kind {template.kind!r}")
 
@@ -156,16 +155,10 @@ def _constraint_placeholders(template: ConstraintTemplate) -> set[tuple[str, str
 
 
 def load_parameter_catalog(source: str, vocabulary: Vocabulary) -> ParameterCatalog:
-    try:
-        document = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise ScenarioSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    if not isinstance(document, dict):
-        raise SchemaViolation("catalog document must be an object")
+    document = check_document(load_json(source), "catalog")
 
-    ref = document.get("vocabulary_ref")
-    if not isinstance(ref, dict) or "domain_name" not in ref or "version" not in ref:
-        raise SchemaViolation("catalog: missing or bad 'vocabulary_ref'")
+    ref = check_document(document.get("vocabulary_ref"), "catalog vocabulary_ref",
+                         ("domain_name", "version"))
     if (ref["domain_name"], ref["version"]) != (vocabulary.domain_name, vocabulary.version):
         raise VocabularyMismatch(
             f"catalog targets {ref['domain_name']}/{ref['version']}, vocabulary is "
@@ -198,8 +191,7 @@ def load_parameter_catalog(source: str, vocabulary: Vocabulary) -> ParameterCata
                     lo, hi = (float(b) for b in bounds)
                 except (TypeError, ValueError) as exc:
                     raise SchemaViolation(f"{where}: bad override for {name!r}") from exc
-                if lo > hi:
-                    raise BadRange(f"{where}.{name}: lo {lo} > hi {hi}")
+                _check_range(f"{where}.{name}", lo, hi)
                 override.append((name, lo, hi))
             attribute_templates[(attribute, value)] = AttributeEffect(
                 add=add, remove=remove, override=tuple(override))
@@ -328,7 +320,6 @@ def lower_to_logical(scenario: FunctionalScenario, catalog: ParameterCatalog) ->
                     rhs=_substitute(template.rhs, slots),
                     provenance=provenance,
                 )
-                used = constraint.variables()
             else:
                 target_letter, target_local = template.target.split(".", 1)
                 source_letter, source_local = template.source.split(".", 1)
@@ -341,8 +332,7 @@ def lower_to_logical(scenario: FunctionalScenario, catalog: ParameterCatalog) ->
                     tolerance=template.tolerance,
                     provenance=provenance,
                 )
-                used = constraint.variables()
-            dangling = used - declared
+            dangling = constraint.variables() - declared
             if dangling:
                 raise ConstraintInstantiationError(
                     f"{phrase.relation}{phrase.arguments}: constraint references parameters "

@@ -10,20 +10,18 @@ position ``s0`` and speed ``v0`` yields position ``s(t) = s0 + v0*t``.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .canonical import content_hash, dumps_canonical
+from .canonical import check_document, content_hash, dumps_canonical, load_json
 from .concretize import ConcreteScenario, concrete_hash
 from .errors import (
     BadTiming,
     DuplicateId,
     IncompleteField,
     MissingKinematicInputs,
-    ScenarioSyntaxError,
     SchemaViolation,
     SourceMismatch,
     TraceMismatch,
@@ -185,8 +183,7 @@ def _expected_to_dict(expected: ExpectedBehavior) -> dict:
 
 
 def expected_from_dict(document: dict) -> ExpectedBehavior:
-    if not isinstance(document, dict) or "description" not in document:
-        raise SchemaViolation("expected behavior needs a 'description'")
+    check_document(document, "expected behavior", ("description",))
     checks = []
     for record in document.get("checks", []):
         try:
@@ -201,11 +198,7 @@ def expected_from_dict(document: dict) -> ExpectedBehavior:
 
 
 def load_expected(source: str) -> ExpectedBehavior:
-    try:
-        document = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise ScenarioSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    return expected_from_dict(document)
+    return expected_from_dict(load_json(source))
 
 
 def testcase_to_dict(case: TestCase) -> dict:
@@ -224,14 +217,9 @@ def testcase_to_dict(case: TestCase) -> dict:
 
 
 def testcase_from_dict(document: dict) -> TestCase:
-    if not isinstance(document, dict):
-        raise SchemaViolation("test case document must be an object")
-    if document.get("format") != "testcase/1":
-        raise SchemaViolation("expected format 'testcase/1'")
-    for key in ("unique_id", "work_product_ref", "preconditions", "environmental_conditions",
-                "input_data", "expected_behavior", "source_ref"):
-        if key not in document:
-            raise SchemaViolation(f"test case: missing field {key!r}")
+    check_document(document, "test case",
+                   ("unique_id", "work_product_ref", "preconditions", "environmental_conditions",
+                    "input_data", "expected_behavior", "source_ref"), "testcase/1")
     preconditions = document["preconditions"]
     return TestCase(
         unique_id=document["unique_id"],
@@ -253,11 +241,7 @@ def serialize_testcase(case: TestCase) -> str:
 
 
 def deserialize_testcase(source: str) -> TestCase:
-    try:
-        document = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise ScenarioSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    return testcase_from_dict(document)
+    return testcase_from_dict(load_json(source))
 
 
 def export_suite(cases: list[TestCase], destination) -> dict:

@@ -8,11 +8,10 @@ lowercase-with-hyphens before validation, so ``Two Lane Motorway`` and
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
-from .canonical import dumps_canonical
+from .canonical import check_document, dumps_canonical, load_json
 from .errors import DanglingReference, DuplicateTerm, ScenarioSyntaxError, SchemaViolation
 
 KINDS = ("entity", "relation", "attribute")
@@ -65,26 +64,18 @@ class Vocabulary:
         """Exact, case-sensitive lookup; absence is a normal return."""
         return self._index.get(name)
 
-    @property
-    def ref(self) -> dict:
-        return {"domain_name": self.domain_name, "version": self.version}
-
     def names(self) -> list[str]:
         return [t.name for t in self.terms]
 
 
 def _require(document: dict, key: str, types, where: str):
-    if key not in document:
-        raise SchemaViolation(f"{where}: missing field {key!r}")
-    value = document[key]
+    value = check_document(document, where, (key,))[key]
     if not isinstance(value, types):
         raise SchemaViolation(f"{where}: field {key!r} has wrong type")
     return value
 
 
 def _term_from_dict(record: dict) -> Term:
-    if not isinstance(record, dict):
-        raise SchemaViolation("term record must be an object")
     name = normalize_name(_require(record, "name", str, "term"))
     kind = _require(record, "kind", str, f"term {name!r}")
     if kind not in KINDS:
@@ -129,8 +120,6 @@ def _exclusion_from_dict(record: dict) -> Exclusion:
 
 
 def vocabulary_from_dict(document: dict) -> Vocabulary:
-    if not isinstance(document, dict):
-        raise SchemaViolation("vocabulary document must be an object")
     domain_name = normalize_name(_require(document, "domain_name", str, "vocabulary"))
     version = _require(document, "version", str, "vocabulary")
     term_records = _require(document, "terms", list, "vocabulary")
@@ -168,11 +157,7 @@ def vocabulary_from_dict(document: dict) -> Vocabulary:
 
 
 def load_vocabulary(source: str) -> Vocabulary:
-    try:
-        document = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise ScenarioSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    return vocabulary_from_dict(document)
+    return vocabulary_from_dict(load_json(source))
 
 
 def _term_to_dict(term: Term) -> dict:

@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from scenkit.cli import main
+from scenkit.cli import generate_suite, main
 from scenkit.logical import deserialize_logical
 
-from conftest import DATA
+from conftest import DATA, make_logical
 
 VOCAB = str(DATA / "vocabulary.json")
 CATALOG = str(DATA / "catalog.json")
@@ -113,3 +113,41 @@ def test_random_suites_differ_by_seed(tmp_path, capsys):
                      "--n", "5", "--seed", seed, logical_path]) == 0
         texts.append((out / "s1.suite.json").read_text())
     assert texts[0] != texts[1]
+
+
+@pytest.mark.parametrize("text", ["{\"format\": \"concrete-suite/1\", ", '{"format": "concrete-suite/1"}'],
+                         ids=["malformed-json", "missing-scenarios"])
+def test_export_rejects_bad_suite(tmp_path, capsys, text):
+    assert main(["lower", "--vocab", VOCAB, "--catalog", CATALOG,
+                 "--out", str(tmp_path), SCENARIO]) == 0
+    suite = tmp_path / "bad.suite.json"
+    suite.write_text(text)
+    assert main(["export", "--logical", str(tmp_path / "s1.logical.json"),
+                 "--out", str(tmp_path / "cases"), str(suite)] + EXPORT_ARGS) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_boundary_ids_keep_scenario_id():
+    scenario = make_logical([("a.x", 0, 1), ("a.y", 0, 2)], scenario_id="cut-pairwise-x")
+    suite, _ = generate_suite(scenario, "boundary", k=2, n=1, seed=0)
+    assert suite
+    assert all(c.scenario_id.startswith("cut-pairwise-x-boundary-") for c in suite)
+    assert all(c.method == "boundary" for c in suite)
+
+
+def test_lower_continues_after_infeasible_file(tmp_path, capsys):
+    doc = json.loads((DATA / "catalog.json").read_text())
+    doc["entities"]["truck"][0]["range"] = [0.0, 10.0]
+    doc["entities"]["car"][0]["range"] = [50.0, 60.0]
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(doc))
+    infeasible = tmp_path / "a.scn"
+    infeasible.write_text("scenario s1 / car c1 / truck t1 / c1 follows t1\n")
+    feasible = tmp_path / "b.scn"
+    feasible.write_text("scenario s2 / car c1 / truck t1 / t1 follows c1\n")
+    out = tmp_path / "out"
+    assert main(["lower", "--vocab", VOCAB, "--catalog", str(catalog), "--out", str(out),
+                 str(infeasible), str(feasible)]) == 4
+    assert "INTERVAL_INFEASIBLE" in capsys.readouterr().out
+    assert not (out / "s1.logical.json").exists()
+    assert (out / "s2.logical.json").exists()

@@ -236,3 +236,21 @@ def test_concrete_to_dict_is_plain_json():
     assert document["method"] == "random"
     assert document["seed"] == 2
     assert document["provenance"]["default_uniform"] == ["a.x"]
+
+
+def test_coverage_counts_duplicate_levels_once():
+    scenario = make_logical([("t1.s0", 0, 200), ("c1.s0", 0, 200), ("c1.v0", 0, 10)],
+                            [("t1.s0", ">", "c1.s0")])
+    levels = {"t1.s0": [0.0, 200.0, 200.0], "c1.s0": [0.0, 0.0, 200.0], "c1.v0": [5.0, 5.0]}
+    suite = pairwise_cover(scenario, levels)
+    coverage = coverage_metrics(scenario, levels, suite)
+    all_pairs = set()
+    feasible_pairs = set()
+    for row in itertools.product(*levels.values()):
+        pairs = {((i, row[i]), (j, row[j])) for i, j in itertools.combinations(range(3), 2)}
+        all_pairs |= pairs
+        if row[0] > row[1]:
+            feasible_pairs |= pairs
+    assert len(all_pairs) == 8
+    assert coverage.infeasible_combination_count == len(all_pairs) - len(feasible_pairs) == 5
+    assert coverage.pair_coverage == 1.0

@@ -1,6 +1,15 @@
 import pytest
 
-from scenkit.errors import DuplicateInstance, ScenarioSyntaxError, UnknownTerm, UnknownVariationTarget
+from scenkit.errors import (
+    ArityMismatch,
+    DuplicateInstance,
+    IllegalApplication,
+    IllegalAttributeValue,
+    ScenarioError,
+    ScenarioSyntaxError,
+    UnknownTerm,
+    UnknownVariationTarget,
+)
 from scenkit.functional import (
     check_consistency,
     deserialize_functional,
@@ -124,3 +133,24 @@ def test_hash_changes_with_content(car_follows_truck, vocabulary):
         format_functional(car_follows_truck).replace("c1 lane right", "c1 lane left"),
         vocabulary)
     assert functional_hash(other) != functional_hash(car_follows_truck)
+
+
+@pytest.mark.parametrize("text, error, line", [
+    ("scenario s1\ncar c1\ncar c1\n", DuplicateInstance, 3),
+    ("scenario s1\nroad r1 is two-lane-motorway\nr1 geometry wiggly\n", IllegalAttributeValue, 3),
+    ("scenario s1\nroad r1 is wiggly\n", IllegalAttributeValue, 2),
+    ("scenario s1\ncar c1\nc1 is straight\n", IllegalAttributeValue, 3),
+    ("scenario s1\ncar c1\nc1 geometry straight\n", IllegalApplication, 3),
+    ("scenario s1\nroad r1\ncar c1\nc1 follows r1\n", IllegalApplication, 4),
+    ("scenario s1\ncar c1\ntruck t1\nc1 follows t1 t1\n", ArityMismatch, 4),
+    ("scenario s1\ncar c1\nc1 lane left\nc1 lane right\n", ScenarioSyntaxError, 4),
+    ("scenario s1\nroad r1 is two-lane-motorway\nr1 layout three-lane-motorway\n",
+     ScenarioSyntaxError, 3),
+], ids=["duplicate-instance", "illegal-value", "illegal-value-sugar", "sugar-not-applicable",
+        "attribute-not-applicable", "relation-not-applicable", "arity",
+        "duplicate-assignment", "duplicate-assignment-sugar"])
+def test_parser_rule_violations(vocabulary, text, error, line):
+    with pytest.raises(ScenarioError) as excinfo:
+        parse_functional(text, vocabulary)
+    assert type(excinfo.value) is error
+    assert f"line {line}:" in str(excinfo.value)
