@@ -35,11 +35,26 @@ def load_json(source: str):
         raise json_syntax_error(exc) from exc
 
 
+def check_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaViolation(f"{what} must be an object")
+    return value
+
+
+def check_numbers(value, what: str) -> dict[str, float]:
+    """An object whose values are all JSON numbers, as floats."""
+    numbers = {}
+    for key, number in check_object(value, what).items():
+        if type(number) not in (int, float):  # a bool is no number here
+            raise SchemaViolation(f"{what}: {key!r} is not a number")
+        numbers[key] = float(number)
+    return numbers
+
+
 def check_document(document, what: str, fields=(), format_tag: str | None = None) -> dict:
     """Header check: an object, with the format tag if one is given, and the
     required top-level fields."""
-    if not isinstance(document, dict):
-        raise SchemaViolation(f"{what} document must be an object")
+    check_object(document, f"{what} document")
     if format_tag is not None and document.get("format") != format_tag:
         raise SchemaViolation(f"expected format {format_tag!r}")
     for key in fields:

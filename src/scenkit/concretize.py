@@ -2,7 +2,9 @@
 
 Generators propose full assignments, the checker disposes: constraints are
 verified by substitution only, so feasibility logic lives in one place.
-All generators are pure functions of their inputs and the seed.
+All generators are pure functions of their inputs and the seed. Every
+consumer evaluates constraints through the scenario's compiled form, which
+reads a row tuple in parameter order.
 """
 
 from __future__ import annotations
@@ -10,9 +12,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
-from .canonical import check_document, content_hash, dumps_canonical, load_json
+from .canonical import (
+    check_document,
+    check_numbers,
+    check_object,
+    content_hash,
+    dumps_canonical,
+    load_json,
+)
 from .errors import (
     BadK,
     InfeasibleLevels,
@@ -85,16 +94,14 @@ def _violations(scenario: LogicalScenario, assignments: dict) -> list[Violation]
                 "RANGE", parameter.name,
                 f"{parameter.name} = {value!r} outside [{parameter.lo!r}, {parameter.hi!r}]"))
     if not violations:
-        for constraint in scenario.constraints:
-            if not constraint.holds(assignments):
+        compiled = scenario.compiled
+        row = tuple(assignments[name] for name in compiled.names)
+        for constraint, check in zip(scenario.constraints, compiled.checks):
+            if not check(row):
                 violations.append(Violation("CONSTRAINT", constraint.id,
                                             f"constraint {constraint.id} violated: "
                                             f"{constraint.describe()}"))
     return violations
-
-
-def _satisfies(scenario: LogicalScenario, assignments: dict) -> bool:
-    return all(constraint.holds(assignments) for constraint in scenario.constraints)
 
 
 def check_concrete(scenario: LogicalScenario, concrete: ConcreteScenario) -> list[Violation]:
@@ -109,22 +116,26 @@ def check_concrete(scenario: LogicalScenario, concrete: ConcreteScenario) -> lis
     return _violations(scenario, concrete.assignments)
 
 
-def _wrap(scenario: LogicalScenario, assignments: dict, method: str, index: int,
-          seed: int | None = None) -> ConcreteScenario:
+def _wrapper(scenario: LogicalScenario, method: str, seed: int | None = None):
+    """``wrap(assignments, index)`` for one suite: the source reference and the
+    provenance are computed once, not once per scenario."""
+    source_ref = {"scenario_id": scenario.scenario_id, "hash": logical_hash(scenario)}
     defaulted = sorted(p.name for p in scenario.parameters if p.distribution is None)
-    return ConcreteScenario(
-        scenario_id=f"{scenario.scenario_id}-{method}-{index:04d}",
-        source_ref={"scenario_id": scenario.scenario_id, "hash": logical_hash(scenario)},
-        assignments=dict(assignments),
-        method=method,
-        seed=seed,
-        provenance={"default_uniform": defaulted},
-    )
+
+    def wrap(assignments: dict, index: int) -> ConcreteScenario:
+        return ConcreteScenario(
+            scenario_id=f"{scenario.scenario_id}-{method}-{index:04d}",
+            source_ref=dict(source_ref),
+            assignments=dict(assignments),
+            method=method,
+            seed=seed,
+            provenance={"default_uniform": list(defaulted)},
+        )
+    return wrap
 
 
-def _level_rows(scenario: LogicalScenario, levels: dict) -> tuple[list[str], list[list[float]], list[tuple]]:
-    names = [p.name for p in scenario.parameters]
-    missing = [n for n in names if n not in levels]
+def _value_lists(scenario: LogicalScenario, levels: dict) -> list[list[float]]:
+    missing = [p.name for p in scenario.parameters if p.name not in levels]
     if missing:
         raise SchemaViolation(f"levels missing for parameters: {missing}")
     value_lists: list[list[float]] = []
@@ -137,52 +148,103 @@ def _level_rows(scenario: LogicalScenario, levels: dict) -> tuple[list[str], lis
                 raise SchemaViolation(
                     f"level {value!r} outside range of {parameter.name!r}")
         value_lists.append(values)
-    rows = [row for row in product(*value_lists)
-            if _satisfies(scenario, dict(zip(names, row)))]
-    return names, value_lists, rows
+    return value_lists
 
 
-def _row_pairs(row: tuple) -> set[tuple]:
-    k = len(row)
-    return {((i, row[i]), (j, row[j])) for i, j in combinations(range(k), 2)}
+def _level_rows(scenario: LogicalScenario, levels: dict) -> tuple[list[list[float]], list[tuple]]:
+    """The level lists, and every combination of them that satisfies the
+    constraints, sorted. The one enumeration of the level product."""
+    value_lists = _value_lists(scenario, levels)
+    rows = product(*value_lists)
+    for check in scenario.compiled.checks:
+        rows = filter(check, rows)
+    return value_lists, sorted(rows)
 
 
-def _search_minimal(rows: list[tuple], pair_sets: list[set], all_pairs: set,
-                    size: int, budget: int) -> list[int] | None:
+class _PairLayout:
+    """One bit per level pair ``(i, value_i, j, value_j)`` with ``i < j``,
+    keyed by distinct value, so repeated levels share a bit.
+
+    Every parameter value also has a one-hot bit, numbered in declaration
+    order. The pairs of value ``b`` of parameter ``j`` with all earlier
+    parameters form one block, laid out like those one-hot bits, so the pairs
+    a row adds at ``j`` are the one-hot bits of its earlier values, shifted to
+    the block of ``b``.
+    """
+
+    def __init__(self, value_lists: list[list[float]]):
+        self.onehots: list[dict] = []  # per parameter: value -> its one-hot bit
+        self.shifts: list[dict] = []  # per parameter: value -> start of its pair block
+        self.spans: list[tuple[int, int]] = []  # per parameter: (first one-hot bit, count)
+        slots = 0  # one-hot bits of the earlier parameters
+        size = 0
+        for values in value_lists:
+            distinct = dict.fromkeys(values)
+            self.onehots.append({v: 1 << (slots + n) for n, v in enumerate(distinct)})
+            self.shifts.append({v: size + n * slots for n, v in enumerate(distinct)})
+            self.spans.append((slots, len(distinct)))
+            size += len(distinct) * slots
+            slots += len(distinct)
+        self.size = size  # every distinct level pair
+
+    def encode(self, row) -> tuple[int, int]:
+        """(pairs, one-hot values) of a row; values that are not levels, and
+        ``None`` for a position left out, add no bits."""
+        pairs = values = 0
+        for onehot, shifts, value in zip(self.onehots, self.shifts, row):
+            shift = shifts.get(value)
+            if shift is not None:
+                pairs |= values << shift
+                values |= onehot[value]
+        return pairs, values
+
+    def pair_counts(self, pairs: int):
+        """The number of bits of ``pairs`` set for each parameter pair."""
+        for j, shifts in enumerate(self.shifts):
+            for start, count in self.spans[:j]:
+                field = (1 << count) - 1
+                yield sum((pairs >> (shift + start) & field).bit_count()
+                          for shift in shifts.values())
+
+
+def _search_minimal(masks: list[int], all_pairs: int, size: int,
+                    budget: int) -> list[int] | None:
     """Depth-first search for a covering suite of exactly ``size`` rows.
 
     Deterministic: rows are tried in lexicographic order under a fixed node
     budget. Returns row indices or None when no suite is found in budget.
     """
     nodes = 0
-    pairs_per_row = max((len(s) for s in pair_sets), default=0)
+    pairs_per_row = max((m.bit_count() for m in masks), default=0)
 
-    def descend(start: int, chosen: list[int], uncovered: set) -> list[int] | None:
+    def descend(start: int, chosen: list[int], uncovered: int, left: int) -> list[int] | None:
         nonlocal nodes
         if not uncovered:
             return list(chosen)
         slots = size - len(chosen)
-        if slots <= 0 or slots * pairs_per_row < len(uncovered):
+        if slots <= 0 or slots * pairs_per_row < left:
             return None
-        for index in range(start, len(rows)):
+        # best-effort cut: only pursue rows that keep up with the average
+        # coverage the target size demands; uneven minimal suites are
+        # missed here and handled by the greedy fallback instead
+        need = -(-left // slots)
+        for index in range(start, len(masks)):
             nodes += 1
             if nodes > budget:
                 raise _BudgetExceeded
-            new = uncovered & pair_sets[index]
-            # best-effort cut: only pursue rows that keep up with the average
-            # coverage the target size demands; uneven minimal suites are
-            # missed here and handled by the greedy fallback instead
-            if len(new) * slots < len(uncovered):
+            new = uncovered & masks[index]
+            gain = new.bit_count()
+            if gain < need:
                 continue
             chosen.append(index)
-            found = descend(index + 1, chosen, uncovered - new)
+            found = descend(index + 1, chosen, uncovered ^ new, left - gain)
             if found is not None:
                 return found
             chosen.pop()
         return None
 
     try:
-        return descend(0, [], set(all_pairs))
+        return descend(0, [], all_pairs, all_pairs.bit_count())
     except _BudgetExceeded:
         return None
 
@@ -191,19 +253,32 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _greedy_cover(rows: list[tuple], pair_sets: list[set], all_pairs: set) -> list[int]:
-    """Pick the row covering the most uncovered pairs; first wins ties."""
-    uncovered = set(all_pairs)
+def _greedy_cover(masks: list[int], all_pairs: int) -> list[int]:
+    """Pick the row covering the most uncovered pairs; first wins ties.
+
+    A row's gain only falls as pairs get covered, so the gain last computed
+    for it is a bound: a row whose bound cannot beat the best so far is
+    skipped, and the scan stops once no row can.
+    """
+    uncovered = all_pairs
+    bounds = [m.bit_count() for m in masks]
+    ceiling = max(bounds, default=0)
     suite: list[int] = []
     while uncovered:
+        cap = min(ceiling, uncovered.bit_count())
         best_index = -1
         best_new = 0
-        for index, pairs in enumerate(pair_sets):
-            new = len(uncovered & pairs)
+        for index, bound in enumerate(bounds):
+            if bound <= best_new:
+                continue
+            new = (uncovered & masks[index]).bit_count()
+            bounds[index] = new
             if new > best_new:
                 best_index, best_new = index, new
+                if new == cap:
+                    break
         suite.append(best_index)
-        uncovered -= pair_sets[best_index]
+        uncovered &= ~masks[best_index]
     return suite
 
 
@@ -217,30 +292,29 @@ def pairwise_cover(scenario: LogicalScenario, levels: dict,
     lower bound (the largest single-pair level product) before falling back
     to the greedy construction. ``method`` labels the scenarios and their ids.
     """
-    names, value_lists, rows = _level_rows(scenario, levels)
+    value_lists, rows = _level_rows(scenario, levels)
+    names = scenario.compiled.names
     if not names:
         return []
     if not rows:
         raise InfeasibleLevels(
             "no combination of the given levels satisfies the constraints")
-    rows = sorted(rows)
+    wrap = _wrapper(scenario, method)
     if len(names) == 1:
-        return [_wrap(scenario, {names[0]: row[0]}, method, i)
-                for i, row in enumerate(rows)]
+        return [wrap({names[0]: row[0]}, i) for i, row in enumerate(rows)]
 
-    pair_sets = [_row_pairs(row) for row in rows]
-    all_pairs: set = set().union(*pair_sets)
+    layout = _PairLayout(value_lists)
+    masks = [layout.encode(row)[0] for row in rows]
+    all_pairs = 0
+    for mask in masks:
+        all_pairs |= mask
+    lower_bound = max(layout.pair_counts(all_pairs))
 
-    lower_bound = 0
-    for i, j in combinations(range(len(names)), 2):
-        distinct = {((i, row[i]), (j, row[j])) for row in rows}
-        lower_bound = max(lower_bound, len(distinct))
-
-    chosen = _search_minimal(rows, pair_sets, all_pairs, lower_bound, EXACT_SEARCH_NODES)
+    chosen = _search_minimal(masks, all_pairs, lower_bound, EXACT_SEARCH_NODES)
     if chosen is None:
-        chosen = _greedy_cover(rows, pair_sets, all_pairs)
+        chosen = _greedy_cover(masks, all_pairs)
 
-    return [_wrap(scenario, dict(zip(names, rows[index])), method, position)
+    return [wrap(dict(zip(names, rows[index])), position)
             for position, index in enumerate(chosen)]
 
 
@@ -261,6 +335,8 @@ def _draw(rng: random.Random, parameter: Parameter) -> float:
 
 def sample_random(scenario: LogicalScenario, n: int, seed: int) -> list[ConcreteScenario]:
     """Rejection sampling: draw per-parameter, accept if all constraints hold."""
+    compiled = scenario.compiled
+    wrap = _wrapper(scenario, "random", seed)
     rng = random.Random(seed)
     accepted: list[ConcreteScenario] = []
     budget = n * ATTEMPTS_PER_SAMPLE
@@ -271,9 +347,9 @@ def sample_random(scenario: LogicalScenario, n: int, seed: int) -> list[Concrete
                 f"accepted {len(accepted)}/{n} after {attempts} attempts; "
                 "the feasible region is empty or nearly empty")
         attempts += 1
-        assignments = {p.name: _draw(rng, p) for p in scenario.parameters}
-        if _satisfies(scenario, assignments):
-            accepted.append(_wrap(scenario, assignments, "random", len(accepted), seed=seed))
+        row = tuple(_draw(rng, p) for p in scenario.parameters)
+        if all(check(row) for check in compiled.checks):
+            accepted.append(wrap(dict(zip(compiled.names, row)), len(accepted)))
     return accepted
 
 
@@ -285,6 +361,59 @@ def derive_seed(master: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+def _feasible_pairs(scenario: LogicalScenario, layout: _PairLayout) -> int:
+    """The level pairs that occur in some level row satisfying every
+    constraint, without enumerating the level product.
+
+    Constraints link parameters into components that are independent of each
+    other. A pair inside one component is feasible if it occurs in a feasible
+    partial row of that component; a pair across components is feasible if
+    each of its values occurs in one of its own component. Either way every
+    component needs a feasible partial row, and every constant constraint
+    must hold.
+    """
+    compiled = scenario.compiled
+    for constraint, positions in zip(scenario.constraints, compiled.positions):
+        if not positions and not constraint.holds({}):
+            return 0
+    fields = [sum(onehot.values()) for onehot in layout.onehots]  # value bits per position
+    groups = list(fields)  # value bits of each position's component
+    pairs = values = 0
+    constrained: set[int] = set()
+    for positions, numbers in compiled.components():
+        local = {compiled.names[p]: n for n, p in enumerate(positions)}
+        checks = [scenario.constraints[n].compile(local) for n in numbers]
+        found = 0
+        full: list = [None] * len(fields)
+        for row in product(*(layout.onehots[p] for p in positions)):
+            if all(check(row) for check in checks):
+                for position, value in zip(positions, row):
+                    full[position] = value
+                row_pairs, row_values = layout.encode(full)
+                pairs |= row_pairs
+                found |= row_values
+        if not found:
+            return 0
+        values |= found
+        group = sum(fields[p] for p in positions)
+        for position in positions:
+            groups[position] = group
+        constrained.update(positions)
+    for position, field in enumerate(fields):
+        if position not in constrained:
+            values |= field  # in no constraint: every level is feasible
+
+    earlier = 0  # value bits of the positions before the current one
+    for position, onehot in enumerate(layout.onehots):
+        others = values & earlier & ~groups[position]
+        if others:
+            for value, bit in onehot.items():
+                if values & bit:
+                    pairs |= others << layout.shifts[position][value]
+        earlier |= fields[position]
+    return pairs
+
+
 def coverage_metrics(scenario: LogicalScenario, levels: dict,
                      scenarios: list[ConcreteScenario]) -> CoverageReport:
     """Mechanical pair and boundary coverage, exact until the final division."""
@@ -293,22 +422,16 @@ def coverage_metrics(scenario: LogicalScenario, levels: dict,
             raise SourceMismatch(f"scenario {concrete.scenario_id!r} references "
                                  f"{concrete.source_ref.get('scenario_id')!r}")
 
-    names, value_lists, rows = _level_rows(scenario, levels)
-
-    # every level list is non-empty, so each pair of distinct levels occurs in
-    # some combination of the full product
-    total_pairs = sum(len(set(a)) * len(set(b)) for a, b in combinations(value_lists, 2))
-    feasible_pairs: set = set()
-    for row in rows:
-        feasible_pairs |= _row_pairs(row)
-
-    covered: set = set()
+    layout = _PairLayout(_value_lists(scenario, levels))
+    feasible = _feasible_pairs(scenario, layout)
+    names = scenario.compiled.names
+    covered = 0
     for concrete in scenarios:
-        row = tuple(concrete.assignments.get(name) for name in names)
-        covered |= _row_pairs(row) & feasible_pairs
+        covered |= layout.encode([concrete.assignments.get(n) for n in names])[0]
+    feasible_count = feasible.bit_count()
 
-    if feasible_pairs:
-        pair_coverage = Fraction(len(covered), len(feasible_pairs))
+    if feasible_count:
+        pair_coverage = Fraction((covered & feasible).bit_count(), feasible_count)
     else:
         pair_coverage = Fraction(1)  # all of nothing is covered
 
@@ -327,7 +450,7 @@ def coverage_metrics(scenario: LogicalScenario, levels: dict,
         pair_coverage=float(pair_coverage),
         boundary_coverage=float(boundary_coverage),
         scenario_count=len(scenarios),
-        infeasible_combination_count=total_pairs - len(feasible_pairs),
+        infeasible_combination_count=layout.size - feasible_count,
     )
 
 
@@ -348,11 +471,12 @@ def concrete_from_dict(document: dict) -> ConcreteScenario:
                    ("scenario_id", "source_ref", "assignments", "method"), "concrete/1")
     return ConcreteScenario(
         scenario_id=document["scenario_id"],
-        source_ref=dict(document["source_ref"]),
-        assignments={k: float(v) for k, v in document["assignments"].items()},
+        source_ref=dict(check_object(document["source_ref"], "concrete scenario: 'source_ref'")),
+        assignments=check_numbers(document["assignments"], "concrete scenario: 'assignments'"),
         method=document["method"],
         seed=document.get("seed"),
-        provenance=dict(document.get("provenance", {})),
+        provenance=dict(check_object(document.get("provenance", {}),
+                                     "concrete scenario: 'provenance'")),
     )
 
 

@@ -12,11 +12,15 @@ Expression ASTs are plain tuples:
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .errors import ScenarioSyntaxError
 
 COMPARATORS = ("<=", ">=", "<", ">", "=")
+# exact binary64 comparator semantics; ``=`` means exact equality
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+            "=": operator.eq}
 
 _TOKEN_RE = re.compile(
     r"\s*(?:"
@@ -151,6 +155,36 @@ def eval_expr(node, env) -> float:
     return a * b
 
 
+def compile_expr(node, index):
+    """A closure ``row -> value`` that evaluates ``node`` like ``eval_expr``,
+    with the same float operations in the same order, reading each variable
+    from ``row[index[name]]``."""
+    head = node[0]
+    if head == "num":
+        value = node[1]
+        return lambda row: value
+    if head == "var":
+        return operator.itemgetter(index[node[1]])
+    if head == "neg":
+        inner = compile_expr(node[1], index)
+        return lambda row: -inner(row)
+    a = compile_expr(node[1], index)
+    b = compile_expr(node[2], index)
+    if head == "add":
+        return lambda row: a(row) + b(row)
+    if head == "sub":
+        return lambda row: a(row) - b(row)
+    return lambda row: a(row) * b(row)
+
+
+def compile_comparison(lhs, op: str, rhs, index):
+    """A closure ``row -> bool``: ``comparison_holds`` over compiled sides."""
+    left = compile_expr(lhs, index)
+    right = compile_expr(rhs, index)
+    compare = _COMPARE[op]
+    return lambda row: compare(left(row), right(row))
+
+
 def interval_expr(node, env) -> tuple[float, float]:
     """Evaluate over an environment of ``name -> (lo, hi)`` intervals."""
     head = node[0]
@@ -194,15 +228,7 @@ def _atom(node) -> str:
 
 def comparison_holds(lhs: float, op: str, rhs: float) -> bool:
     """Exact binary64 comparator semantics; ``=`` means exact equality."""
-    if op == "<":
-        return lhs < rhs
-    if op == "<=":
-        return lhs <= rhs
-    if op == ">":
-        return lhs > rhs
-    if op == ">=":
-        return lhs >= rhs
-    return lhs == rhs
+    return _COMPARE[op](lhs, rhs)
 
 
 def comparison_possible(lhs: tuple[float, float], op: str, rhs: tuple[float, float]) -> bool:

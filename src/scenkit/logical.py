@@ -8,11 +8,13 @@ constraints over those parameters.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import expressions
-from .canonical import check_document, content_hash, dumps_canonical, load_json
-from .errors import Finding, Report, SchemaViolation
+from .canonical import check_document, check_object, content_hash, dumps_canonical, load_json
+from .errors import Finding, Report, SchemaViolation, UnboundConstraintParameter
 
 DISTRIBUTION_TYPES = ("uniform", "truncated-gaussian")
 
@@ -47,14 +49,24 @@ class Inequality:
     rhs: str
     provenance: tuple[tuple[str, str], ...] = ()
 
+    @cached_property
+    def parsed(self) -> tuple:
+        """The ``(lhs, rhs)`` expression ASTs, parsed once per instance."""
+        return expressions.parse_expression(self.lhs), expressions.parse_expression(self.rhs)
+
     def variables(self) -> set[str]:
-        return (expressions.expr_variables(expressions.parse_expression(self.lhs))
-                | expressions.expr_variables(expressions.parse_expression(self.rhs)))
+        lhs, rhs = self.parsed
+        return expressions.expr_variables(lhs) | expressions.expr_variables(rhs)
 
     def holds(self, env: dict[str, float]) -> bool:
-        lhs = expressions.eval_expr(expressions.parse_expression(self.lhs), env)
-        rhs = expressions.eval_expr(expressions.parse_expression(self.rhs), env)
-        return expressions.comparison_holds(lhs, self.op, rhs)
+        lhs, rhs = self.parsed
+        return expressions.comparison_holds(expressions.eval_expr(lhs, env), self.op,
+                                            expressions.eval_expr(rhs, env))
+
+    def compile(self, index: dict[str, int]) -> Callable[[tuple], bool]:
+        """``holds`` as a closure over a row tuple; ``index`` maps names to positions."""
+        lhs, rhs = self.parsed
+        return expressions.compile_comparison(lhs, self.op, rhs, index)
 
     def describe(self) -> str:
         return f"{self.lhs} {self.op} {self.rhs}"
@@ -79,6 +91,12 @@ class Correlation:
         center = self.slope * env[self.source] + self.intercept
         return abs(env[self.target] - center) <= self.tolerance
 
+    def compile(self, index: dict[str, int]) -> Callable[[tuple], bool]:
+        """``holds`` as a closure over a row tuple; ``index`` maps names to positions."""
+        target, source = index[self.target], index[self.source]
+        slope, intercept, tolerance = self.slope, self.intercept, self.tolerance
+        return lambda row: abs(row[target] - (slope * row[source] + intercept)) <= tolerance
+
     def describe(self) -> str:
         return (f"{self.target} = {self.slope!r}*{self.source} + {self.intercept!r} "
                 f"+- {self.tolerance!r}")
@@ -99,6 +117,48 @@ class LogicalScenario:
             if parameter.name == name:
                 return parameter
         return None
+
+    @cached_property
+    def compiled(self) -> CompiledScenario:
+        return CompiledScenario(self)
+
+
+class CompiledScenario:
+    """A logical scenario in evaluation form. A row is a tuple of parameter
+    values in declaration order; each constraint becomes a closure over it.
+    A constraint on an undeclared parameter is an ``UnboundConstraintParameter``."""
+
+    def __init__(self, scenario: LogicalScenario):
+        self.names = tuple(p.name for p in scenario.parameters)
+        index = {name: n for n, name in enumerate(self.names)}  # a repeated name: the last
+        positions, checks = [], []
+        for constraint in scenario.constraints:
+            variables = constraint.variables()
+            unknown = variables - index.keys()
+            if unknown:
+                raise UnboundConstraintParameter(
+                    f"constraint {constraint.id} references undeclared parameters: "
+                    f"{sorted(unknown)}")
+            positions.append(tuple(sorted({index[name] for name in variables})))
+            checks.append(constraint.compile(index))
+        self.positions = tuple(positions)  # per constraint, the row positions it reads
+        self.checks = tuple(checks)  # per constraint, ``row -> bool``
+
+    def components(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Connected components of the constraint graph: (row positions,
+        constraint numbers), both ascending. Positions that no constraint
+        reads, and constraints that read no position, are in none."""
+        groups: list[tuple[set[int], list[int]]] = []
+        for number, positions in enumerate(self.positions):
+            if not positions:
+                continue
+            joined, numbers = set(positions), [number]
+            for group in [g for g in groups if g[0] & joined]:
+                groups.remove(group)
+                joined |= group[0]
+                numbers += group[1]
+            groups.append((joined, numbers))
+        return [(tuple(sorted(p)), tuple(sorted(n))) for p, n in groups]
 
 
 ValidationReport = Report
@@ -146,8 +206,8 @@ def validate_logical(scenario: LogicalScenario) -> Report:
                                     f"parameters: {sorted(unknown)}", (constraint.id,)))
             continue
         if isinstance(constraint, Inequality):
-            lhs = expressions.interval_expr(expressions.parse_expression(constraint.lhs), env)
-            rhs = expressions.interval_expr(expressions.parse_expression(constraint.rhs), env)
+            lhs = expressions.interval_expr(constraint.parsed[0], env)
+            rhs = expressions.interval_expr(constraint.parsed[1], env)
             possible = expressions.comparison_possible(lhs, constraint.op, rhs)
         else:
             source_lo, source_hi = env[constraint.source]
@@ -233,9 +293,7 @@ def logical_to_dict(scenario: LogicalScenario) -> dict:
 
 
 def _provenance_from_dict(record) -> tuple[tuple[str, str], ...]:
-    if not isinstance(record, dict):
-        raise SchemaViolation("provenance must be an object")
-    return tuple(sorted(record.items()))
+    return tuple(sorted(check_object(record, "provenance").items()))
 
 
 def _parameter_from_dict(record: dict) -> Parameter:
@@ -261,10 +319,10 @@ def _constraint_from_dict(record: dict) -> Constraint:
         if kind == "inequality":
             if record["op"] not in expressions.COMPARATORS:
                 raise SchemaViolation(f"bad comparator {record['op']!r}")
-            expressions.parse_expression(record["lhs"])
-            expressions.parse_expression(record["rhs"])
-            return Inequality(id=record["id"], lhs=record["lhs"], op=record["op"],
-                              rhs=record["rhs"], provenance=provenance)
+            constraint = Inequality(id=record["id"], lhs=record["lhs"], op=record["op"],
+                                    rhs=record["rhs"], provenance=provenance)
+            constraint.parsed  # a malformed expression fails the load, not a later use
+            return constraint
         if kind == "correlation":
             tolerance = float(record["tolerance"])
             if tolerance < 0:
@@ -284,7 +342,7 @@ def logical_from_dict(document: dict) -> LogicalScenario:
         raise SchemaViolation("'parameters' and 'constraints' must be arrays")
     return LogicalScenario(
         scenario_id=document["scenario_id"],
-        source_ref=dict(document["source_ref"]),
+        source_ref=dict(check_object(document["source_ref"], "logical scenario: 'source_ref'")),
         parameters=tuple(_parameter_from_dict(p) for p in document["parameters"]),
         constraints=tuple(_constraint_from_dict(c) for c in document["constraints"]),
     )

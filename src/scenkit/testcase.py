@@ -15,7 +15,14 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .canonical import check_document, content_hash, dumps_canonical, load_json
+from .canonical import (
+    check_document,
+    check_numbers,
+    check_object,
+    content_hash,
+    dumps_canonical,
+    load_json,
+)
 from .concretize import ConcreteScenario, concrete_hash
 from .errors import (
     BadTiming,
@@ -220,20 +227,24 @@ def testcase_from_dict(document: dict) -> TestCase:
     check_document(document, "test case",
                    ("unique_id", "work_product_ref", "preconditions", "environmental_conditions",
                     "input_data", "expected_behavior", "source_ref"), "testcase/1")
-    preconditions = document["preconditions"]
-    return TestCase(
-        unique_id=document["unique_id"],
-        work_product_ref=document["work_product_ref"],
-        preconditions=preconditions["text"],
-        configuration=preconditions["configuration"],
-        environmental_conditions={k: float(v) for k, v in
-                                  document["environmental_conditions"].items()},
-        input_data=tuple(TimeSeries(parameter=t["parameter"], unit=t["unit"],
-                                    dt=float(t["dt"]), samples=tuple(float(s) for s in t["samples"]))
-                         for t in document["input_data"]),
-        expected=expected_from_dict(document["expected_behavior"]),
-        source_ref=dict(document["source_ref"]),
-    )
+    preconditions = check_object(document["preconditions"], "test case: 'preconditions'")
+    try:
+        return TestCase(
+            unique_id=document["unique_id"],
+            work_product_ref=document["work_product_ref"],
+            preconditions=preconditions["text"],
+            configuration=preconditions["configuration"],
+            environmental_conditions=check_numbers(document["environmental_conditions"],
+                                                   "test case: 'environmental_conditions'"),
+            input_data=tuple(TimeSeries(parameter=t["parameter"], unit=t["unit"],
+                                        dt=float(t["dt"]),
+                                        samples=tuple(float(s) for s in t["samples"]))
+                             for t in document["input_data"]),
+            expected=expected_from_dict(document["expected_behavior"]),
+            source_ref=dict(check_object(document["source_ref"], "test case: 'source_ref'")),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaViolation(f"bad test case record: {exc}") from exc
 
 
 def serialize_testcase(case: TestCase) -> str:

@@ -1,7 +1,10 @@
+import hashlib
 import json
+import sys
 
 import pytest
 
+from scenkit import expressions
 from scenkit.cli import generate_suite, main
 from scenkit.logical import deserialize_logical
 
@@ -11,6 +14,8 @@ VOCAB = str(DATA / "vocabulary.json")
 CATALOG = str(DATA / "catalog.json")
 SCENARIO = str(DATA / "fig_car_follows_truck.scn")
 EXPECTED = str(DATA / "expected.json")
+
+WORKED_SUITE_SHA256 = "6c5bc47c22555e99c52e3104f05585f2bfa2fa2b8ecbd13f49bdb1974657a1a9"
 
 EXPORT_ARGS = ["--expected", EXPECTED, "--work-product", "req-keep-distance-001",
                "--duration", "2", "--dt", "1"]
@@ -151,3 +156,61 @@ def test_lower_continues_after_infeasible_file(tmp_path, capsys):
     assert "INTERVAL_INFEASIBLE" in capsys.readouterr().out
     assert not (out / "s1.logical.json").exists()
     assert (out / "s2.logical.json").exists()
+
+
+README_PIPELINE = ["pipeline", "--vocab", VOCAB, "--catalog", CATALOG, "--method", "pairwise",
+                   "--seed", "42", SCENARIO] + EXPORT_ARGS
+
+
+def test_pinned_worked_example_suite_bytes(tmp_path, capsys):
+    assert main(README_PIPELINE + ["--out", str(tmp_path)]) == 0
+    suite = (tmp_path / "concrete" / "s1.suite.json").read_bytes()
+    assert hashlib.sha256(suite).hexdigest() == WORKED_SUITE_SHA256
+
+
+def test_pipeline_parses_expressions_at_most_ten_times(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    original = expressions.parse_expression
+    for name, module in list(sys.modules.items()):
+        if name == "scenkit" or name.startswith("scenkit."):
+            for attribute, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attribute, counting)
+    assert main(README_PIPELINE + ["--out", str(tmp_path)]) == 0
+    assert 0 < len(calls) <= 10
+
+
+@pytest.mark.parametrize("field, value", [
+    ("assignments", []),
+    ("assignments", {"c1.s0": "12.5"}),
+    ("source_ref", "s1"),
+], ids=["assignments-list", "assignment-string", "source-ref-string"])
+def test_export_rejects_mistyped_scenario(tmp_path, capsys, field, value):
+    assert main(["lower", "--vocab", VOCAB, "--catalog", CATALOG,
+                 "--out", str(tmp_path), SCENARIO]) == 0
+    logical_path = str(tmp_path / "s1.logical.json")
+    assert main(["concretize", "--out", str(tmp_path), "--method", "boundary",
+                 logical_path]) == 0
+    document = json.loads((tmp_path / "s1.suite.json").read_text())
+    document["scenarios"][0][field] = value
+    suite = tmp_path / "bad.suite.json"
+    suite.write_text(json.dumps(document))
+    assert main(["export", "--logical", logical_path, "--out", str(tmp_path / "cases"),
+                 str(suite)] + EXPORT_ARGS) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_concretize_rejects_mistyped_source_ref(tmp_path, capsys):
+    assert main(["lower", "--vocab", VOCAB, "--catalog", CATALOG,
+                 "--out", str(tmp_path), SCENARIO]) == 0
+    document = json.loads((tmp_path / "s1.logical.json").read_text())
+    document["source_ref"] = "s1"
+    logical = tmp_path / "bad.logical.json"
+    logical.write_text(json.dumps(document))
+    assert main(["concretize", "--out", str(tmp_path / "out"), str(logical)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,7 +1,10 @@
+import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scenkit.concretize import (
     ConcreteScenario,
@@ -18,8 +21,17 @@ from scenkit.concretize import (
     serialize_concrete,
     suite_to_dict,
 )
-from scenkit.errors import BadK, InfeasibleLevels, SamplingExhausted, SchemaViolation, SourceMismatch
-from scenkit.logical import Parameter
+from scenkit.canonical import dumps_canonical
+from scenkit.errors import (
+    BadK,
+    InfeasibleLevels,
+    SamplingExhausted,
+    SchemaViolation,
+    SourceMismatch,
+    UnboundConstraintParameter,
+)
+from scenkit.expressions import COMPARATORS
+from scenkit.logical import Correlation, Inequality, LogicalScenario, Parameter
 
 from conftest import make_logical, random_logical, source_ref_for
 
@@ -254,3 +266,126 @@ def test_coverage_counts_duplicate_levels_once():
     assert len(all_pairs) == 8
     assert coverage.infeasible_combination_count == len(all_pairs) - len(feasible_pairs) == 5
     assert coverage.pair_coverage == 1.0
+
+
+PIN_NAMES = [f"p{i}" for i in range(8)]
+PIN8_SHA256 = "7b0adc2aec9cb3b7cd132a90a8e9284916d07cf07468328bf3237cf33336d1e6"
+
+
+def test_pinned_suite_bytes_eight_parameters():
+    scenario = make_logical([(n, 0, 3) for n in PIN_NAMES],
+                            [("p0", "<", "p1"), ("p2 + p3", "<=", "4")], scenario_id="pin8")
+    levels = {n: [0.0, 1.0, 2.0, 3.0] for n in PIN_NAMES}
+    suite = pairwise_cover(scenario, levels)
+    text = dumps_canonical(suite_to_dict(suite, coverage_metrics(scenario, levels, suite)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PIN8_SHA256
+
+
+def _suite_row(names, values, scenario):
+    return ConcreteScenario(scenario_id="row", source_ref={"scenario_id": scenario.scenario_id},
+                            assignments=dict(zip(names, values)))
+
+
+def brute_force_coverage(scenario, levels, suite):
+    """(pair coverage, infeasible pair count) from the full level product."""
+    names = [p.name for p in scenario.parameters]
+    all_pairs, feasible = set(), set()
+    for row in itertools.product(*(levels[n] for n in names)):
+        pairs = {((i, row[i]), (j, row[j])) for i, j in itertools.combinations(range(len(names)), 2)}
+        all_pairs |= pairs
+        if all(c.holds(dict(zip(names, row))) for c in scenario.constraints):
+            feasible |= pairs
+    covered = set()
+    for concrete in suite:
+        row = [concrete.assignments[n] for n in names]
+        covered |= {((i, row[i]), (j, row[j]))
+                    for i, j in itertools.combinations(range(len(names)), 2)} & feasible
+    coverage = float(Fraction(len(covered), len(feasible))) if feasible else 1.0
+    return coverage, len(all_pairs) - len(feasible)
+
+
+def assert_coverage_matches_brute_force(scenario, levels, suite_rows):
+    names = [p.name for p in scenario.parameters]
+    suite = [_suite_row(names, row, scenario) for row in suite_rows]
+    report = coverage_metrics(scenario, levels, suite)
+    coverage, infeasible = brute_force_coverage(scenario, levels, suite)
+    assert report.pair_coverage == coverage
+    assert report.infeasible_combination_count == infeasible
+
+
+LEVEL_VALUES = [0.0, 1.0, 2.0, 3.0]
+
+
+@st.composite
+def coverage_cases(draw):
+    width = draw(st.integers(1, 5))
+    names = [f"p{i}" for i in range(width)]
+    levels = {n: draw(st.lists(st.sampled_from(LEVEL_VALUES), min_size=1, max_size=3))
+              for n in names}
+    constraints = []
+    for i in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["inequality", "correlation", "constant"]))
+        a, b = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        if kind == "inequality":
+            rhs = draw(st.sampled_from([b, f"{b} + 1", f"2 * {b} - 3"]))
+            constraints.append(Inequality(id=f"c{i}", lhs=a, op=draw(st.sampled_from(COMPARATORS)),
+                                          rhs=rhs))
+        elif kind == "correlation":
+            constraints.append(Correlation(id=f"c{i}", target=a, source=b,
+                                           slope=draw(st.sampled_from([0.5, 1.0, -1.0])),
+                                           intercept=draw(st.sampled_from([0.0, 1.0, 3.0])),
+                                           tolerance=draw(st.sampled_from([0.0, 0.5, 1.0]))))
+        else:
+            constraints.append(Inequality(id=f"c{i}", lhs=draw(st.sampled_from(["0", "1"])),
+                                          op="<", rhs=draw(st.sampled_from(["0", "1"]))))
+    scenario = LogicalScenario(
+        scenario_id="cov", parameters=tuple(Parameter(n, "m", 0.0, 3.0) for n in names),
+        constraints=tuple(constraints))
+    suite_rows = draw(st.lists(st.lists(st.sampled_from(LEVEL_VALUES + [0.5]),
+                                        min_size=width, max_size=width), max_size=4))
+    return scenario, levels, suite_rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(coverage_cases())
+def test_coverage_matches_brute_force(case):
+    assert_coverage_matches_brute_force(*case)
+
+
+@pytest.mark.parametrize("constraints, expected_infeasible", [
+    ([("1", "<", "0")], 6 * 4),  # constant false: no pair is feasible
+    ([("p0", "<", "p0")], 6 * 4),  # one component is empty, so all others are unusable
+    ([("p0", "<", "p1"), ("p2", "=", "p3 + 7")], 6 * 4),
+    ([("p0", "<", "p1"), ("p2", "=", "p3")], None),
+])
+def test_coverage_with_infeasible_parts(constraints, expected_infeasible):
+    names = ["p0", "p1", "p2", "p3"]
+    scenario = make_logical([(n, 0, 3) for n in names], constraints)
+    levels = {n: [0.0, 3.0] for n in names}
+    rows = [[0.0, 3.0, 0.0, 0.0], [3.0, 0.0, 3.0, 0.0], [0.0, 3.0, 3.0, 3.0]]
+    assert_coverage_matches_brute_force(scenario, levels, rows)
+    if expected_infeasible is not None:
+        report = coverage_metrics(scenario, levels, [])
+        assert report.infeasible_combination_count == expected_infeasible
+        assert report.pair_coverage == 1.0
+
+
+def test_constraint_on_undeclared_parameter_is_named():
+    scenario = make_logical([("a.x", 0, 1), ("a.y", 0, 1)], [("a.x", "<", "zz.q + a.y")])
+    levels = {"a.x": [0.0, 1.0], "a.y": [0.0, 1.0]}
+    for call in (lambda: pairwise_cover(scenario, levels),
+                 lambda: sample_random(scenario, 3, seed=0),
+                 lambda: coverage_metrics(scenario, levels, [])):
+        with pytest.raises(UnboundConstraintParameter, match=r"c000.*zz\.q"):
+            call()
+
+
+def test_compiled_checks_match_holds():
+    scenario = make_logical([("a.x", -2, 2), ("a.y", -2, 2)],
+                            [("-(a.x - 1) * 2", "<=", "a.y + 0.5"), ("a.x", "=", "a.y")])
+    compiled = scenario.compiled
+    values = [-2.0, -0.5, 0.0, 0.75, 2.0]
+    for row in itertools.product(values, repeat=2):
+        env = dict(zip(compiled.names, row))
+        assert [check(row) for check in compiled.checks] == [
+            c.holds(env) for c in scenario.constraints]

@@ -217,3 +217,17 @@ def test_export_empty_suite(tmp_path):
     manifest = export_suite([], tmp_path / "out")
     assert manifest["case_count"] == 0
     assert json.loads((tmp_path / "out" / "manifest.json").read_text())["cases"] == []
+
+
+@pytest.mark.parametrize("field, value", [
+    ("preconditions", "nominal"),
+    ("environmental_conditions", []),
+    ("environmental_conditions", {"c1.s0": "30"}),
+    ("input_data", [["c1.s", "m"]]),
+    ("source_ref", "s1"),
+])
+def test_from_dict_rejects_mistyped_fields(field, value):
+    document = tcmod.testcase_to_dict(build_case())
+    document[field] = value
+    with pytest.raises(SchemaViolation):
+        tcmod.testcase_from_dict(document)
