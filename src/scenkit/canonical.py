@@ -4,18 +4,88 @@ All artifacts serialize with sorted keys, 2-space indentation, ``\\n`` line
 ends, and a trailing newline. Floats are rendered by ``repr``, which emits the
 shortest decimal that round-trips to the same binary64 value, so canonical
 bytes are stable across platforms.
+
+The bytes are defined as those of ``json.dumps(obj, sort_keys=True, indent=2,
+ensure_ascii=False) + "\\n"``, and ``dumps_canonical`` must stay byte-equal to
+that expression. It does not call it: with ``indent`` set, CPython's ``json``
+falls back to its pure-Python encoder, which takes one generator step per
+value and made encoding the trace samples of an export the slowest stage of a
+pipeline run. The encoder below handles exactly the JSON value types, renders
+strings with json's C string encoder, and renders an all-float array by
+formatting each distinct value once. Unlike ``json``, it rejects a non-``str``
+key with a ``TypeError`` instead of converting it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring
 
 from .errors import ScenarioSyntaxError, SchemaViolation
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+def _floats(values, separator: str) -> str:
+    """An all-float array body. When values repeat, each distinct one is
+    formatted once; not when the array holds a zero, because ``0.0`` and
+    ``-0.0`` are equal keys that render differently."""
+    table = dict.fromkeys(values)
+    if 0.0 in table or 2 * len(table) > len(values):
+        text = separator.join(map(float.__repr__, values))
+    else:
+        table = dict(zip(table, map(float.__repr__, table)))
+        text = separator.join(map(table.__getitem__, values))
+    if "n" in text:  # nan or inf: finite reprs are digits, ".", "e", "+" and "-"
+        text = separator.join(map(_float, values))
+    return text
+
+
+def _encode(value, indent: str) -> str:
+    """``value`` as canonical JSON; ``indent`` is the newline and indentation
+    of the line it starts on."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    inner = indent + "  "
+    separator = "," + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {float}:
+            body = _floats(value, separator)
+        else:
+            body = separator.join([_encode(item, inner) for item in value])
+        return "[" + inner + body + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        body = separator.join([encode_basestring(key) + ": " + _encode(value[key], inner)
+                               for key in sorted(value)])
+        return "{" + inner + body + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return _encode(obj, "\n") + "\n"
 
 
 def content_hash(obj) -> str:
@@ -38,6 +108,18 @@ def load_json(source: str):
 def check_object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise SchemaViolation(f"{what} must be an object")
+    return value
+
+
+def check_records(value, what: str, fields=()) -> list[dict]:
+    """An array of objects, each with the required fields."""
+    if not isinstance(value, list):
+        raise SchemaViolation(f"{what} must be an array")
+    for record in value:
+        check_object(record, f"{what} record")
+        for key in fields:
+            if key not in record:
+                raise SchemaViolation(f"{what}: record without {key!r}")
     return value
 
 

@@ -143,28 +143,38 @@ def cmd_concretize(args) -> int:
     return EXIT_OK
 
 
-def _export_cases(logical, scenarios, args, destination) -> dict:
+def _export_inputs(args):
+    """Check the timing and load the expected behaviour before anything is
+    written; returns ``(expected, meta)``."""
+    tc.check_timing(args.dt, args.duration)
     expected = tc.load_expected(_read(args.expected))
     meta = {
         "work_product_ref": args.work_product,
         "preconditions": args.preconditions,
         "configuration": args.configuration,
     }
-    cases = []
-    for concrete in scenarios:
-        traces = tc.synthesize_traces(logical, concrete, args.duration, args.dt)
-        cases.append(tc.assemble_test_case(concrete, traces, meta, expected))
+    return expected, meta
+
+
+def _export_cases(logical, scenarios, args, inputs, destination) -> dict:
+    """Stream one test case per concrete scenario into ``destination``."""
+    expected, meta = inputs
+    cases = (tc.assemble_test_case(
+                 concrete, tc.synthesize_traces(logical, concrete, args.duration, args.dt),
+                 meta, expected)
+             for concrete in scenarios)
     return tc.export_suite(cases, destination)
 
 
 def cmd_export(args) -> int:
+    inputs = _export_inputs(args)
     logical = deserialize_logical(_read(args.logical))
     try:
         document = json.loads(_read(args.suite))
     except json.JSONDecodeError as exc:
         raise json_syntax_error(exc) from exc
     scenarios = cz.suite_from_dict(document)
-    manifest = _export_cases(logical, scenarios, args, args.out)
+    manifest = _export_cases(logical, scenarios, args, inputs, args.out)
     print(f"{args.suite} -> {args.out} ({manifest['case_count']} test cases)")
     return EXIT_OK
 
@@ -172,6 +182,7 @@ def cmd_export(args) -> int:
 def cmd_pipeline(args) -> int:
     vocabulary = load_vocabulary(_read(args.vocab))
     catalog = load_parameter_catalog(_read(args.catalog), vocabulary)
+    inputs = _export_inputs(args)
     out = Path(args.out)
     (out / "logical").mkdir(parents=True, exist_ok=True)
     (out / "concrete").mkdir(parents=True, exist_ok=True)
@@ -189,7 +200,7 @@ def cmd_pipeline(args) -> int:
                                            suite_path)
 
         cases_dir = out / "cases" / logical.scenario_id
-        manifest = _export_cases(logical, scenarios, args, cases_dir)
+        manifest = _export_cases(logical, scenarios, args, inputs, cases_dir)
         summary.append({
             "scenario_id": logical.scenario_id,
             "logical": str(logical_path),

@@ -29,7 +29,7 @@ from .errors import (
     SchemaViolation,
     SourceMismatch,
 )
-from .logical import LogicalScenario, Parameter, logical_hash
+from .logical import LogicalScenario, Parameter
 
 ATTEMPTS_PER_SAMPLE = 1000  # rejection budget per requested sample
 EXACT_SEARCH_NODES = 200_000  # candidate-evaluation budget for the minimal-suite search
@@ -110,7 +110,7 @@ def check_concrete(scenario: LogicalScenario, concrete: ConcreteScenario) -> lis
             f"concrete scenario {concrete.scenario_id!r} references "
             f"{concrete.source_ref.get('scenario_id')!r}, not {scenario.scenario_id!r}")
     expected_hash = concrete.source_ref.get("hash")
-    if expected_hash is not None and expected_hash != logical_hash(scenario):
+    if expected_hash is not None and expected_hash != scenario.digest:
         raise SourceMismatch(f"concrete scenario {concrete.scenario_id!r} references a "
                              "different revision of the logical scenario")
     return _violations(scenario, concrete.assignments)
@@ -119,7 +119,7 @@ def check_concrete(scenario: LogicalScenario, concrete: ConcreteScenario) -> lis
 def _wrapper(scenario: LogicalScenario, method: str, seed: int | None = None):
     """``wrap(assignments, index)`` for one suite: the source reference and the
     provenance are computed once, not once per scenario."""
-    source_ref = {"scenario_id": scenario.scenario_id, "hash": logical_hash(scenario)}
+    source_ref = {"scenario_id": scenario.scenario_id, "hash": scenario.digest}
     defaulted = sorted(p.name for p in scenario.parameters if p.distribution is None)
 
     def wrap(assignments: dict, index: int) -> ConcreteScenario:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import product
 
-from .canonical import check_document, content_hash, dumps_canonical, load_json
+from .canonical import check_document, check_records, content_hash, dumps_canonical, load_json
 from .errors import (
     ArityMismatch,
     DuplicateInstance,
@@ -28,6 +28,7 @@ from .errors import (
     IllegalAttributeValue,
     Report,
     ScenarioSyntaxError,
+    SchemaViolation,
     UnknownTerm,
     UnknownVariationTarget,
 )
@@ -426,14 +427,22 @@ def functional_from_dict(document: dict) -> FunctionalScenario:
                    ("scenario_id", "vocabulary_ref", "instances", "relations", "attributes"),
                    "functional/1")
     ref = check_document(document["vocabulary_ref"], "vocabulary_ref", ("domain_name", "version"))
+    instances = check_records(document["instances"], "functional scenario: 'instances'",
+                              ("instance_id", "term"))
+    relations = check_records(document["relations"], "functional scenario: 'relations'",
+                              ("relation", "arguments"))
+    attributes = check_records(document["attributes"], "functional scenario: 'attributes'",
+                               ("instance_id", "attribute", "value"))
+    for r in relations:
+        if not isinstance(r["arguments"], list):
+            raise SchemaViolation("functional scenario: relation 'arguments' must be an array")
     return FunctionalScenario(
         scenario_id=document["scenario_id"],
         vocabulary_ref=(ref["domain_name"], ref["version"]),
-        instances=tuple(EntityInstance(i["instance_id"], i["term"]) for i in document["instances"]),
-        relations=tuple(RelationPhrase(r["relation"], tuple(r["arguments"]))
-                        for r in document["relations"]),
+        instances=tuple(EntityInstance(i["instance_id"], i["term"]) for i in instances),
+        relations=tuple(RelationPhrase(r["relation"], tuple(r["arguments"])) for r in relations),
         attributes=tuple(AttributeAssignment(a["instance_id"], a["attribute"], a["value"])
-                         for a in document["attributes"]),
+                         for a in attributes),
     )
 
 

@@ -122,6 +122,12 @@ class LogicalScenario:
     def compiled(self) -> CompiledScenario:
         return CompiledScenario(self)
 
+    @cached_property
+    def digest(self) -> str:
+        """The content hash of the canonical serialization (``logical_hash``),
+        computed once per scenario."""
+        return content_hash(logical_to_dict(self))
+
 
 class CompiledScenario:
     """A logical scenario in evaluation form. A row is a tuple of parameter
@@ -357,4 +363,4 @@ def deserialize_logical(source: str) -> LogicalScenario:
 
 
 def logical_hash(scenario: LogicalScenario) -> str:
-    return content_hash(logical_to_dict(scenario))
+    return scenario.digest

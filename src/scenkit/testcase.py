@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import shutil
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from .canonical import (
     check_document,
     check_numbers,
     check_object,
+    check_records,
     content_hash,
     dumps_canonical,
     load_json,
@@ -70,12 +73,17 @@ class TestCase:
     source_ref: dict = field(default_factory=dict)
 
 
+def check_timing(dt: float, duration: float) -> None:
+    """The one timing rule: both finite and ``0 < dt <= duration``."""
+    if not (math.isfinite(dt) and math.isfinite(duration) and 0 < dt <= duration):
+        raise BadTiming(f"need finite 0 < dt <= duration, got dt={dt}, duration={duration}")
+
+
 def synthesize_traces(scenario: LogicalScenario, concrete: ConcreteScenario,
                       duration: float, dt: float) -> list[TimeSeries]:
     """Time series for every parameter: kinematic instances get position and
     speed signals, static parameters get constant signals."""
-    if dt <= 0 or duration <= 0 or dt > duration:
-        raise BadTiming(f"need 0 < dt <= duration, got dt={dt}, duration={duration}")
+    check_timing(dt, duration)
     if concrete.source_ref.get("scenario_id") != scenario.scenario_id:
         raise SourceMismatch(
             f"concrete scenario references {concrete.source_ref.get('scenario_id')!r}, "
@@ -192,7 +200,7 @@ def _expected_to_dict(expected: ExpectedBehavior) -> dict:
 def expected_from_dict(document: dict) -> ExpectedBehavior:
     check_document(document, "expected behavior", ("description",))
     checks = []
-    for record in document.get("checks", []):
+    for record in check_records(document.get("checks", []), "expected behavior: 'checks'"):
         try:
             tolerance = float(record["tolerance"])
             if tolerance < 0:
@@ -255,46 +263,46 @@ def deserialize_testcase(source: str) -> TestCase:
     return testcase_from_dict(load_json(source))
 
 
-def export_suite(cases: list[TestCase], destination) -> dict:
+def export_suite(cases: Iterable[TestCase], destination) -> dict:
     """Write one file per case plus a manifest; re-export is byte-identical.
 
-    Files land in a staging directory first and are moved into place only
-    after every document has been written.
+    ``cases`` may be a generator: each case is serialized and written to a
+    staging directory as it arrives. Only when every document is written is
+    ``destination`` created and the files moved into it; if anything fails
+    first, the staging directory is removed and ``destination`` is untouched.
     """
-    seen: set[str] = set()
-    for case in cases:
-        if case.unique_id in seen:
-            raise DuplicateId(f"duplicate test case id {case.unique_id!r}")
-        seen.add(case.unique_id)
-
     destination = Path(destination)
-    destination.mkdir(parents=True, exist_ok=True)
     staging = destination.parent / (destination.name + ".staging")
     staging.mkdir(parents=True, exist_ok=True)
+    entries = {}
+    try:
+        for case in cases:
+            if case.unique_id in entries:
+                raise DuplicateId(f"duplicate test case id {case.unique_id!r}")
+            payload = serialize_testcase(case).encode("utf-8")
+            file_name = f"{case.unique_id}.json"
+            (staging / file_name).write_bytes(payload)
+            entries[case.unique_id] = {
+                "unique_id": case.unique_id,
+                "hash": hashlib.sha256(payload).hexdigest(),
+                "file": file_name,
+            }
+        listed = [entries[unique_id] for unique_id in sorted(entries)]
+        suite_hash = hashlib.sha256(
+            "".join(sorted(e["hash"] for e in listed)).encode("ascii")).hexdigest()
+        manifest = {
+            "format": "manifest/1",
+            "case_count": len(listed),
+            "cases": listed,
+            "suite_hash": suite_hash,
+        }
+        (staging / "manifest.json").write_bytes(dumps_canonical(manifest).encode("utf-8"))
+        destination.mkdir(parents=True, exist_ok=True)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
 
-    entries = []
-    for case in cases:
-        payload = serialize_testcase(case)
-        file_name = f"{case.unique_id}.json"
-        (staging / file_name).write_text(payload, encoding="utf-8")
-        entries.append({
-            "unique_id": case.unique_id,
-            "hash": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
-            "file": file_name,
-        })
-
-    entries.sort(key=lambda e: e["unique_id"])
-    suite_hash = hashlib.sha256(
-        "".join(sorted(e["hash"] for e in entries)).encode("ascii")).hexdigest()
-    manifest = {
-        "format": "manifest/1",
-        "case_count": len(entries),
-        "cases": entries,
-        "suite_hash": suite_hash,
-    }
-    (staging / "manifest.json").write_text(dumps_canonical(manifest), encoding="utf-8")
-
-    for name in [e["file"] for e in entries] + ["manifest.json"]:
+    for name in [e["file"] for e in listed] + ["manifest.json"]:
         os.replace(staging / name, destination / name)
     staging.rmdir()
     return manifest

@@ -214,3 +214,52 @@ def test_concretize_rejects_mistyped_source_ref(tmp_path, capsys):
     logical.write_text(json.dumps(document))
     assert main(["concretize", "--out", str(tmp_path / "out"), str(logical)]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _lowered_boundary_suite(tmp_path):
+    assert main(["lower", "--vocab", VOCAB, "--catalog", CATALOG,
+                 "--out", str(tmp_path), SCENARIO]) == 0
+    logical_path = str(tmp_path / "s1.logical.json")
+    assert main(["concretize", "--out", str(tmp_path), "--method", "boundary",
+                 logical_path]) == 0
+    return logical_path, str(tmp_path / "s1.suite.json")
+
+
+@pytest.mark.parametrize("checks", [5, [{"signal": "gap.c1.t1"}], "gap"],
+                         ids=["number", "record-without-fields", "string"])
+def test_export_rejects_mistyped_expected(tmp_path, capsys, checks):
+    logical_path, suite = _lowered_boundary_suite(tmp_path)
+    document = json.loads((DATA / "expected.json").read_text())
+    document["checks"] = checks
+    expected = tmp_path / "bad.expected.json"
+    expected.write_text(json.dumps(document))
+    args = list(EXPORT_ARGS)
+    args[args.index(EXPECTED)] = str(expected)
+    out = tmp_path / "cases"
+    assert main(["export", "--logical", logical_path, "--out", str(out), suite] + args) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() and not (tmp_path / "cases.staging").exists()
+
+
+BAD_TIMING = [["--dt", "nan"], ["--duration", "inf"], ["--dt", "0"], ["--dt=-inf"],
+              ["--dt", "3", "--duration", "2"]]
+TIMING_IDS = ["dt-nan", "duration-inf", "dt-zero", "dt-minus-inf", "dt-over-duration"]
+
+
+@pytest.mark.parametrize("timing", BAD_TIMING, ids=TIMING_IDS)
+def test_export_rejects_bad_timing_before_writing(tmp_path, capsys, timing):
+    logical_path, suite = _lowered_boundary_suite(tmp_path)
+    out = tmp_path / "cases"
+    assert main(["export", "--logical", logical_path, "--out", str(out), suite]
+                + EXPORT_ARGS + timing) == 3
+    assert "dt" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "cases.staging").exists()
+
+
+@pytest.mark.parametrize("timing", BAD_TIMING, ids=TIMING_IDS)
+def test_pipeline_rejects_bad_timing_before_writing(tmp_path, capsys, timing):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--vocab", VOCAB, "--catalog", CATALOG, "--out", str(out),
+                 SCENARIO] + EXPORT_ARGS + timing) == 3
+    assert "dt" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scenkit.logical
 from scenkit.concretize import (
     ConcreteScenario,
     boundary_values,
@@ -389,3 +390,16 @@ def test_compiled_checks_match_holds():
         env = dict(zip(compiled.names, row))
         assert [check(row) for check in compiled.checks] == [
             c.holds(env) for c in scenario.constraints]
+
+
+def test_logical_hash_is_computed_once_per_scenario(monkeypatch):
+    calls = []
+    original = scenkit.logical.content_hash
+    monkeypatch.setattr(scenkit.logical, "content_hash",
+                        lambda document: calls.append(1) or original(document))
+    scenario = make_logical([("t1.s0", 0, 200), ("c1.s0", 0, 200)],
+                            [("t1.s0", ">", "c1.s0")])
+    suite = sample_random(scenario, 20, seed=1)
+    for concrete in suite:
+        assert check_concrete(scenario, concrete) == []
+    assert len(calls) == 1

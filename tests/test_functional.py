@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from scenkit.errors import (
@@ -7,6 +9,7 @@ from scenkit.errors import (
     IllegalAttributeValue,
     ScenarioError,
     ScenarioSyntaxError,
+    SchemaViolation,
     UnknownTerm,
     UnknownVariationTarget,
 )
@@ -15,6 +18,7 @@ from scenkit.functional import (
     deserialize_functional,
     enumerate_variations,
     format_functional,
+    functional_from_dict,
     functional_hash,
     parse_functional,
     serialize_functional,
@@ -154,3 +158,19 @@ def test_parser_rule_violations(vocabulary, text, error, line):
         parse_functional(text, vocabulary)
     assert type(excinfo.value) is error
     assert f"line {line}:" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("instances", 5),
+    ("instances", [{"term": "car"}]),
+    ("instances", ["c1"]),
+    ("relations", {"relation": "follows"}),
+    ("relations", [{"relation": "follows", "arguments": 5}]),
+    ("attributes", [{"instance_id": "c1", "attribute": "lane"}]),
+], ids=["instances-number", "instance-without-id", "instance-string", "relations-object",
+        "arguments-number", "attribute-without-value"])
+def test_from_dict_rejects_mistyped_records(car_follows_truck, field, value):
+    document = json.loads(serialize_functional(car_follows_truck))
+    document[field] = value
+    with pytest.raises(SchemaViolation):
+        functional_from_dict(document)

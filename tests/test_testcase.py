@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -231,3 +232,70 @@ def test_from_dict_rejects_mistyped_fields(field, value):
     document[field] = value
     with pytest.raises(SchemaViolation):
         tcmod.testcase_from_dict(document)
+
+
+@pytest.mark.parametrize("checks", [5, None, {"signal": "s"}, ["s"]],
+                         ids=["number", "null", "object", "string-record"])
+def test_expected_rejects_mistyped_checks(checks):
+    with pytest.raises(SchemaViolation):
+        tcmod.expected_from_dict({"description": "x", "checks": checks})
+
+
+@pytest.mark.parametrize("dt, duration", [
+    (math.nan, 1.0), (0.1, math.nan), (math.inf, math.inf), (0.1, math.inf), (-math.inf, 1.0),
+])
+def test_check_timing_rejects(dt, duration):
+    with pytest.raises(BadTiming):
+        tcmod.check_timing(dt, duration)
+
+
+def test_check_timing_accepts_dt_equal_to_duration():
+    tcmod.check_timing(1.0, 1.0)
+
+
+def test_export_streams_a_generator(tmp_path):
+    cases = [build_case(float(i)) for i in range(3)]
+    listed = export_suite(cases, tmp_path / "a")
+    streamed = export_suite((case for case in cases), tmp_path / "b")
+    assert streamed == listed
+    for path in (tmp_path / "a").iterdir():
+        assert (tmp_path / "b" / path.name).read_bytes() == path.read_bytes()
+
+
+def _failing_stream(kind):
+    """Two good cases, then a repeated id or an exception."""
+    first, second = build_case(1.0), build_case(2.0)
+    yield first
+    yield second
+    if kind == "duplicate-id":
+        yield first
+    else:
+        raise TraceMismatch("generator failed mid-stream")
+
+
+FAILURES = {"duplicate-id": DuplicateId, "generator-raises": TraceMismatch}
+
+
+@pytest.mark.parametrize("kind", sorted(FAILURES))
+def test_failed_stream_leaves_no_trace(tmp_path, kind):
+    with pytest.raises(FAILURES[kind]):
+        export_suite(_failing_stream(kind), tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", sorted(FAILURES))
+def test_failed_stream_keeps_existing_destination(tmp_path, kind):
+    destination = tmp_path / "out"
+    export_suite([build_case(float(i)) for i in range(3)], destination)
+    before = {p.name: p.read_bytes() for p in destination.iterdir()}
+    with pytest.raises(FAILURES[kind]):
+        export_suite(_failing_stream(kind), destination)
+    assert {p.name: p.read_bytes() for p in destination.iterdir()} == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_export_onto_a_file_removes_staging(tmp_path):
+    (tmp_path / "out").write_text("not a directory")
+    with pytest.raises(OSError):
+        export_suite([build_case()], tmp_path / "out")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
