@@ -11,9 +11,9 @@ that expression. It does not call it: with ``indent`` set, CPython's ``json``
 falls back to its pure-Python encoder, which takes one generator step per
 value and made encoding the trace samples of an export the slowest stage of a
 pipeline run. The encoder below handles exactly the JSON value types, renders
-strings with json's C string encoder, and renders an all-float array by
-formatting each distinct value once. Unlike ``json``, it rejects a non-``str``
-key with a ``TypeError`` instead of converting it.
+strings with json's C string encoder, and joins an all-float array from
+C-level reprs, formatting the value of a constant array once. Unlike ``json``,
+it rejects a non-``str`` key with a ``TypeError`` instead of converting it.
 """
 
 from __future__ import annotations
@@ -33,15 +33,14 @@ def _float(value: float) -> str:
 
 
 def _floats(values, separator: str) -> str:
-    """An all-float array body. When values repeat, each distinct one is
-    formatted once; not when the array holds a zero, because ``0.0`` and
-    ``-0.0`` are equal keys that render differently."""
-    table = dict.fromkeys(values)
-    if 0.0 in table or 2 * len(table) > len(values):
-        text = separator.join(map(float.__repr__, values))
+    """An all-float array body, joined from C-level reprs. A constant array,
+    the common case for trace samples, formats its value once; not when that
+    value is a zero, because ``0.0 == -0.0`` but they render differently."""
+    first = values[0]
+    if first and values.count(first) == len(values):
+        text = separator.join([float.__repr__(first)] * len(values))
     else:
-        table = dict(zip(table, map(float.__repr__, table)))
-        text = separator.join(map(table.__getitem__, values))
+        text = separator.join(map(float.__repr__, values))
     if "n" in text:  # nan or inf: finite reprs are digits, ".", "e", "+" and "-"
         text = separator.join(map(_float, values))
     return text
@@ -116,10 +115,7 @@ def check_records(value, what: str, fields=()) -> list[dict]:
     if not isinstance(value, list):
         raise SchemaViolation(f"{what} must be an array")
     for record in value:
-        check_object(record, f"{what} record")
-        for key in fields:
-            if key not in record:
-                raise SchemaViolation(f"{what}: record without {key!r}")
+        check_document(record, f"{what} record", fields)
     return value
 
 

@@ -269,10 +269,12 @@ def export_suite(cases: Iterable[TestCase], destination) -> dict:
     ``cases`` may be a generator: each case is serialized and written to a
     staging directory as it arrives. Only when every document is written is
     ``destination`` created and the files moved into it; if anything fails
-    first, the staging directory is removed and ``destination`` is untouched.
+    first, the staging directory and any parent directories made for it are
+    removed, and ``destination`` is untouched.
     """
     destination = Path(destination)
     staging = destination.parent / (destination.name + ".staging")
+    created = [directory for directory in staging.parents if not directory.exists()]
     staging.mkdir(parents=True, exist_ok=True)
     entries = {}
     try:
@@ -298,8 +300,8 @@ def export_suite(cases: Iterable[TestCase], destination) -> dict:
         }
         (staging / "manifest.json").write_bytes(dumps_canonical(manifest).encode("utf-8"))
         destination.mkdir(parents=True, exist_ok=True)
-    except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
+    except BaseException:  # staging, with the parents made for it
+        shutil.rmtree(created[-1] if created else staging, ignore_errors=True)
         raise
 
     for name in [e["file"] for e in listed] + ["manifest.json"]:

@@ -46,7 +46,11 @@ def test_matches_json_reference(value):
 @pytest.mark.parametrize("value", [
     [0.0, -0.0, 0.0, 1.5, -0.0],
     [-0.0] * 4,
+    [0.0] + [-0.0] * 3,
+    [-0.0] + [0.0] * 3,
     [1.5] * 101,
+    [math.nan] * 3,
+    [-math.inf] * 3,
     [math.nan, math.nan, 1.0],
     [math.inf, -math.inf, 2.0, math.inf],
     [5e-324, 2.2250738585072014e-308, -5e-324],
@@ -58,8 +62,9 @@ def test_matches_json_reference(value):
     -(10 ** 30),
     {"é\u0001\n\"\\": ["  \x7f ü", None], "\x00": "퟿"},
     "plain",
-], ids=["signed-zeros", "negative-zeros", "constant", "nan", "infinities", "subnormals",
-        "bools-among-floats", "int-among-floats", "tuples", "empty-containers", "big-int",
+], ids=["signed-zeros", "negative-zeros", "zero-then-negative-zeros",
+        "negative-zero-then-zeros", "constant", "constant-nan", "constant-infinity", "nan",
+        "infinities", "subnormals", "bools-among-floats", "int-among-floats", "tuples", "empty-containers", "big-int",
         "big-negative-int", "control-and-non-ascii", "string"])
 def test_matches_json_reference_fixed(value):
     assert dumps_canonical(value) == reference(value)

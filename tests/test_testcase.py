@@ -284,6 +284,13 @@ def test_failed_stream_leaves_no_trace(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", sorted(FAILURES))
+def test_failed_stream_removes_created_parents(tmp_path, kind):
+    with pytest.raises(FAILURES[kind]):
+        export_suite(_failing_stream(kind), tmp_path / "a" / "b" / "out")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", sorted(FAILURES))
 def test_failed_stream_keeps_existing_destination(tmp_path, kind):
     destination = tmp_path / "out"
     export_suite([build_case(float(i)) for i in range(3)], destination)
