@@ -54,11 +54,18 @@ def generate_suite(scenario: LogicalScenario, method: str, k: int, n: int, seed:
     return cz.pairwise_cover(scenario, levels, method), levels
 
 
+def _write(target: Path, text: str) -> None:
+    """Write ``text`` to ``target``, making its directory on the first write
+    into it, so a run that stops before writing leaves no empty directories."""
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(text, encoding="utf-8")
+
+
 def _write_suite(logical: LogicalScenario, args, seed: int, target: Path):
     """Build the suite, measure its coverage and write both to ``target``."""
     scenarios, levels = generate_suite(logical, args.method, args.k, args.n, seed)
     coverage = cz.coverage_metrics(logical, levels, scenarios)
-    target.write_text(dumps_canonical(cz.suite_to_dict(scenarios, coverage)), encoding="utf-8")
+    _write(target, dumps_canonical(cz.suite_to_dict(scenarios, coverage)))
     return scenarios, coverage
 
 
@@ -115,7 +122,6 @@ def cmd_lower(args) -> int:
     vocabulary = load_vocabulary(_read(args.vocab))
     catalog = load_parameter_catalog(_read(args.catalog), vocabulary)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     worst = EXIT_OK
     for path in args.scenarios:
         logical, status = _lower_one(path, vocabulary, catalog, args)
@@ -123,14 +129,13 @@ def cmd_lower(args) -> int:
         if status != EXIT_OK:
             continue
         target = out / f"{logical.scenario_id}.logical.json"
-        target.write_text(serialize_logical(logical), encoding="utf-8")
+        _write(target, serialize_logical(logical))
         print(f"{path} -> {target}")
     return worst
 
 
 def cmd_concretize(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for index, path in enumerate(args.scenarios):
         logical = deserialize_logical(_read(path))
         status = _gate(path, logical, args)
@@ -184,8 +189,6 @@ def cmd_pipeline(args) -> int:
     catalog = load_parameter_catalog(_read(args.catalog), vocabulary)
     inputs = _export_inputs(args)
     out = Path(args.out)
-    (out / "logical").mkdir(parents=True, exist_ok=True)
-    (out / "concrete").mkdir(parents=True, exist_ok=True)
     summary = []
     for index, path in enumerate(args.scenarios):
         logical, status = _lower_one(path, vocabulary, catalog, args)
@@ -193,7 +196,7 @@ def cmd_pipeline(args) -> int:
             return status
 
         logical_path = out / "logical" / f"{logical.scenario_id}.logical.json"
-        logical_path.write_text(serialize_logical(logical), encoding="utf-8")
+        _write(logical_path, serialize_logical(logical))
 
         suite_path = out / "concrete" / f"{logical.scenario_id}.suite.json"
         scenarios, coverage = _write_suite(logical, args, cz.derive_seed(args.seed, index),

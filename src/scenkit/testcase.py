@@ -10,9 +10,11 @@ position ``s0`` and speed ``v0`` yields position ``s(t) = s0 + v0*t``.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import shutil
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -73,10 +75,19 @@ class TestCase:
     source_ref: dict = field(default_factory=dict)
 
 
+# A million samples per signal already make a case file of tens of megabytes;
+# far smaller steps only exhaust memory.
+MAX_SAMPLES = 1_000_000
+
+
 def check_timing(dt: float, duration: float) -> None:
-    """The one timing rule: both finite and ``0 < dt <= duration``."""
+    """The one timing rule: both finite, ``0 < dt <= duration``, and at most
+    ``MAX_SAMPLES`` samples per signal."""
     if not (math.isfinite(dt) and math.isfinite(duration) and 0 < dt <= duration):
         raise BadTiming(f"need finite 0 < dt <= duration, got dt={dt}, duration={duration}")
+    if duration / dt >= MAX_SAMPLES:  # floor(duration / dt) + 1 samples
+        raise BadTiming(f"dt={dt}, duration={duration} gives more than {MAX_SAMPLES} "
+                        f"samples per signal")
 
 
 def synthesize_traces(scenario: LogicalScenario, concrete: ConcreteScenario,
@@ -107,19 +118,19 @@ def synthesize_traces(scenario: LogicalScenario, concrete: ConcreteScenario,
             s0 = concrete.assignments[f"{instance}.s0"]
             v0 = concrete.assignments[f"{instance}.v0"]
             traces.append(TimeSeries(parameter=f"{instance}.s", unit=initial["s0"].unit,
-                                     dt=dt, samples=tuple(s0 + v0 * t for t in times)))
+                                     dt=dt, samples=tuple([s0 + v0 * t for t in times])))
             traces.append(TimeSeries(parameter=f"{instance}.v", unit=initial["v0"].unit,
-                                     dt=dt, samples=tuple(v0 for _ in times)))
+                                     dt=dt, samples=(v0,) * count))
             for local, parameter in initial.items():
                 if local not in ("s0", "v0"):
                     value = concrete.assignments[parameter.name]
                     traces.append(TimeSeries(parameter=parameter.name, unit=parameter.unit,
-                                             dt=dt, samples=tuple(value for _ in times)))
+                                             dt=dt, samples=(value,) * count))
         for parameter in parameters:
             if parameter.kind == "scalar-static":
                 value = concrete.assignments[parameter.name]
                 traces.append(TimeSeries(parameter=parameter.name, unit=parameter.unit,
-                                         dt=dt, samples=tuple(value for _ in times)))
+                                         dt=dt, samples=(value,) * count))
     return traces
 
 
@@ -263,32 +274,125 @@ def deserialize_testcase(source: str) -> TestCase:
     return testcase_from_dict(load_json(source))
 
 
+# Payload bytes an export writes itself before it hands the rest of its case
+# files to a writer process. Starting that process costs about 20 ms, and
+# creating a file costs system time that then runs on another CPU while this
+# process goes on encoding: that pays off for the 42 MB of a 2,000-case export,
+# not for the 0.1-0.5 MB of one pairwise suite, which stays below this size.
+HANDOFF_BYTES = 1 << 20
+
+# The writer: reads (name, payload) records from stdin, each a 4-byte name
+# length and an 8-byte payload length (big-endian) followed by both, and
+# writes each payload to that plain file name in the staging directory.
+_WRITER_SOURCE = """\
+import os, sys
+staging, read = sys.argv[1], sys.stdin.buffer.read
+while head := read(12):
+    name = read(int.from_bytes(head[:4], "big")).decode()
+    size = int.from_bytes(head[4:], "big")
+    payload = read(size)
+    if len(head) < 12 or len(payload) < size or not name or os.sep in name:
+        sys.exit(1)
+    with open(os.path.join(staging, name), "wb") as file:
+        file.write(payload)
+"""
+
+
+def _start_writer(staging: Path):
+    """The writer process for ``staging``, or None without an interpreter to
+    run it (an embedded Python)."""
+    if not sys.executable:
+        return None
+    import subprocess  # only large exports pay for the import
+
+    writer = subprocess.Popen([sys.executable, "-I", "-S", "-c", _WRITER_SOURCE, str(staging)],
+                              stdin=subprocess.PIPE)
+    # A 64 KiB pipe holds three 21 KB case files, so the encoder blocks about
+    # 700 times per 2,000 cases waiting for the writer to be scheduled; on a
+    # loaded 2-CPU host that made an export slower than writing in-process.
+    # 1 MiB, the largest size Linux grants without privileges, cuts it to ~40.
+    try:
+        import fcntl
+
+        fcntl.fcntl(writer.stdin, fcntl.F_SETPIPE_SZ, 1 << 20)
+    except (ImportError, AttributeError, OSError):  # not Linux, or over the user's pipe quota
+        pass
+    return writer
+
+
+def _stop_writer(writer) -> None:
+    """Kill the writer if it still runs, close its pipe and reap it."""
+    if writer.poll() is None:
+        writer.kill()
+    try:
+        writer.stdin.close()
+    except OSError:  # the unflushed rest of a record, with no reader left
+        pass
+    writer.wait()
+
+
+def _listed_files(manifest_path: Path) -> set[str]:
+    """The case file names a ``manifest/1`` file lists: plain ``*.json`` names
+    only, and none if the file is missing or malformed."""
+    try:
+        document = json.loads(manifest_path.read_bytes())
+    except (OSError, ValueError, RecursionError):
+        return set()
+    if not (isinstance(document, dict) and document.get("format") == "manifest/1"
+            and isinstance(document.get("cases"), list)):
+        return set()
+    names = {entry.get("file") for entry in document["cases"] if isinstance(entry, dict)}
+    return {name for name in names
+            if isinstance(name, str) and name.endswith(".json") and name != "manifest.json"
+            and os.path.basename(name) == name}
+
+
 def export_suite(cases: Iterable[TestCase], destination) -> dict:
     """Write one file per case plus a manifest; re-export is byte-identical.
 
-    ``cases`` may be a generator: each case is serialized and written to a
-    staging directory as it arrives. Only when every document is written is
-    ``destination`` created and the files moved into it; if anything fails
-    first, the staging directory and any parent directories made for it are
-    removed, and ``destination`` is untouched.
+    ``cases`` may be a generator: each case is serialized, hashed and written
+    to a staging directory as it arrives. Once ``HANDOFF_BYTES`` of payload
+    are written, the remaining files go through a pipe to a writer process,
+    so the system time of creating them overlaps with encoding; smaller
+    exports never start one. When every document is written, the staging
+    directory becomes ``destination`` in one rename if ``destination`` does
+    not exist; otherwise the files are moved into it, and the case files its
+    old manifest lists that the new one does not are deleted. If anything
+    fails first, the writer is stopped and reaped, the staging directory and
+    any parent directories made for it are removed, and ``destination`` is
+    untouched.
     """
     destination = Path(destination)
     staging = destination.parent / (destination.name + ".staging")
     created = [directory for directory in staging.parents if not directory.exists()]
     staging.mkdir(parents=True, exist_ok=True)
     entries = {}
+    staged = 0
+    writer = None
     try:
         for case in cases:
             if case.unique_id in entries:
                 raise DuplicateId(f"duplicate test case id {case.unique_id!r}")
             payload = serialize_testcase(case).encode("utf-8")
             file_name = f"{case.unique_id}.json"
-            (staging / file_name).write_bytes(payload)
+            if writer is None:
+                (staging / file_name).write_bytes(payload)
+                staged += len(payload)
+                if staged >= HANDOFF_BYTES:
+                    writer = _start_writer(staging)
+            else:
+                name = file_name.encode("utf-8")
+                writer.stdin.write(len(name).to_bytes(4, "big") + len(payload).to_bytes(8, "big")
+                                   + name + payload)
             entries[case.unique_id] = {
                 "unique_id": case.unique_id,
                 "hash": hashlib.sha256(payload).hexdigest(),
                 "file": file_name,
             }
+        if writer is not None:
+            writer.stdin.close()
+            if writer.wait():
+                raise OSError(f"case file writer exited with status {writer.returncode}")
         listed = [entries[unique_id] for unique_id in sorted(entries)]
         suite_hash = hashlib.sha256(
             "".join(sorted(e["hash"] for e in listed)).encode("ascii")).hexdigest()
@@ -299,12 +403,21 @@ def export_suite(cases: Iterable[TestCase], destination) -> dict:
             "suite_hash": suite_hash,
         }
         (staging / "manifest.json").write_bytes(dumps_canonical(manifest).encode("utf-8"))
-        destination.mkdir(parents=True, exist_ok=True)
-    except BaseException:  # staging, with the parents made for it
+        if not destination.exists():
+            staging.rename(destination)
+            return manifest
+        destination.mkdir(exist_ok=True)  # raises if it is a file
+    except BaseException:  # the writer, then staging with the parents made for it
+        if writer is not None:
+            _stop_writer(writer)
         shutil.rmtree(created[-1] if created else staging, ignore_errors=True)
         raise
 
+    stale = _listed_files(destination / "manifest.json").difference(e["file"] for e in listed)
     for name in [e["file"] for e in listed] + ["manifest.json"]:
         os.replace(staging / name, destination / name)
     staging.rmdir()
+    for name in stale:
+        if (destination / name).is_file():
+            (destination / name).unlink()
     return manifest

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import sys
 
 import pytest
@@ -9,6 +10,8 @@ from scenkit.cli import generate_suite, main
 from scenkit.logical import deserialize_logical
 
 from conftest import DATA, make_logical
+
+ROOT = DATA.parent.parent
 
 VOCAB = str(DATA / "vocabulary.json")
 CATALOG = str(DATA / "catalog.json")
@@ -263,3 +266,67 @@ def test_pipeline_rejects_bad_timing_before_writing(tmp_path, capsys, timing):
                  SCENARIO] + EXPORT_ARGS + timing) == 3
     assert "dt" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_reexport_into_the_same_out_leaves_only_listed_cases(tmp_path, capsys):
+    out = tmp_path / "run"
+    pipeline = ["pipeline", "--vocab", VOCAB, "--catalog", CATALOG, "--out", str(out), SCENARIO]
+    assert main(pipeline + ["--method", "pairwise"] + EXPORT_ARGS) == 0
+    assert len(list((out / "cases" / "s1").iterdir())) > 4
+    assert main(pipeline + ["--method", "random", "--n", "3"] + EXPORT_ARGS) == 0
+    cases = out / "cases" / "s1"
+    listed = json.loads((cases / "manifest.json").read_text())["cases"]
+    assert sorted(p.name for p in cases.iterdir()) == sorted(
+        [entry["file"] for entry in listed] + ["manifest.json"])
+    assert len(listed) == 3
+
+
+@pytest.mark.parametrize("command", ["pipeline", "lower"])
+def test_findings_leave_no_output_directory(tmp_path, capsys, command):
+    bad = tmp_path / "bad.scn"
+    bad.write_text("scenario s9\nroad r1 is two-lane-motorway\n")
+    out = tmp_path / "run"
+    argv = [command, "--vocab", VOCAB, "--catalog", CATALOG, "--out", str(out), str(bad)]
+    assert main(argv + (EXPORT_ARGS if command == "pipeline" else [])) == 1
+    assert "MISSING_REQUIRED_ATTRIBUTE" in capsys.readouterr().out
+    assert not out.exists()
+
+
+# Runs the CLI and prints how long main() took. The parent caps the child's
+# address space, so a missing sample cap fails the test instead of
+# exhausting the machine's memory.
+TIMED_MAIN = """\
+import sys, time
+from scenkit.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+def _run_capped(argv):
+    import resource
+    import subprocess
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", TIMED_MAIN] + argv, capture_output=True,
+                          text=True, timeout=60, env=env, preexec_fn=cap_memory)
+
+
+def test_export_and_pipeline_reject_too_many_samples(tmp_path, capsys):
+    logical_path, suite = _lowered_boundary_suite(tmp_path)
+    timing = ["--dt", "1e-9", "--duration", "10"]
+    runs = {
+        tmp_path / "cases": ["export", "--logical", logical_path, suite],
+        tmp_path / "run": ["pipeline", "--vocab", VOCAB, "--catalog", CATALOG, SCENARIO],
+    }
+    for out, argv in runs.items():
+        completed = _run_capped(argv + ["--out", str(out)] + EXPORT_ARGS + timing)
+        assert completed.returncode == 3, completed.stderr
+        assert "samples per signal" in completed.stderr
+        assert float(completed.stdout) < 1.0
+        assert not out.exists() and not out.with_name(out.name + ".staging").exists()

@@ -306,3 +306,126 @@ def test_export_onto_a_file_removes_staging(tmp_path):
     with pytest.raises(OSError):
         export_suite([build_case()], tmp_path / "out")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+def test_check_timing_caps_samples_per_signal():
+    limit = tcmod.MAX_SAMPLES
+    tcmod.check_timing(1.0, limit - 1.0)  # exactly MAX_SAMPLES samples
+    for dt, duration in ((1.0, float(limit)), (1e-9, 10.0), (5e-324, 10.0)):
+        with pytest.raises(BadTiming):
+            tcmod.check_timing(dt, duration)
+
+
+def long_case(position):
+    """About 0.7 MB of case file: three signals of 15,001 samples each."""
+    scenario = kinematic_scenario()
+    concrete = concrete_for(scenario, {"c1.s0": position, "c1.v0": 25.0,
+                                       "r1.lane_width": 3.5})
+    return assemble_test_case(concrete, synthesize_traces(scenario, concrete, 1500.0, 0.1),
+                              META, EXPECTED)
+
+
+@pytest.fixture
+def writers(monkeypatch):
+    """Every writer process an export starts."""
+    import subprocess
+
+    started = []
+    popen = subprocess.Popen
+
+    def record(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", record)
+    return started
+
+
+def test_large_export_through_the_writer_is_byte_identical(tmp_path, monkeypatch, writers):
+    cases = [long_case(float(i)) for i in range(4)]
+    handed_off = export_suite(cases, tmp_path / "writer")
+    assert [writer.returncode for writer in writers] == [0]
+    monkeypatch.setattr(tcmod, "HANDOFF_BYTES", math.inf)
+    in_process = export_suite(cases, tmp_path / "in-process")
+    assert len(writers) == 1
+    assert handed_off == in_process
+    files = {p.name: p.read_bytes() for p in (tmp_path / "writer").iterdir()}
+    assert len(files) == 5
+    assert files == {p.name: p.read_bytes() for p in (tmp_path / "in-process").iterdir()}
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "in-process", tmp_path / "writer"]
+
+
+@pytest.mark.parametrize("source", [
+    "import sys; sys.exit(1)",
+    "import sys; sys.stdin.buffer.read(); sys.exit(1)",
+], ids=["exits-at-once", "exits-after-reading"])
+def test_failed_writer_raises_and_leaves_no_trace(tmp_path, monkeypatch, writers, source):
+    monkeypatch.setattr(tcmod, "_WRITER_SOURCE", source)
+    with pytest.raises(OSError):
+        export_suite([long_case(float(i)) for i in range(4)], tmp_path / "a" / "b" / "out")
+    assert [writer.returncode for writer in writers] == [1]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("error", [TraceMismatch, KeyboardInterrupt])
+def test_exception_after_the_handoff_reaps_the_writer(tmp_path, writers, error):
+    def stream():
+        for i in range(3):
+            yield long_case(float(i))
+        raise error("generator failed after the hand-off")
+
+    with pytest.raises(error):
+        export_suite(stream(), tmp_path / "a" / "out")
+    assert len(writers) == 1 and writers[0].returncode is not None
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_small_export_starts_no_process(tmp_path, monkeypatch):
+    import subprocess
+
+    def refuse(*args, **kwargs):
+        raise OSError("a small export started a process")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    assert export_suite([build_case(float(i)) for i in range(3)], tmp_path / "out")[
+        "case_count"] == 3
+
+
+def test_large_export_without_an_interpreter_path_writes_in_process(tmp_path, monkeypatch,
+                                                                    writers):
+    monkeypatch.setattr(tcmod.sys, "executable", "")
+    assert export_suite([long_case(float(i)) for i in range(3)], tmp_path / "out")[
+        "case_count"] == 3
+    assert writers == []
+
+
+def test_reexport_deletes_the_files_only_the_old_manifest_lists(tmp_path):
+    destination = tmp_path / "out"
+    old = [build_case(float(i)) for i in range(3)]
+    export_suite(old, destination)
+    (destination / "notes.json").write_text("{}")
+    new = [old[0], build_case(9.0)]
+    export_suite(new, destination)
+    assert sorted(p.name for p in destination.iterdir()) == sorted(
+        [f"{case.unique_id}.json" for case in new] + ["manifest.json", "notes.json"])
+
+
+@pytest.mark.parametrize("manifest", [
+    "not json",
+    '{"format": "manifest/2", "cases": [{"file": "x.json"}]}',
+    '{"format": "manifest/1", "cases": {"file": "x.json"}}',
+    '{"format": "manifest/1", "cases": [{"file": "../x.json"}, {"file": "sub/x.json"},'
+    ' {"file": "x.txt"}, {"file": 5}, "x.json", {"file": "manifest.json"}]}',
+], ids=["malformed", "other-format", "cases-not-array", "not-plain-names"])
+def test_reexport_keeps_files_no_valid_manifest_lists(tmp_path, manifest):
+    destination = tmp_path / "out"
+    (destination / "sub").mkdir(parents=True)
+    for path in (destination / "x.json", destination / "x.txt", destination / "sub" / "x.json",
+                 tmp_path / "x.json"):
+        path.write_text("{}")
+    (destination / "manifest.json").write_text(manifest)
+    case = build_case()
+    export_suite([case], destination)
+    assert sorted(p.name for p in destination.iterdir()) == sorted(
+        [f"{case.unique_id}.json", "manifest.json", "sub", "x.json", "x.txt"])
+    assert (destination / "sub" / "x.json").exists() and (tmp_path / "x.json").exists()
