@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from json.encoder import encode_basestring
 
 from .errors import ScenarioSyntaxError, SchemaViolation
@@ -120,12 +121,15 @@ def check_records(value, what: str, fields=()) -> list[dict]:
 
 
 def check_numbers(value, what: str) -> dict[str, float]:
-    """An object whose values are all JSON numbers, as floats."""
+    """An object whose values are all finite JSON numbers, as floats."""
     numbers = {}
     for key, number in check_object(value, what).items():
         if type(number) not in (int, float):  # a bool is no number here
             raise SchemaViolation(f"{what}: {key!r} is not a number")
-        numbers[key] = float(number)
+        number = float(number)
+        if not math.isfinite(number):
+            raise SchemaViolation(f"{what}: {key!r} is not finite")
+        numbers[key] = number
     return numbers
 
 

@@ -198,6 +198,33 @@ class _PairLayout:
                 values |= onehot[value]
         return pairs, values
 
+    def encode_sorted(self, rows) -> list[int]:
+        """``encode(row)[0]`` of each row, for rows of levels only. A row
+        keeps the partial bits of the prefix it shares with the row before
+        it, which in a sorted level product is all but its last few
+        positions. Prefix values are compared by identity, as ``product``
+        yields the level lists' own objects; any other value recomputes."""
+        steps = list(zip(self.onehots, self.shifts))
+        partial = [(0, 0)] * (len(steps) + 1)  # (pairs, values) of each prefix
+        previous: tuple = ()
+        masks = []
+        for row in rows:
+            shared = 0
+            for value, before in zip(row, previous):
+                if value is not before:
+                    break
+                shared += 1
+            pairs, values = partial[shared]
+            for position in range(shared, len(steps)):
+                onehot, shifts = steps[position]
+                value = row[position]
+                pairs |= values << shifts[value]
+                values |= onehot[value]
+                partial[position + 1] = pairs, values
+            masks.append(pairs)
+            previous = row
+        return masks
+
     def pair_counts(self, pairs: int):
         """The number of bits of ``pairs`` set for each parameter pair."""
         for j, shifts in enumerate(self.shifts):
@@ -212,13 +239,16 @@ def _search_minimal(masks: list[int], all_pairs: int, size: int,
     """Depth-first search for a covering suite of exactly ``size`` rows.
 
     Deterministic: rows are tried in lexicographic order under a fixed node
-    budget. Returns row indices or None when no suite is found in budget.
+    budget. A node is one row whose gain a scan tests; the search gives up
+    when it would test row ``budget + 1``. Returns row indices or None when
+    no suite is found in budget.
     """
-    nodes = 0
+    remaining = budget
+    count = len(masks)
     pairs_per_row = max((m.bit_count() for m in masks), default=0)
 
     def descend(start: int, chosen: list[int], uncovered: int, left: int) -> list[int] | None:
-        nonlocal nodes
+        nonlocal remaining
         if not uncovered:
             return list(chosen)
         slots = size - len(chosen)
@@ -228,29 +258,50 @@ def _search_minimal(masks: list[int], all_pairs: int, size: int,
         # coverage the target size demands; uneven minimal suites are
         # missed here and handled by the greedy fallback instead
         need = -(-left // slots)
-        for index in range(start, len(masks)):
-            nodes += 1
-            if nodes > budget:
-                raise _BudgetExceeded
+        position = start
+        while True:
+            # the budget left ends the scan and is charged after it; once it
+            # is spent, every scan is empty and the search unwinds with None
+            stop = min(count, position + remaining)
+            for index in range(position, stop):
+                if (uncovered & masks[index]).bit_count() >= need:
+                    break
+            else:
+                remaining -= stop - position
+                return None
+            remaining -= index + 1 - position
             new = uncovered & masks[index]
-            gain = new.bit_count()
-            if gain < need:
-                continue
             chosen.append(index)
-            found = descend(index + 1, chosen, uncovered ^ new, left - gain)
+            found = descend(index + 1, chosen, uncovered ^ new, left - new.bit_count())
             if found is not None:
                 return found
             chosen.pop()
-        return None
+            position = index + 1
 
-    try:
-        return descend(0, [], all_pairs, all_pairs.bit_count())
-    except _BudgetExceeded:
-        return None
+    return descend(0, [], all_pairs, all_pairs.bit_count())
 
 
-class _BudgetExceeded(Exception):
-    pass
+def _no_cover_of(layout: _PairLayout, all_pairs: int, size: int) -> bool:
+    """True when Rao's bound proves that no ``size`` rows cover ``all_pairs``.
+
+    Gather, in declaration order, parameters of ``s`` distinct levels, with
+    ``s * s == size``, whose every pair has all its ``s * s`` level pairs to
+    cover. A ``size``-row cover shows each of those level pairs exactly once,
+    so the gathered columns form an orthogonal array of strength 2, which
+    needs ``size >= 1 + sum(s - 1)`` rows (Rao's bound; Hedayat, Sloane &
+    Stufken, *Orthogonal Arrays*, Springer 1999). Columns of unequal level
+    counts can pair up this way only two at a time, and two columns never
+    break the bound, so none other is gathered. One column proves nothing.
+    """
+    level_counts = [count for _, count in layout.spans]
+    pairs = [(i, j) for j in range(len(level_counts)) for i in range(j)]  # pair_counts' order
+    full = {(i, j) for (i, j), count in zip(pairs, layout.pair_counts(all_pairs))
+            if count == level_counts[i] * level_counts[j] == size}
+    gathered: list[int] = []
+    for j, count in enumerate(level_counts):
+        if count * count == size and all((i, j) in full for i in gathered):
+            gathered.append(j)
+    return len(gathered) >= 2 and size < 1 + sum(level_counts[j] - 1 for j in gathered)
 
 
 def _greedy_cover(masks: list[int], all_pairs: int) -> list[int]:
@@ -290,7 +341,10 @@ def pairwise_cover(scenario: LogicalScenario, levels: dict,
     contains a constraint-violating scenario and pairs without any feasible
     completion are simply excluded. A bounded exact search tries to hit the
     lower bound (the largest single-pair level product) before falling back
-    to the greedy construction. ``method`` labels the scenarios and their ids.
+    to the greedy construction. The search is skipped when ``_no_cover_of``
+    proves by Rao's bound for orthogonal arrays that no suite of the lower
+    bound's size exists; the greedy suite is then the same as after a search
+    that finds nothing. ``method`` labels the scenarios and their ids.
     """
     value_lists, rows = _level_rows(scenario, levels)
     names = scenario.compiled.names
@@ -304,13 +358,15 @@ def pairwise_cover(scenario: LogicalScenario, levels: dict,
         return [wrap({names[0]: row[0]}, i) for i, row in enumerate(rows)]
 
     layout = _PairLayout(value_lists)
-    masks = [layout.encode(row)[0] for row in rows]
+    masks = layout.encode_sorted(rows)
     all_pairs = 0
     for mask in masks:
         all_pairs |= mask
     lower_bound = max(layout.pair_counts(all_pairs))
 
-    chosen = _search_minimal(masks, all_pairs, lower_bound, EXACT_SEARCH_NODES)
+    chosen = None
+    if not _no_cover_of(layout, all_pairs, lower_bound):
+        chosen = _search_minimal(masks, all_pairs, lower_bound, EXACT_SEARCH_NODES)
     if chosen is None:
         chosen = _greedy_cover(masks, all_pairs)
 

@@ -8,6 +8,8 @@ Expression ASTs are plain tuples:
 
     ("num", value) | ("var", name) | ("neg", a) |
     ("add", a, b) | ("sub", a, b) | ("mul", a, b)
+
+A tree deeper than ``MAX_DEPTH`` levels is a ``ScenarioSyntaxError``.
 """
 
 from __future__ import annotations
@@ -51,10 +53,32 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+# levels of nesting one expression may have: every walk of a tree recurses,
+# one Python frame per level, and the parser three per parenthesis
+MAX_DEPTH = 100
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
+
+
+def _check_depth(root):
+    """``root``, once its tree is known to be at most ``MAX_DEPTH`` deep; the
+    walk keeps its own stack, so a deep tree cannot overflow it."""
+    stack = [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ScenarioSyntaxError(_TOO_DEEP)
+        stack.extend((child, depth + 1) for child in node[1:] if isinstance(child, tuple))
+    return root
+
+
 class _Parser:
+    """Recursive descent; a parenthesis or unary minus opens one level, and
+    a factor more than ``MAX_DEPTH`` levels down is rejected."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 1
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -88,11 +112,16 @@ class _Parser:
 
     def factor(self):
         tok = self.take()
-        if tok == ("op", "-"):
-            return ("neg", self.factor())
-        if tok == ("op", "("):
-            node = self.expr()
-            self.expect_op(")")
+        if tok in (("op", "-"), ("op", "(")):
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise ScenarioSyntaxError(_TOO_DEEP)
+            if tok == ("op", "-"):
+                node = ("neg", self.factor())
+            else:
+                node = self.expr()
+                self.expect_op(")")
+            self.depth -= 1
             return node
         kind, text = tok
         if kind == "num":
@@ -107,7 +136,7 @@ def parse_expression(text: str):
     node = parser.expr()
     if parser.peek() is not None:
         raise ScenarioSyntaxError(f"trailing input in expression: {text!r}")
-    return node
+    return _check_depth(node)
 
 
 def parse_comparison(text: str):
@@ -124,7 +153,7 @@ def parse_comparison(text: str):
     rhs_node = rhs.expr()
     if lhs.peek() is not None or rhs.peek() is not None:
         raise ScenarioSyntaxError(f"trailing input in comparison: {text!r}")
-    return lhs_node, op, rhs_node
+    return _check_depth(lhs_node), op, _check_depth(rhs_node)
 
 
 def expr_variables(node) -> set[str]:

@@ -8,6 +8,7 @@ constraints over those parameters.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -172,9 +173,13 @@ ValidationReport = Report
 
 def range_findings(name: str, lo: float, hi: float,
                    distribution: Distribution | None) -> list[Finding]:
-    """``EMPTY_RANGE`` and ``BAD_DISTRIBUTION`` findings for one parameter."""
+    """``NON_FINITE_RANGE``, ``EMPTY_RANGE`` and ``BAD_DISTRIBUTION`` findings
+    for one parameter. A bound, mean or stddev must be a finite number."""
     findings = []
-    if lo > hi:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        findings.append(Finding("NON_FINITE_RANGE",
+                                f"{name}: range [{lo}, {hi}] is not finite", (name,)))
+    elif lo > hi:
         findings.append(Finding("EMPTY_RANGE", f"{name}: range [{lo}, {hi}] is empty", (name,)))
     if distribution is None:
         return findings
@@ -182,9 +187,14 @@ def range_findings(name: str, lo: float, hi: float,
         findings.append(Finding("BAD_DISTRIBUTION",
                                 f"{name}: unknown distribution {distribution.type!r}", (name,)))
     elif distribution.type == "truncated-gaussian":
-        if distribution.stddev is None or distribution.stddev <= 0:
+        stddev, mean = distribution.stddev, distribution.mean
+        if stddev is None or stddev <= 0:
             findings.append(Finding("BAD_DISTRIBUTION", f"{name}: stddev must be > 0", (name,)))
-        if distribution.mean is None or not lo <= distribution.mean <= hi:
+        elif not math.isfinite(stddev):
+            findings.append(Finding("BAD_DISTRIBUTION", f"{name}: stddev is not finite", (name,)))
+        if mean is None or not math.isfinite(mean):
+            findings.append(Finding("BAD_DISTRIBUTION", f"{name}: mean is not finite", (name,)))
+        elif not lo <= mean <= hi:
             findings.append(Finding("BAD_DISTRIBUTION", f"{name}: mean outside range", (name,)))
     return findings
 
@@ -204,6 +214,8 @@ def validate_logical(scenario: LogicalScenario) -> Report:
                                        parameter.distribution))
 
     env = {p.name: (p.lo, p.hi) for p in scenario.parameters}
+    non_finite = {p.name for p in scenario.parameters
+                  if not (math.isfinite(p.lo) and math.isfinite(p.hi))}
     for constraint in scenario.constraints:
         unknown = constraint.variables() - set(env)
         if unknown:
@@ -211,6 +223,8 @@ def validate_logical(scenario: LogicalScenario) -> Report:
                                     f"constraint {constraint.id} references undeclared "
                                     f"parameters: {sorted(unknown)}", (constraint.id,)))
             continue
+        if constraint.variables() & non_finite:
+            continue  # no interval check on a range already reported as not finite
         if isinstance(constraint, Inequality):
             lhs = expressions.interval_expr(constraint.parsed[0], env)
             rhs = expressions.interval_expr(constraint.parsed[1], env)

@@ -86,9 +86,9 @@ class ParameterCatalog:
 
 
 def _check_range(name: str, lo: float, hi: float, distribution: Distribution | None = None):
-    """Raise the first ``EMPTY_RANGE``/``BAD_DISTRIBUTION`` finding as an error."""
+    """Raise the first ``range_findings`` finding as an error."""
     for finding in range_findings(name, lo, hi, distribution):
-        raise (BadRange if finding.code == "EMPTY_RANGE" else BadDistribution)(finding.message)
+        raise (BadDistribution if finding.code == "BAD_DISTRIBUTION" else BadRange)(finding.message)
 
 
 def _check_template(template: ParameterTemplate, where: str):

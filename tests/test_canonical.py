@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenkit.canonical import content_hash, dumps_canonical
+from scenkit.canonical import check_numbers, content_hash, dumps_canonical
+from scenkit.errors import SchemaViolation
 
 
 def reference(value) -> str:
@@ -81,3 +82,10 @@ def test_rejects_non_json_types(value):
 def test_content_hash_uses_the_canonical_bytes():
     value = {"samples": [0.0, -0.0, 1.25], "id": "ü"}
     assert content_hash(value) == hashlib.sha256(reference(value).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("number", [math.inf, -math.inf, math.nan])
+def test_check_numbers_rejects_non_finite(number):
+    with pytest.raises(SchemaViolation, match="'a' is not finite"):
+        check_numbers({"b": 1, "a": number}, "assignments")
+    assert check_numbers({"b": 1, "a": -0.0}, "assignments") == {"b": 1.0, "a": -0.0}

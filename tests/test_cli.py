@@ -330,3 +330,54 @@ def test_export_and_pipeline_reject_too_many_samples(tmp_path, capsys):
         assert "samples per signal" in completed.stderr
         assert float(completed.stdout) < 1.0
         assert not out.exists() and not out.with_name(out.name + ".staging").exists()
+
+
+CURVE_RADIUS = '"range": [\n        400.0,\n        5000.0\n      ]'
+
+
+def _golden_logical(tmp_path, old, new):
+    """The worked example's golden logical scenario with ``old`` replaced."""
+    text = (DATA / "golden" / "s1.logical.json").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "s1.logical.json"
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+@pytest.mark.parametrize("bounds", ["400.0, 1e309", "NaN, 5000.0"], ids=["inf", "nan"])
+@pytest.mark.parametrize("method", ["random", "boundary", "pairwise"])
+def test_concretize_rejects_non_finite_range(tmp_path, capsys, bounds, method):
+    logical_path = _golden_logical(tmp_path, CURVE_RADIUS, f'"range": [{bounds}]')
+    out = tmp_path / "out"
+    assert main(["concretize", "--method", method, "--out", str(out), logical_path]) == 1
+    assert "NON_FINITE_RANGE" in capsys.readouterr().out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1e309", "-Infinity", "NaN"])
+def test_export_rejects_non_finite_assignment(tmp_path, capsys, value):
+    logical_path, suite = _lowered_boundary_suite(tmp_path)
+    document = json.loads((tmp_path / "s1.suite.json").read_text())
+    name, number = next(iter(document["scenarios"][0]["assignments"].items()))
+    text = json.dumps(document)
+    assert f'"{name}": {number!r}' in text
+    bad = tmp_path / "bad.suite.json"
+    bad.write_text(text.replace(f'"{name}": {number!r}', f'"{name}": {value}', 1))
+    out = tmp_path / "cases"
+    assert main(["export", "--logical", logical_path, "--out", str(out), str(bad)]
+                + EXPORT_ARGS) == 3
+    assert "is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lhs", [
+    "(" * 3000 + "t1.s0" + ")" * 3000,
+    "-" * 3000 + "t1.s0",
+    "+".join(["t1.s0"] * 5000),
+], ids=["parentheses", "unary-minus", "long-sum"])
+def test_concretize_rejects_deep_expression(tmp_path, capsys, lhs):
+    logical_path = _golden_logical(tmp_path, '"lhs": "t1.s0"', json.dumps({"lhs": lhs})[1:-1])
+    out = tmp_path / "out"
+    assert main(["concretize", "--method", "pairwise", "--out", str(out), logical_path]) == 3
+    assert f"nested deeper than {expressions.MAX_DEPTH} levels" in capsys.readouterr().err
+    assert not out.exists()

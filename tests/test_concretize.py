@@ -1,14 +1,21 @@
+import functools
 import hashlib
 import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scenkit.concretize
 import scenkit.logical
 from scenkit.concretize import (
     ConcreteScenario,
+    _level_rows,
+    _no_cover_of,
+    _PairLayout,
+    _search_minimal,
     boundary_values,
     check_concrete,
     concrete_from_dict,
@@ -23,6 +30,7 @@ from scenkit.concretize import (
     suite_to_dict,
 )
 from scenkit.canonical import dumps_canonical
+from scenkit.cli import generate_suite
 from scenkit.errors import (
     BadK,
     InfeasibleLevels,
@@ -403,3 +411,225 @@ def test_logical_hash_is_computed_once_per_scenario(monkeypatch):
     for concrete in suite:
         assert check_concrete(scenario, concrete) == []
     assert len(calls) == 1
+
+
+# The pairwise cover's internals: the exact search, the Rao-bound skip and the
+# prefix-sharing row encoder must leave every suite as it was.
+
+class _BudgetExceeded(Exception):
+    pass
+
+
+def _search_minimal_reference(masks, all_pairs, size, budget):
+    """The exact search as it was before its scans became stop indices,
+    verbatim but for its name; ``_search_minimal`` must return the same."""
+    nodes = 0
+    pairs_per_row = max((m.bit_count() for m in masks), default=0)
+
+    def descend(start: int, chosen: list[int], uncovered: int, left: int) -> list[int] | None:
+        nonlocal nodes
+        if not uncovered:
+            return list(chosen)
+        slots = size - len(chosen)
+        if slots <= 0 or slots * pairs_per_row < left:
+            return None
+        # best-effort cut: only pursue rows that keep up with the average
+        # coverage the target size demands; uneven minimal suites are
+        # missed here and handled by the greedy fallback instead
+        need = -(-left // slots)
+        for index in range(start, len(masks)):
+            nodes += 1
+            if nodes > budget:
+                raise _BudgetExceeded
+            new = uncovered & masks[index]
+            gain = new.bit_count()
+            if gain < need:
+                continue
+            chosen.append(index)
+            found = descend(index + 1, chosen, uncovered ^ new, left - gain)
+            if found is not None:
+                return found
+            chosen.pop()
+        return None
+
+    try:
+        return descend(0, [], all_pairs, all_pairs.bit_count())
+    except _BudgetExceeded:
+        return None
+
+
+class _CountingMasks(list):
+    """A mask list that counts its indexed reads: one per node of the
+    reference search."""
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return list.__getitem__(self, index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**12 - 1), max_size=12),
+       st.integers(0, 2**14 - 1) | st.just(0), st.integers(1, 8))
+def test_search_minimal_matches_the_reference(masks, extra, size):
+    all_pairs = functools.reduce(operator.or_, masks, 0) | extra
+    counting = _CountingMasks(masks)
+    unbounded = _search_minimal_reference(counting, all_pairs, size, float("inf"))
+    nodes = counting.reads  # where the reference search stops without a budget
+    assert _search_minimal(masks, all_pairs, size, nodes) == unbounded
+    for budget in {0, 1, max(nodes - 1, 0), nodes + 1}:
+        assert (_search_minimal(masks, all_pairs, size, budget)
+                == _search_minimal_reference(masks, all_pairs, size, budget))
+
+
+def _cover_inputs(scenario, levels):
+    """(layout, row masks, all pairs, lower bound) as ``pairwise_cover`` builds them."""
+    value_lists, rows = _level_rows(scenario, levels)
+    layout = _PairLayout(value_lists)
+    masks = layout.encode_sorted(rows)
+    all_pairs = functools.reduce(operator.or_, masks, 0)
+    return layout, masks, all_pairs, max(layout.pair_counts(all_pairs))
+
+
+def _has_cover(masks, all_pairs, size, fields):
+    """Whether some ``size`` distinct masks cover ``all_pairs``, by exhaustive
+    search. A row shows one level pair of each parameter pair, so a field
+    (the level pairs of one parameter pair) may never hold more uncovered
+    pairs than slots are left, and a field holding exactly as many must gain
+    one from every row. The next row is tried from all masks with one chosen
+    uncovered pair, which every cover has; failed states are remembered."""
+    holding = {}  # pair bit -> the distinct masks with it
+    for mask in sorted(set(masks)):
+        bits = mask
+        while bits:
+            holding.setdefault(bits & -bits, []).append(mask)
+            bits &= bits - 1
+    failed = set()
+
+    def search(uncovered, slots):
+        if not uncovered:
+            return True
+        if (uncovered, slots) in failed:
+            return False
+        open_fields = [uncovered & field for field in fields]
+        if any(left.bit_count() > slots for left in open_fields):
+            return False
+        tight = [left for left in open_fields if left.bit_count() == slots]
+        target = tight[0] if tight else uncovered
+        for mask in holding.get(target & -target, ()):
+            if all(mask & left for left in tight) and search(uncovered & ~mask, slots - 1):
+                return True
+        failed.add((uncovered, slots))
+        return False
+
+    return search(all_pairs, size)
+
+
+def _pair_fields(layout, value_lists):
+    """The level-pair bits of each parameter pair."""
+    fields = []
+    for i, j in itertools.combinations(range(len(value_lists)), 2):
+        field = 0
+        for a, b in itertools.product(value_lists[i], value_lists[j]):
+            row = [None] * len(value_lists)
+            row[i], row[j] = a, b
+            field |= layout.encode(row)[0]
+        fields.append(field)
+    return fields
+
+
+def test_no_cover_of_is_sound():
+    rng = random.Random(61)
+    fired = 0
+    for _ in range(300):
+        names = [f"p{i}" for i in range(rng.randint(2, 6))]
+        shared = rng.randint(1, 3) if rng.random() < 0.7 else None
+        levels = {n: sorted(rng.sample(LEVEL_VALUES, shared or rng.randint(1, 3)))
+                  for n in names}
+        constraints = []
+        for _ in range(rng.randint(0, 2)):
+            a, b = rng.sample(names, 2)
+            constraints.append((a, rng.choice(COMPARATORS), rng.choice([b, "1.5"])))
+        scenario = make_logical([(n, 0, 3) for n in names], constraints)
+        try:
+            layout, masks, all_pairs, size = _cover_inputs(scenario, levels)
+        except InfeasibleLevels:
+            continue
+        if not _no_cover_of(layout, all_pairs, size):
+            continue
+        fired += 1
+        fields = _pair_fields(layout, [levels[n] for n in names])
+        assert not _has_cover(masks, all_pairs, size, fields), (levels, constraints)
+    assert fired >= 40
+
+
+def test_no_cover_of_needs_two_parameters():
+    # p0 keeps 1 of its 4 levels, so a 2-row suite covers every pair; the
+    # bound over p0 alone (1 + 3 rows) would wrongly rule it out
+    scenario = make_logical([("p0", 0, 3), ("p1", 0, 3)], [("p0", "<", "0.5")])
+    levels = {"p0": [0.0, 1.0, 2.0, 3.0], "p1": [0.0, 1.0]}
+    layout, _, all_pairs, size = _cover_inputs(scenario, levels)
+    assert size == 2
+    assert not _no_cover_of(layout, all_pairs, size)
+    assert len(pairwise_cover(scenario, levels)) == 2
+
+
+@st.composite
+def encode_cases(draw):
+    width = draw(st.integers(1, 4))
+    names = [f"p{i}" for i in range(width)]
+    # float(text) makes a new object per level, so equal levels are distinct
+    # objects, as they are when read from JSON
+    levels = {n: [float(text) for text in draw(st.lists(
+        st.sampled_from(["-0.0", "0.0", "1.0", "2.0"]), min_size=1, max_size=4))]
+        for n in names}
+    constraints = []
+    if width >= 2 and draw(st.booleans()):
+        constraints.append(("p0", draw(st.sampled_from(COMPARATORS)), "p1"))
+    return make_logical([(n, -1, 3) for n in names], constraints), levels
+
+
+@settings(max_examples=150, deadline=None)
+@given(encode_cases(), st.randoms())
+def test_encode_sorted_matches_encode(case, rng):
+    scenario, levels = case
+    value_lists, rows = _level_rows(scenario, levels)
+    layout = _PairLayout(value_lists)
+    assert layout.encode_sorted(rows) == [layout.encode(row)[0] for row in rows]
+    rng.shuffle(rows)  # any order is still right, only slower
+    assert layout.encode_sorted(rows) == [layout.encode(row)[0] for row in rows]
+
+
+def test_rao_skip_guards(monkeypatch, logical_scenario):
+    names = [f"p{i}" for i in range(7)]
+    scenario = make_logical([(n, 0, 3) for n in names])
+    levels = {n: [0.0, 1.0, 2.0, 3.0] for n in names}
+    searched = []
+    original = scenkit.concretize._search_minimal
+
+    def refuse(*args):
+        raise AssertionError("a 7 x 4 cover has no 16-row suite to search for")
+
+    monkeypatch.setattr(scenkit.concretize, "_search_minimal", refuse)
+    assert len(pairwise_cover(scenario, levels)) == 28
+    monkeypatch.setattr(scenkit.concretize, "_search_minimal",
+                        lambda *args: searched.append(args[2]) or original(*args))
+    suite, _ = generate_suite(logical_scenario, "pairwise", 2, 0, 0)
+    assert searched == [16]  # the worked example still searches, and fails
+    assert len(suite) == 24
+
+
+@pytest.mark.parametrize("count, levels, constraints, sha256", [
+    (7, 4, [], "0b0755bad5f69fa40c70b035bbe6d98273f99c0396eae62cf7a753e5bc5fccba"),
+    (8, 3, [], "a68ff419cae2bfb201d7e44e23b327e21ae1cfc4ba641a958a785572f66f602f"),
+    (6, 5, [("p0", ">", "p1")],
+     "645b8fca358b404e93d7dffd09ed5de80e0228893c8f231bcbd307a515652cb4"),
+])
+def test_pinned_suite_bytes_pairwise_shapes(count, levels, constraints, sha256):
+    names = [f"p{i}" for i in range(count)]
+    scenario = make_logical([(n, 0, levels - 1) for n in names], constraints,
+                            scenario_id=f"pin{count}x{levels}")
+    level_lists = {n: [float(v) for v in range(levels)] for n in names}
+    suite = pairwise_cover(scenario, level_lists)
+    text = dumps_canonical(suite_to_dict(suite, coverage_metrics(scenario, level_lists, suite)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256

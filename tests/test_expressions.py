@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from scenkit.errors import ScenarioSyntaxError
 from scenkit.expressions import (
+    MAX_DEPTH,
     comparison_holds,
     eval_expr,
     expr_variables,
@@ -79,3 +80,19 @@ def test_comparator_trichotomy(a, b):
     assert comparison_holds(a, "<", b) or comparison_holds(a, ">=", b)
     assert comparison_holds(a, "<=", b) == (comparison_holds(a, "<", b)
                                             or comparison_holds(a, "=", b))
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: "-" * (n - 1) + "a.x",
+    lambda n: "(" * (n - 1) + "a.x" + ")" * (n - 1),
+    lambda n: " + ".join(["a.x"] * n),
+    lambda n: "2" + " * a.x" * (n - 1),
+], ids=["unary-minus", "parentheses", "sum", "product"])
+def test_nesting_depth_limit(make):
+    deepest = parse_expression(make(MAX_DEPTH))
+    assert eval_expr(deepest, {"a.x": 1.0}) in (-1.0, 1.0, MAX_DEPTH, 2.0)
+    for text in (make(MAX_DEPTH + 1), make(3000)):
+        with pytest.raises(ScenarioSyntaxError, match="nested deeper than"):
+            parse_expression(text)
+        with pytest.raises(ScenarioSyntaxError, match="nested deeper than"):
+            parse_comparison(f"{text} < 1")

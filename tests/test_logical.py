@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -153,3 +154,26 @@ def test_equality_comparator_is_exact():
     constraint = Inequality(id="c0", lhs="a.x", op="=", rhs="a.y")
     assert constraint.holds({"a.x": 0.5, "a.y": 0.5})
     assert not constraint.holds({"a.x": 0.5, "a.y": 0.5 + 1e-12})
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                                    (0.0, math.nan)])
+def test_non_finite_range(lo, hi):
+    # the constraint gets no interval check on a range already reported
+    scenario = LogicalScenario(
+        scenario_id="s", parameters=(Parameter("a.x", "m", lo, hi),),
+        constraints=(Inequality(id="c0", lhs="a.x", op="<", rhs="-5"),))
+    assert [f.code for f in validate_logical(scenario).findings] == ["NON_FINITE_RANGE"]
+
+
+@pytest.mark.parametrize("mean, stddev, message", [
+    (math.nan, 1.0, "mean is not finite"),
+    (math.inf, 1.0, "mean is not finite"),
+    (0.5, math.inf, "stddev is not finite"),
+    (0.5, math.nan, "stddev is not finite"),
+])
+def test_non_finite_distribution(mean, stddev, message):
+    parameter = Parameter(name="a.x", unit="m", lo=0.0, hi=1.0,
+                          distribution=Distribution("truncated-gaussian", mean=mean, stddev=stddev))
+    findings = validate_logical(LogicalScenario(scenario_id="s", parameters=(parameter,))).findings
+    assert [(f.code, f.message) for f in findings] == [("BAD_DISTRIBUTION", f"a.x: {message}")]

@@ -162,3 +162,19 @@ def test_lower_is_deterministic(car_follows_truck, catalog):
     first = serialize_logical(lower_to_logical(car_follows_truck, catalog))
     second = serialize_logical(lower_to_logical(car_follows_truck, catalog))
     assert first == second
+
+
+@pytest.mark.parametrize("where, value, error", [
+    ("range", [0.0, float("inf")], BadRange),
+    ("range", [float("nan"), 5.0], BadRange),
+    ("mean", float("nan"), BadDistribution),
+    ("stddev", float("inf"), BadDistribution),
+])
+def test_catalog_non_finite_numbers(vocabulary, where, value, error):
+    doc = catalog_doc()
+    if where == "range":
+        doc["entities"]["car"][0]["range"] = value
+    else:
+        doc["entities"]["car"][1]["distribution"][where] = value
+    with pytest.raises(error, match="not finite"):
+        load_parameter_catalog(json.dumps(doc), vocabulary)
