@@ -93,16 +93,15 @@ def content_hash(obj) -> str:
     return hashlib.sha256(dumps_canonical(obj).encode("utf-8")).hexdigest()
 
 
-def json_syntax_error(exc: json.JSONDecodeError) -> ScenarioSyntaxError:
-    return ScenarioSyntaxError(exc.msg, line=exc.lineno, column=exc.colno)
-
-
-def load_json(source: str):
-    """Decode a JSON document; malformed text is a ``ScenarioSyntaxError``."""
+def load_json(source: str, loads=json.loads):
+    """Decode a JSON document with ``loads``; malformed text, or text nested
+    too deeply to decode, is a ``ScenarioSyntaxError``."""
     try:
-        return json.loads(source)
+        return loads(source)
     except json.JSONDecodeError as exc:
-        raise json_syntax_error(exc) from exc
+        raise ScenarioSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError as exc:
+        raise ScenarioSyntaxError("JSON nested too deeply to decode") from exc
 
 
 def check_object(value, what: str) -> dict:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import concretize as cz
 from . import testcase as tc
-from .canonical import dumps_canonical, json_syntax_error
+from .canonical import dumps_canonical, load_json
 from .errors import ScenarioError
 from .functional import check_consistency, parse_functional
 from .logical import LogicalScenario, deserialize_logical, serialize_logical, validate_logical
@@ -174,11 +174,7 @@ def _export_cases(logical, scenarios, args, inputs, destination) -> dict:
 def cmd_export(args) -> int:
     inputs = _export_inputs(args)
     logical = deserialize_logical(_read(args.logical))
-    try:
-        document = json.loads(_read(args.suite))
-    except json.JSONDecodeError as exc:
-        raise json_syntax_error(exc) from exc
-    scenarios = cz.suite_from_dict(document)
+    scenarios = cz.suite_from_dict(load_json(_read(args.suite), json.loads))
     manifest = _export_cases(logical, scenarios, args, inputs, args.out)
     print(f"{args.suite} -> {args.out} ({manifest['case_count']} test cases)")
     return EXIT_OK

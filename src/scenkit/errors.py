@@ -150,7 +150,7 @@ class SamplingExhausted(ScenarioError):
 
 
 class SourceMismatch(ScenarioError):
-    exit_code = 5
+    exit_code = 3
 
 
 # test cases

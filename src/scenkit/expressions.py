@@ -14,6 +14,7 @@ A tree deeper than ``MAX_DEPTH`` levels is a ``ScenarioSyntaxError``.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 
@@ -125,18 +126,24 @@ class _Parser:
             return node
         kind, text = tok
         if kind == "num":
+            if not math.isfinite(float(text)):
+                raise ScenarioSyntaxError(f"number {text!r} is not finite")
             return ("num", float(text))
         if kind == "name":
             return ("var", text)
         raise ScenarioSyntaxError(f"unexpected token {text!r} in expression")
 
 
-def parse_expression(text: str):
-    parser = _Parser(_tokenize(text))
+def _parse_tokens(tokens, text: str):
+    parser = _Parser(tokens)
     node = parser.expr()
     if parser.peek() is not None:
         raise ScenarioSyntaxError(f"trailing input in expression: {text!r}")
     return _check_depth(node)
+
+
+def parse_expression(text: str):
+    return _parse_tokens(_tokenize(text), text)
 
 
 def parse_comparison(text: str):
@@ -146,14 +153,7 @@ def parse_comparison(text: str):
     if len(splits) != 1:
         raise ScenarioSyntaxError(f"expected exactly one comparator in {text!r}")
     i = splits[0]
-    op = tokens[i][1]
-    lhs = _Parser(tokens[:i])
-    rhs = _Parser(tokens[i + 1 :])
-    lhs_node = lhs.expr()
-    rhs_node = rhs.expr()
-    if lhs.peek() is not None or rhs.peek() is not None:
-        raise ScenarioSyntaxError(f"trailing input in comparison: {text!r}")
-    return _check_depth(lhs_node), op, _check_depth(rhs_node)
+    return _parse_tokens(tokens[:i], text), tokens[i][1], _parse_tokens(tokens[i + 1 :], text)
 
 
 def expr_variables(node) -> set[str]:
@@ -165,6 +165,15 @@ def expr_variables(node) -> set[str]:
     if head == "neg":
         return expr_variables(node[1])
     return expr_variables(node[1]) | expr_variables(node[2])
+
+
+def rename_expr(node, rename):
+    """``node`` with each variable ``name`` replaced by ``rename(name)``."""
+    if node[0] == "var":
+        return ("var", rename(node[1]))
+    if node[0] == "num":
+        return node
+    return (node[0], *(rename_expr(child, rename) for child in node[1:]))
 
 
 def eval_expr(node, env) -> float:

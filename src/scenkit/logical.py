@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from . import expressions
-from .canonical import check_document, check_object, content_hash, dumps_canonical, load_json
+from .canonical import (check_document, check_numbers, check_object, check_records,
+                        content_hash, dumps_canonical, load_json)
 from .errors import Finding, Report, SchemaViolation, UnboundConstraintParameter
 
 DISTRIBUTION_TYPES = ("uniform", "truncated-gaussian")
+PARAMETER_KINDS = ("scalar-static", "scalar-initial")
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,12 @@ class Inequality:
     def describe(self) -> str:
         return f"{self.lhs} {self.op} {self.rhs}"
 
+    def renamed(self, id: str, rename: Callable[[str], str], provenance) -> Inequality:
+        """This constraint under ``id``, each variable ``name`` read as ``rename(name)``."""
+        lhs, rhs = (expressions.format_expr(expressions.rename_expr(side, rename))
+                    for side in self.parsed)
+        return replace(self, id=id, lhs=lhs, rhs=rhs, provenance=provenance)
+
 
 @dataclass(frozen=True)
 class Correlation:
@@ -101,6 +109,11 @@ class Correlation:
     def describe(self) -> str:
         return (f"{self.target} = {self.slope!r}*{self.source} + {self.intercept!r} "
                 f"+- {self.tolerance!r}")
+
+    def renamed(self, id: str, rename: Callable[[str], str], provenance) -> Correlation:
+        """This constraint under ``id``, each variable ``name`` read as ``rename(name)``."""
+        return replace(self, id=id, target=rename(self.target), source=rename(self.source),
+                       provenance=provenance)
 
 
 Constraint = Inequality | Correlation
@@ -316,12 +329,20 @@ def _provenance_from_dict(record) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(check_object(record, "provenance").items()))
 
 
-def _parameter_from_dict(record: dict) -> Parameter:
+def _check_text(record: dict, where: str, *keys: str) -> None:
+    for key in keys:
+        if not isinstance(record[key], str):
+            raise SchemaViolation(f"{where}: {key!r} must be a string")
+
+
+def parameter_from_dict(record: dict, where: str) -> Parameter:
+    """One parameter record, of a logical file or a catalog template; a
+    record without ``unit`` has the empty unit."""
     try:
         lo, hi = record["range"]
-        return Parameter(
+        parameter = Parameter(
             name=record["name"],
-            unit=record["unit"],
+            unit=record.get("unit", ""),
             lo=float(lo),
             hi=float(hi),
             distribution=distribution_from_dict(record.get("distribution")),
@@ -329,42 +350,56 @@ def _parameter_from_dict(record: dict) -> Parameter:
             provenance=_provenance_from_dict(record.get("provenance", {})),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolation(f"bad parameter record: {exc}") from exc
+        raise SchemaViolation(f"{where}: bad parameter record: {exc}") from exc
+    _check_text(vars(parameter), where, "name", "unit")
+    if parameter.kind not in PARAMETER_KINDS:
+        raise SchemaViolation(f"{where}: {parameter.name!r} has bad kind {parameter.kind!r}")
+    return parameter
 
 
-def _constraint_from_dict(record: dict) -> Constraint:
+def constraint_from_dict(record: dict, where: str) -> Constraint:
+    """One constraint record, of a logical file or a catalog template; a
+    record without ``id`` has the empty id."""
     try:
-        kind = record["kind"]
+        kind = record.get("kind")
         provenance = _provenance_from_dict(record.get("provenance", {}))
+        identifier = record.get("id", "")
         if kind == "inequality":
             if record["op"] not in expressions.COMPARATORS:
-                raise SchemaViolation(f"bad comparator {record['op']!r}")
-            constraint = Inequality(id=record["id"], lhs=record["lhs"], op=record["op"],
+                raise SchemaViolation(f"{where}: bad comparator {record['op']!r}")
+            constraint = Inequality(id=identifier, lhs=record["lhs"], op=record["op"],
                                     rhs=record["rhs"], provenance=provenance)
             constraint.parsed  # a malformed expression fails the load, not a later use
-            return constraint
-        if kind == "correlation":
-            tolerance = float(record["tolerance"])
-            if tolerance < 0:
-                raise SchemaViolation("correlation tolerance must be >= 0")
-            return Correlation(id=record["id"], target=record["target"], source=record["source"],
-                               slope=float(record["slope"]), intercept=float(record["intercept"]),
-                               tolerance=tolerance, provenance=provenance)
-        raise SchemaViolation(f"unknown constraint kind {kind!r}")
+        elif kind == "correlation":
+            _check_text(record, where, "target", "source")
+            numbers = check_numbers({key: record[key] for key in
+                                     ("slope", "intercept", "tolerance")}, where)
+            if numbers["tolerance"] < 0:
+                raise SchemaViolation(f"{where}: correlation tolerance must be >= 0")
+            constraint = Correlation(id=identifier, target=record["target"],
+                                     source=record["source"], provenance=provenance, **numbers)
+        else:
+            raise SchemaViolation(f"{where}: unknown constraint kind {kind!r}")
     except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolation(f"bad constraint record: {exc}") from exc
+        raise SchemaViolation(f"{where}: bad constraint record: {exc}") from exc
+    _check_text(vars(constraint), where, "id")
+    return constraint
 
 
 def logical_from_dict(document: dict) -> LogicalScenario:
     check_document(document, "logical scenario",
                    ("scenario_id", "source_ref", "parameters", "constraints"), "logical/1")
-    if not isinstance(document["parameters"], list) or not isinstance(document["constraints"], list):
-        raise SchemaViolation("'parameters' and 'constraints' must be arrays")
+    parameters = check_records(document["parameters"], "logical scenario: 'parameters'",
+                               ("name", "unit", "range"))
+    constraints = check_records(document["constraints"], "logical scenario: 'constraints'",
+                                ("id",))
     return LogicalScenario(
         scenario_id=document["scenario_id"],
         source_ref=dict(check_object(document["source_ref"], "logical scenario: 'source_ref'")),
-        parameters=tuple(_parameter_from_dict(p) for p in document["parameters"]),
-        constraints=tuple(_constraint_from_dict(c) for c in document["constraints"]),
+        parameters=tuple(parameter_from_dict(p, f"parameters[{n}]")
+                         for n, p in enumerate(parameters)),
+        constraints=tuple(constraint_from_dict(c, f"constraints[{n}]")
+                          for n, c in enumerate(constraints)),
     )
 
 

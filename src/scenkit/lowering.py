@@ -2,18 +2,21 @@
 
 The catalog assigns parameter templates to entity terms, range overrides or
 template swaps to attribute values, and constraint templates to relation
-terms. Constraint templates name argument slots with single capital letters
-(``A`` is the first argument), e.g. ``B.s0 > A.s0`` for ``A follows B``.
+terms. A template is a logical-scenario record before it is bound to
+instances: a parameter template is named by its local name, and a
+constraint template names argument slots with single capital letters (``A``
+is the first argument), e.g. ``B.s0 > A.s0`` for ``A follows B``. Lowering
+assigns qualified names, constraint ids and provenance.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import expressions
-from .canonical import check_document, load_json
+from .canonical import check_document, check_object, check_records, load_json
 from .errors import (
     BadDistribution,
     BadRange,
@@ -27,62 +30,33 @@ from .errors import (
 )
 from .functional import FunctionalScenario, functional_hash
 from .logical import (
-    Correlation,
+    Constraint,
     Distribution,
-    Inequality,
     LogicalScenario,
     Parameter,
-    distribution_from_dict,
+    constraint_from_dict,
+    parameter_from_dict,
     range_findings,
 )
 from .vocabulary import Vocabulary
 
-_LOCAL_NAME_RE = re.compile(r"[a-z][a-z0-9_]*$")
+_LOCAL_NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
 _PLACEHOLDER_RE = re.compile(r"([A-Z])\.([a-z][a-z0-9_]*)")
 
 
 @dataclass(frozen=True)
-class ParameterTemplate:
-    local_name: str
-    unit: str
-    lo: float
-    hi: float
-    distribution: Distribution | None = None
-    kind: str = "scalar-static"
-
-
-@dataclass(frozen=True)
 class AttributeEffect:
-    add: tuple[ParameterTemplate, ...] = ()
+    add: tuple[Parameter, ...] = ()
     remove: tuple[str, ...] = ()
     override: tuple[tuple[str, float, float], ...] = ()
 
 
 @dataclass(frozen=True)
-class InequalityTemplate:
-    lhs: str
-    op: str
-    rhs: str
-
-
-@dataclass(frozen=True)
-class CorrelationTemplate:
-    target: str
-    source: str
-    slope: float
-    intercept: float
-    tolerance: float
-
-
-ConstraintTemplate = InequalityTemplate | CorrelationTemplate
-
-
-@dataclass(frozen=True)
 class ParameterCatalog:
     vocabulary_ref: tuple[str, str]
-    entity_templates: dict = field(default_factory=dict)  # entity -> [ParameterTemplate]
+    entity_templates: dict = field(default_factory=dict)  # entity -> [Parameter]
     attribute_templates: dict = field(default_factory=dict)  # (attr, value) -> AttributeEffect
-    relation_templates: dict = field(default_factory=dict)  # relation -> [ConstraintTemplate]
+    relation_templates: dict = field(default_factory=dict)  # relation -> [Constraint]
 
 
 def _check_range(name: str, lo: float, hi: float, distribution: Distribution | None = None):
@@ -91,66 +65,39 @@ def _check_range(name: str, lo: float, hi: float, distribution: Distribution | N
         raise (BadDistribution if finding.code == "BAD_DISTRIBUTION" else BadRange)(finding.message)
 
 
-def _check_template(template: ParameterTemplate, where: str):
-    if not _LOCAL_NAME_RE.match(template.local_name):
-        raise SchemaViolation(f"{where}: bad parameter name {template.local_name!r} "
-                              "(lowercase, no hyphens)")
-    _check_range(f"{where}.{template.local_name}", template.lo, template.hi, template.distribution)
-    if template.kind not in ("scalar-static", "scalar-initial"):
-        raise SchemaViolation(f"{where}.{template.local_name}: bad kind {template.kind!r}")
+def _parameter_templates(records, where: str) -> tuple[Parameter, ...]:
+    templates = []
+    for record in check_records(records, f"{where} templates"):
+        template = parameter_from_dict(record, where)
+        if not _LOCAL_NAME_RE.fullmatch(template.name):
+            raise SchemaViolation(f"{where}: bad parameter name {template.name!r} "
+                                  "(lowercase, no hyphens)")
+        _check_range(f"{where}.{template.name}", template.lo, template.hi, template.distribution)
+        templates.append(template)
+    return tuple(templates)
 
 
-def _template_from_dict(record: dict, where: str) -> ParameterTemplate:
-    try:
-        lo, hi = record["range"]
-        template = ParameterTemplate(
-            local_name=record["name"],
-            unit=record.get("unit", ""),
-            lo=float(lo),
-            hi=float(hi),
-            distribution=distribution_from_dict(record.get("distribution")),
-            kind=record.get("kind", "scalar-static"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolation(f"{where}: bad template record: {exc}") from exc
-    _check_template(template, where)
-    return template
-
-
-def _constraint_template_from_dict(record: dict, where: str) -> ConstraintTemplate:
-    kind = record.get("kind")
-    if kind == "inequality":
+def _constraint_template(record: dict, where: str) -> Constraint:
+    """A constraint record; ``"expr": "lhs <op> rhs"`` is short for its
+    ``lhs``, ``op`` and ``rhs``."""
+    if "expr" in record:
+        if not isinstance(record["expr"], str):
+            raise SchemaViolation(f"{where}: 'expr' must be a string")
         lhs, op, rhs = expressions.parse_comparison(record["expr"])
-        return InequalityTemplate(lhs=expressions.format_expr(lhs), op=op,
-                                  rhs=expressions.format_expr(rhs))
-    if kind == "correlation":
-        try:
-            tolerance = float(record["tolerance"])
-            if tolerance < 0:
-                raise SchemaViolation(f"{where}: correlation tolerance must be >= 0")
-            return CorrelationTemplate(target=record["target"], source=record["source"],
-                                       slope=float(record["slope"]),
-                                       intercept=float(record["intercept"]),
-                                       tolerance=tolerance)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolation(f"{where}: bad correlation record: {exc}") from exc
-    raise SchemaViolation(f"{where}: unknown constraint kind {kind!r}")
+        record = {**record, "lhs": expressions.format_expr(lhs), "op": op,
+                  "rhs": expressions.format_expr(rhs)}
+    return constraint_from_dict(record, where)
 
 
-def _constraint_placeholders(template: ConstraintTemplate) -> set[tuple[str, str]]:
+def _constraint_placeholders(template: Constraint) -> set[tuple[str, str]]:
     """All (argument letter, local name) references in a constraint template."""
-    if isinstance(template, InequalityTemplate):
-        names = (expressions.expr_variables(expressions.parse_expression(template.lhs))
-                 | expressions.expr_variables(expressions.parse_expression(template.rhs)))
-    else:
-        names = {template.target, template.source}
     references = set()
-    for name in names:
-        m = _PLACEHOLDER_RE.match(name)
-        if m is None or m.end() != len(name):
+    for name in template.variables():
+        m = _PLACEHOLDER_RE.fullmatch(name)
+        if m is None:
             raise UnboundConstraintParameter(f"constraint references {name!r}; expected "
                                              "<ARG LETTER>.<local_name>")
-        references.add((m.group(1), m.group(2)))
+        references.add(m.groups())
     return references
 
 
@@ -164,29 +111,33 @@ def load_parameter_catalog(source: str, vocabulary: Vocabulary) -> ParameterCata
             f"catalog targets {ref['domain_name']}/{ref['version']}, vocabulary is "
             f"{vocabulary.domain_name}/{vocabulary.version}")
 
-    entity_templates: dict[str, tuple[ParameterTemplate, ...]] = {}
-    for entity, records in document.get("entities", {}).items():
+    entity_templates: dict[str, tuple[Parameter, ...]] = {}
+    for entity, records in check_object(document.get("entities", {}), "catalog: 'entities'").items():
         term = vocabulary.lookup(entity)
         if term is None or term.kind != "entity":
             raise UnknownTerm(entity)
-        templates = tuple(_template_from_dict(r, entity) for r in records)
-        if len({t.local_name for t in templates}) != len(templates):
+        templates = _parameter_templates(records, entity)
+        if len({t.name for t in templates}) != len(templates):
             raise SchemaViolation(f"{entity}: duplicate parameter names in template set")
         entity_templates[entity] = templates
 
     attribute_templates: dict[tuple[str, str], AttributeEffect] = {}
-    for attribute, by_value in document.get("attributes", {}).items():
+    attributes = check_object(document.get("attributes", {}), "catalog: 'attributes'")
+    for attribute, by_value in attributes.items():
         term = vocabulary.lookup(attribute)
         if term is None or term.kind != "attribute":
             raise UnknownTerm(attribute)
-        for value, record in by_value.items():
+        for value, record in check_object(by_value, f"catalog: {attribute!r}").items():
             if value not in term.allowed_values:
                 raise SchemaViolation(f"{attribute}: {value!r} is not an allowed value")
             where = f"{attribute}={value}"
-            add = tuple(_template_from_dict(r, where) for r in record.get("add", []))
-            remove = tuple(record.get("remove", []))
+            add = _parameter_templates(check_object(record, where).get("add", []), where)
+            remove = record.get("remove", [])
+            if not isinstance(remove, list) or not all(isinstance(n, str) for n in remove):
+                raise SchemaViolation(f"{where}: 'remove' must be an array of names")
             override = []
-            for name, bounds in record.get("override", {}).items():
+            for name, bounds in check_object(record.get("override", {}),
+                                             f"{where}: 'override'").items():
                 try:
                     lo, hi = (float(b) for b in bounds)
                 except (TypeError, ValueError) as exc:
@@ -194,23 +145,25 @@ def load_parameter_catalog(source: str, vocabulary: Vocabulary) -> ParameterCata
                 _check_range(f"{where}.{name}", lo, hi)
                 override.append((name, lo, hi))
             attribute_templates[(attribute, value)] = AttributeEffect(
-                add=add, remove=remove, override=tuple(override))
+                add=add, remove=tuple(remove), override=tuple(override))
 
-    relation_templates: dict[str, tuple[ConstraintTemplate, ...]] = {}
-    for relation, records in document.get("relations", {}).items():
+    relation_templates: dict[str, tuple[Constraint, ...]] = {}
+    relations = check_object(document.get("relations", {}), "catalog: 'relations'")
+    for relation, records in relations.items():
         term = vocabulary.lookup(relation)
         if term is None or term.kind != "relation":
             raise UnknownTerm(relation)
-        templates = tuple(_constraint_template_from_dict(r, relation) for r in records)
+        templates = tuple(_constraint_template(r, relation)
+                          for r in check_records(records, f"{relation} templates"))
         # every referenced slot/parameter must be producible by an allowed entity
         producible: set[str] = set()
         candidates = term.applies_to or [t.name for t in vocabulary.terms if t.kind == "entity"]
         for entity in candidates:
-            producible.update(t.local_name for t in entity_templates.get(entity, ()))
+            producible.update(t.name for t in entity_templates.get(entity, ()))
             for (attr, _value), effect in attribute_templates.items():
                 attr_term = vocabulary.lookup(attr)
                 if attr_term is not None and entity in attr_term.applies_to:
-                    producible.update(t.local_name for t in effect.add)
+                    producible.update(t.name for t in effect.add)
         for template in templates:
             for letter, local_name in _constraint_placeholders(template):
                 slot = string.ascii_uppercase.index(letter)
@@ -230,22 +183,6 @@ def load_parameter_catalog(source: str, vocabulary: Vocabulary) -> ParameterCata
     )
 
 
-def _substitute(expr_text: str, slots: dict[str, str]) -> str:
-    node = expressions.parse_expression(expr_text)
-
-    def rewrite(n):
-        if n[0] == "var":
-            letter, local_name = n[1].split(".", 1)
-            return ("var", f"{slots[letter]}.{local_name}")
-        if n[0] == "neg":
-            return ("neg", rewrite(n[1]))
-        if n[0] in ("add", "sub", "mul"):
-            return (n[0], rewrite(n[1]), rewrite(n[2]))
-        return n
-
-    return expressions.format_expr(rewrite(node))
-
-
 def lower_to_logical(scenario: FunctionalScenario, catalog: ParameterCatalog) -> LogicalScenario:
     """Deterministic lowering: instances in declaration order, templates in
     catalog order, attribute effects applied after entity templates."""
@@ -256,8 +193,8 @@ def lower_to_logical(scenario: FunctionalScenario, catalog: ParameterCatalog) ->
     parameters: list[Parameter] = []
     for instance in scenario.instances:
         templates = list(catalog.entity_templates.get(instance.term, ()))
-        base_names = {t.local_name for t in templates}
-        provenance_extra: dict[str, tuple[str, str]] = {}
+        base_names = {t.name for t in templates}
+        provenance_extra: dict[str, str] = {}  # local name -> "<attribute>=<value>"
         for assignment in scenario.attributes:
             if assignment.instance_id != instance.instance_id:
                 continue
@@ -265,41 +202,31 @@ def lower_to_logical(scenario: FunctionalScenario, catalog: ParameterCatalog) ->
             if effect is None:
                 continue
             for name in effect.remove:
-                templates = [t for t in templates if t.local_name != name]
+                templates = [t for t in templates if t.name != name]
             for name, lo, hi in effect.override:
                 for position, template in enumerate(templates):
-                    if template.local_name != name:
+                    if template.name != name:
                         continue
                     if lo < template.lo or hi > template.hi:
                         raise OverrideWidensRange(
                             f"{assignment.attribute}={assignment.value} widens "
                             f"{instance.instance_id}.{name} beyond [{template.lo}, {template.hi}]")
-                    templates[position] = ParameterTemplate(
-                        local_name=name, unit=template.unit, lo=lo, hi=hi,
-                        distribution=template.distribution, kind=template.kind)
-                    provenance_extra[name] = (assignment.attribute, assignment.value)
+                    templates[position] = replace(template, lo=lo, hi=hi)
+                    provenance_extra[name] = f"{assignment.attribute}={assignment.value}"
             for template in effect.add:
-                templates = [t for t in templates if t.local_name != template.local_name]
+                templates = [t for t in templates if t.name != template.name]
                 templates.append(template)
-                provenance_extra[template.local_name] = (assignment.attribute, assignment.value)
+                provenance_extra[template.name] = f"{assignment.attribute}={assignment.value}"
         if not templates:
             raise MissingTemplate(f"no parameter templates for entity term {instance.term!r}")
         for template in templates:
             provenance = [("instance", instance.instance_id), ("term", instance.term)]
-            extra = provenance_extra.get(template.local_name)
-            if extra is not None and template.local_name not in base_names:
-                provenance.append(("attribute", f"{extra[0]}={extra[1]}"))
-            elif extra is not None:
-                provenance.append(("override", f"{extra[0]}={extra[1]}"))
-            parameters.append(Parameter(
-                name=f"{instance.instance_id}.{template.local_name}",
-                unit=template.unit,
-                lo=template.lo,
-                hi=template.hi,
-                distribution=template.distribution,
-                kind=template.kind,
-                provenance=tuple(sorted(provenance)),
-            ))
+            extra = provenance_extra.get(template.name)
+            if extra is not None:
+                provenance.append(("override" if template.name in base_names else "attribute",
+                                   extra))
+            parameters.append(replace(template, name=f"{instance.instance_id}.{template.name}",
+                                      provenance=tuple(sorted(provenance))))
 
     declared = {p.name for p in parameters}
     constraints = []
@@ -309,29 +236,13 @@ def lower_to_logical(scenario: FunctionalScenario, catalog: ParameterCatalog) ->
         slots = {string.ascii_uppercase[i]: arg for i, arg in enumerate(phrase.arguments)}
         provenance = tuple(sorted([("relation", phrase.relation),
                                    ("arguments", " ".join(phrase.arguments))]))
+
+        def rename(name: str) -> str:  # ``<slot letter>.<local name>``
+            return slots[name[0]] + name[1:]
+
         for template in templates:
-            identifier = f"c{sequence:03d}"
+            constraint = template.renamed(f"c{sequence:03d}", rename, provenance)
             sequence += 1
-            if isinstance(template, InequalityTemplate):
-                constraint = Inequality(
-                    id=identifier,
-                    lhs=_substitute(template.lhs, slots),
-                    op=template.op,
-                    rhs=_substitute(template.rhs, slots),
-                    provenance=provenance,
-                )
-            else:
-                target_letter, target_local = template.target.split(".", 1)
-                source_letter, source_local = template.source.split(".", 1)
-                constraint = Correlation(
-                    id=identifier,
-                    target=f"{slots[target_letter]}.{target_local}",
-                    source=f"{slots[source_letter]}.{source_local}",
-                    slope=template.slope,
-                    intercept=template.intercept,
-                    tolerance=template.tolerance,
-                    provenance=provenance,
-                )
             dangling = constraint.variables() - declared
             if dangling:
                 raise ConstraintInstantiationError(

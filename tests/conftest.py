@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 from pathlib import Path
 
@@ -82,6 +83,29 @@ def random_logical(rng: random.Random, max_parameters=8, max_constraints=4,
         constraints.append(Inequality(id=f"c{i:03d}", lhs=a.name, op=op, rhs=b.name))
     return LogicalScenario(scenario_id=scenario_id, parameters=tuple(parameters),
                            constraints=tuple(constraints))
+
+
+def json_paths(node, prefix=()):
+    """Every path into a JSON document, as a tuple of keys and indices."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from json_paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from json_paths(child, prefix + (index,))
+
+
+def replaced(document, path, value):
+    """A copy of ``document`` with the value at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    document = copy.deepcopy(document)
+    node = document
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return document
 
 
 def source_ref_for(scenario):

@@ -9,7 +9,7 @@ from scenkit import expressions
 from scenkit.cli import generate_suite, main
 from scenkit.logical import deserialize_logical
 
-from conftest import DATA, make_logical
+from conftest import DATA, make_logical, replaced
 
 ROOT = DATA.parent.parent
 
@@ -380,4 +380,81 @@ def test_concretize_rejects_deep_expression(tmp_path, capsys, lhs):
     out = tmp_path / "out"
     assert main(["concretize", "--method", "pairwise", "--out", str(out), logical_path]) == 3
     assert f"nested deeper than {expressions.MAX_DEPTH} levels" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path, value", [
+    (("entities",), []),
+    (("entities", "car"), 5),
+    (("attributes", "geometry"), []),
+    (("attributes", "geometry", "straight"), 5),
+    (("attributes", "geometry", "straight", "override"), []),
+    (("attributes", "geometry", "straight", "remove"), 5),
+    (("relations", "follows", 0), 5),
+    (("relations", "follows", 0, "expr"), 5),
+    (("entities", "car", 0, "name"), 5),
+], ids=["entities-list", "entity-records-number", "attribute-values-list",
+        "attribute-record-number", "override-list", "remove-number", "relation-record-number",
+        "expr-number", "template-name-number"])
+def test_lower_rejects_malformed_catalog(tmp_path, capsys, path, value):
+    document = json.loads((DATA / "catalog.json").read_text())
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(replaced(document, path, value)))
+    out = tmp_path / "out"
+    assert main(["lower", "--vocab", VOCAB, "--catalog", str(catalog), "--out", str(out),
+                 SCENARIO]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def _edited_golden(tmp_path, edit):
+    """The worked example's golden logical scenario, edited as a document."""
+    document = json.loads((DATA / "golden" / "s1.logical.json").read_text())
+    edit(document)
+    path = tmp_path / "s1.logical.json"
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["constraints"].append({
+        "id": "c001", "kind": "correlation", "target": "c1.v0", "source": "t1.v0",
+        "slope": 1.0, "intercept": 0.0, "tolerance": float("nan"), "provenance": {}}),
+     "'tolerance' is not finite"),
+    (lambda d: d["constraints"][0].update(lhs="t1.s0 - 1e999"), "'1e999' is not finite"),
+    (lambda d: d["parameters"][0].update(kind="scalar-dynamic"), "bad kind 'scalar-dynamic'"),
+    (lambda d: d["parameters"][0].update(name=5), "'name' must be a string"),
+], ids=["correlation-tolerance-nan", "literal-1e999", "parameter-kind", "parameter-name-number"])
+def test_concretize_rejects_malformed_logical_records(tmp_path, capsys, edit, message):
+    logical_path = _edited_golden(tmp_path, edit)
+    out = tmp_path / "out"
+    for method in ("pairwise", "random"):
+        assert main(["concretize", "--method", method, "--out", str(out), logical_path]) == 3
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_deeply_nested_json_is_a_syntax_error(tmp_path, capsys):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000)
+    out = tmp_path / "out"
+    assert main(["concretize", "--out", str(out), str(nested)]) == 3
+    assert "nested too deeply" in capsys.readouterr().err
+    logical_path, _ = _lowered_boundary_suite(tmp_path)
+    assert main(["export", "--logical", logical_path, "--out", str(out), str(nested)]
+                + EXPORT_ARGS) == 3
+    assert "nested too deeply" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_export_with_another_scenarios_logical_file(tmp_path, capsys):
+    _, suite = _lowered_boundary_suite(tmp_path)
+    other = tmp_path / "other.scn"
+    other.write_text("scenario s2 / road r1 is two-lane-motorway / r1 geometry straight\n")
+    assert main(["lower", "--vocab", VOCAB, "--catalog", CATALOG, "--out", str(tmp_path),
+                 str(other)]) == 0
+    out = tmp_path / "cases"
+    assert main(["export", "--logical", str(tmp_path / "s2.logical.json"), "--out", str(out),
+                 suite] + EXPORT_ARGS) == 3
+    assert "'s1', not 's2'" in capsys.readouterr().err
     assert not out.exists()

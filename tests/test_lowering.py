@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scenkit.errors import (
     BadDistribution,
@@ -8,15 +9,25 @@ from scenkit.errors import (
     ConstraintInstantiationError,
     MissingTemplate,
     OverrideWidensRange,
+    ScenarioError,
+    ScenarioSyntaxError,
+    SchemaViolation,
     UnboundConstraintParameter,
     UnknownTerm,
     VocabularyMismatch,
 )
 from scenkit.functional import parse_functional
-from scenkit.logical import serialize_logical
+from scenkit.logical import (
+    Correlation,
+    Inequality,
+    Parameter,
+    deserialize_logical,
+    serialize_logical,
+    validate_logical,
+)
 from scenkit.lowering import load_parameter_catalog, lower_to_logical
 
-from conftest import DATA
+from conftest import DATA, json_paths, replaced
 
 
 def catalog_doc():
@@ -164,17 +175,108 @@ def test_lower_is_deterministic(car_follows_truck, catalog):
     assert first == second
 
 
+CORRELATION = {"kind": "correlation", "target": "A.v0", "source": "B.v0",
+               "slope": 1.0, "intercept": 0.0, "tolerance": 5.0}
+
+
 @pytest.mark.parametrize("where, value, error", [
     ("range", [0.0, float("inf")], BadRange),
     ("range", [float("nan"), 5.0], BadRange),
     ("mean", float("nan"), BadDistribution),
     ("stddev", float("inf"), BadDistribution),
+    ("slope", float("inf"), SchemaViolation),
+    ("intercept", float("-inf"), SchemaViolation),
+    ("tolerance", float("nan"), SchemaViolation),
+    ("expr", "B.s0 > A.s0 + 1e999", ScenarioSyntaxError),
 ])
 def test_catalog_non_finite_numbers(vocabulary, where, value, error):
     doc = catalog_doc()
     if where == "range":
         doc["entities"]["car"][0]["range"] = value
-    else:
+    elif where in ("mean", "stddev"):
         doc["entities"]["car"][1]["distribution"][where] = value
+    elif where == "expr":
+        doc["relations"]["follows"][0]["expr"] = value
+    else:
+        doc["relations"]["follows"].append({**CORRELATION, where: value})
     with pytest.raises(error, match="not finite"):
         load_parameter_catalog(json.dumps(doc), vocabulary)
+
+
+@pytest.mark.parametrize("value", [True, "1.0", None])
+def test_catalog_correlation_numbers_must_be_numbers(vocabulary, value):
+    doc = catalog_doc()
+    doc["relations"]["follows"].append({**CORRELATION, "slope": value})
+    with pytest.raises(SchemaViolation):
+        load_parameter_catalog(json.dumps(doc), vocabulary)
+
+
+def test_catalog_templates_are_logical_records(catalog):
+    s0 = catalog.entity_templates["car"][0]
+    assert isinstance(s0, Parameter)
+    assert (s0.name, s0.unit, s0.range, s0.kind, s0.provenance) == (
+        "s0", "m", (0.0, 200.0), "scalar-initial", ())
+    (follows,) = catalog.relation_templates["follows"]
+    assert follows == Inequality(id="", lhs="B.s0", op=">", rhs="A.s0")
+
+
+def test_lower_correlation_and_arithmetic_templates(vocabulary, car_follows_truck):
+    doc = catalog_doc()
+    doc["relations"]["follows"] = [
+        {"kind": "inequality", "expr": "B.s0 - A.s0 >= 2*A.v0"},
+        {**CORRELATION, "slope": 0.5, "intercept": 1.25, "tolerance": 3.0},
+    ]
+    catalog = load_parameter_catalog(json.dumps(doc), vocabulary)
+    gap, speed = catalog.relation_templates["follows"]
+    assert (gap.lhs, gap.op, gap.rhs) == ("B.s0 - A.s0", ">=", "2.0*A.v0")
+    logical = lower_to_logical(car_follows_truck, catalog)
+    provenance = (("arguments", "c1 t1"), ("relation", "follows"))
+    assert logical.constraints == (
+        Inequality(id="c000", lhs="t1.s0 - c1.s0", op=">=", rhs="2.0*c1.v0",
+                   provenance=provenance),
+        Correlation(id="c001", target="c1.v0", source="t1.v0", slope=0.5, intercept=1.25,
+                    tolerance=3.0, provenance=provenance),
+    )
+    assert logical.constraints[0].variables() == {"t1.s0", "c1.s0", "c1.v0"}
+    # lowering leaves the catalog's templates as they were
+    assert catalog.relation_templates["follows"] == (gap, speed)
+    assert (speed.id, speed.target, speed.source, speed.provenance) == ("", "A.v0", "B.v0", ())
+    again = deserialize_logical(serialize_logical(logical))
+    assert again == logical
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["s0", "A.s0", "B.s0 > A.s0", "t1.s0 < 1e999", "scalar-dynamic",
+                       "uniform", "correlation", "inequality"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6)
+# the fixture documents, each with one correlation added
+CATALOG_DOC = catalog_doc()
+CATALOG_DOC["relations"]["follows"].append(CORRELATION)
+GOLDEN_DOC = json.loads((DATA / "golden" / "s1.logical.json").read_text())
+GOLDEN_DOC["constraints"].append({"id": "c001", "kind": "correlation", "target": "c1.v0",
+                                  "source": "t1.v0", "slope": 1.0, "intercept": 0.0,
+                                  "tolerance": 5.0, "provenance": {}})
+FUZZ_CASES = ([("catalog", path) for path in json_paths(CATALOG_DOC)]
+              + [("logical", path) for path in json_paths(GOLDEN_DOC)])
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(case=st.sampled_from(FUZZ_CASES), value=JSON_VALUES)
+def test_loaders_raise_only_scenario_errors(vocabulary, car_follows_truck, case, value):
+    """One path of a fixture document replaced by any JSON value: loading,
+    lowering and validating either work or raise a ``ScenarioError``."""
+    which, path = case
+    try:
+        if which == "catalog":
+            catalog = load_parameter_catalog(
+                json.dumps(replaced(CATALOG_DOC, path, value)), vocabulary)
+            logical = lower_to_logical(car_follows_truck, catalog)
+        else:
+            logical = deserialize_logical(json.dumps(replaced(GOLDEN_DOC, path, value)))
+        validate_logical(logical)
+        logical.compiled
+    except ScenarioError:
+        pass
