@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from json.encoder import encode_basestring
 
 from .errors import ScenarioSyntaxError, SchemaViolation
@@ -85,7 +86,12 @@ def _encode(value, indent: str) -> str:
 
 
 def dumps_canonical(obj) -> str:
-    return _encode(obj, "\n") + "\n"
+    """``obj`` as canonical JSON; a value nested too deeply to encode is a
+    ``SchemaViolation``."""
+    try:
+        return _encode(obj, "\n") + "\n"
+    except RecursionError as exc:
+        raise SchemaViolation("value nested too deeply to encode") from exc
 
 
 def content_hash(obj) -> str:
@@ -119,6 +125,13 @@ def check_records(value, what: str, fields=()) -> list[dict]:
     return value
 
 
+def check_strings(value, what: str) -> list[str]:
+    """An array of strings."""
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise SchemaViolation(f"{what} must be an array of strings")
+    return value
+
+
 def check_numbers(value, what: str) -> dict[str, float]:
     """An object whose values are all finite JSON numbers, as floats."""
     numbers = {}
@@ -142,3 +155,12 @@ def check_document(document, what: str, fields=(), format_tag: str | None = None
         if key not in document:
             raise SchemaViolation(f"{what}: missing field {key!r}")
     return document
+
+
+# A scenario id names its output files (``<id>.logical.json``, ``cases/<id>/``),
+# so it must be a plain, visible file name: no separator, no leading dot.
+SCENARIO_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
+
+
+def is_scenario_id(value) -> bool:
+    return isinstance(value, str) and SCENARIO_ID.fullmatch(value) is not None

@@ -104,7 +104,9 @@ def _violations(scenario: LogicalScenario, assignments: dict) -> list[Violation]
     return violations
 
 
-def check_concrete(scenario: LogicalScenario, concrete: ConcreteScenario) -> list[Violation]:
+def check_source(scenario: LogicalScenario, concrete: ConcreteScenario) -> None:
+    """The one source-reference rule: ``concrete`` names ``scenario``'s id and,
+    if its reference has a hash, ``scenario``'s digest."""
     if concrete.source_ref.get("scenario_id") != scenario.scenario_id:
         raise SourceMismatch(
             f"concrete scenario {concrete.scenario_id!r} references "
@@ -113,6 +115,10 @@ def check_concrete(scenario: LogicalScenario, concrete: ConcreteScenario) -> lis
     if expected_hash is not None and expected_hash != scenario.digest:
         raise SourceMismatch(f"concrete scenario {concrete.scenario_id!r} references a "
                              "different revision of the logical scenario")
+
+
+def check_concrete(scenario: LogicalScenario, concrete: ConcreteScenario) -> list[Violation]:
+    check_source(scenario, concrete)
     return _violations(scenario, concrete.assignments)
 
 
@@ -474,9 +480,7 @@ def coverage_metrics(scenario: LogicalScenario, levels: dict,
                      scenarios: list[ConcreteScenario]) -> CoverageReport:
     """Mechanical pair and boundary coverage, exact until the final division."""
     for concrete in scenarios:
-        if concrete.source_ref.get("scenario_id") != scenario.scenario_id:
-            raise SourceMismatch(f"scenario {concrete.scenario_id!r} references "
-                                 f"{concrete.source_ref.get('scenario_id')!r}")
+        check_source(scenario, concrete)
 
     layout = _PairLayout(_value_lists(scenario, levels))
     feasible = _feasible_pairs(scenario, layout)

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import product
 
-from .canonical import check_document, check_records, content_hash, dumps_canonical, load_json
+from .canonical import (check_document, check_records, content_hash, dumps_canonical,
+                        is_scenario_id, load_json)
 from .errors import (
     ArityMismatch,
     DuplicateInstance,
@@ -164,6 +165,8 @@ class _Builder:
                 raise ScenarioSyntaxError("expected: scenario <id>", line=line)
             if self.scenario_id is not None:
                 raise ScenarioSyntaxError("scenario id declared twice", line=line)
+            if not is_scenario_id(words[1]):
+                raise ScenarioSyntaxError(f"bad scenario id {words[1]!r}", line=line)
             self.scenario_id = words[1]
             return
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 from . import expressions
 from .canonical import (check_document, check_numbers, check_object, check_records,
-                        content_hash, dumps_canonical, load_json)
+                        content_hash, dumps_canonical, is_scenario_id, load_json)
 from .errors import Finding, Report, SchemaViolation, UnboundConstraintParameter
 
 DISTRIBUTION_TYPES = ("uniform", "truncated-gaussian")
@@ -393,6 +393,8 @@ def logical_from_dict(document: dict) -> LogicalScenario:
                                ("name", "unit", "range"))
     constraints = check_records(document["constraints"], "logical scenario: 'constraints'",
                                 ("id",))
+    if not is_scenario_id(document["scenario_id"]):
+        raise SchemaViolation(f"logical scenario: bad scenario id {document['scenario_id']!r}")
     return LogicalScenario(
         scenario_id=document["scenario_id"],
         source_ref=dict(check_object(document["source_ref"], "logical scenario: 'source_ref'")),

@@ -16,7 +16,7 @@ import string
 from dataclasses import dataclass, field, replace
 
 from . import expressions
-from .canonical import check_document, check_object, check_records, load_json
+from .canonical import check_document, check_object, check_records, check_strings, load_json
 from .errors import (
     BadDistribution,
     BadRange,
@@ -132,9 +132,7 @@ def load_parameter_catalog(source: str, vocabulary: Vocabulary) -> ParameterCata
                 raise SchemaViolation(f"{attribute}: {value!r} is not an allowed value")
             where = f"{attribute}={value}"
             add = _parameter_templates(check_object(record, where).get("add", []), where)
-            remove = record.get("remove", [])
-            if not isinstance(remove, list) or not all(isinstance(n, str) for n in remove):
-                raise SchemaViolation(f"{where}: 'remove' must be an array of names")
+            remove = check_strings(record.get("remove", []), f"{where}: 'remove'")
             override = []
             for name, bounds in check_object(record.get("override", {}),
                                              f"{where}: 'override'").items():

@@ -4,7 +4,9 @@ A test case carries the six mandatory fields: unique identification, work
 product reference, preconditions/configuration, environmental conditions,
 time-sequenced input data, and expected behavior with acceptable variations.
 Input traces use constant-velocity kinematics: an instance with initial
-position ``s0`` and speed ``v0`` yields position ``s(t) = s0 + v0*t``.
+position ``s0`` and speed ``v0`` yields position ``s(t) = s0 + v0*t``. The
+input data hold only these signals; every other assignment, such as a lane
+width, is an environmental condition, so each value is written once.
 """
 
 from __future__ import annotations
@@ -28,16 +30,16 @@ from .canonical import (
     dumps_canonical,
     load_json,
 )
-from .concretize import ConcreteScenario, concrete_hash
+from .concretize import ConcreteScenario, check_source, concrete_hash
 from .errors import (
     BadTiming,
     DuplicateId,
     IncompleteField,
     MissingKinematicInputs,
     SchemaViolation,
-    SourceMismatch,
     TraceMismatch,
 )
+from .expressions import COMPARATORS
 from .logical import LogicalScenario
 
 
@@ -92,60 +94,44 @@ def check_timing(dt: float, duration: float) -> None:
 
 def synthesize_traces(scenario: LogicalScenario, concrete: ConcreteScenario,
                       duration: float, dt: float) -> list[TimeSeries]:
-    """Time series for every parameter: kinematic instances get position and
-    speed signals, static parameters get constant signals."""
+    """The kinematic signals: position ``<i>.s`` and speed ``<i>.v`` of every
+    instance with ``scalar-initial`` parameters, which needs both ``s0`` and
+    ``v0`` declared and assigned. Every other assignment is an environmental
+    condition."""
     check_timing(dt, duration)
-    if concrete.source_ref.get("scenario_id") != scenario.scenario_id:
-        raise SourceMismatch(
-            f"concrete scenario references {concrete.source_ref.get('scenario_id')!r}, "
-            f"not {scenario.scenario_id!r}")
+    check_source(scenario, concrete)
 
     count = math.floor(duration / dt) + 1
     times = [i * dt for i in range(count)]
 
-    by_instance: dict[str, list] = {}
+    initial: dict[str, dict] = {}
     for parameter in scenario.parameters:
-        instance = parameter.name.split(".", 1)[0]
-        by_instance.setdefault(instance, []).append(parameter)
+        if parameter.kind == "scalar-initial":
+            instance, _, local = parameter.name.partition(".")
+            initial.setdefault(instance, {})[local] = parameter
 
     traces: list[TimeSeries] = []
-    for instance, parameters in by_instance.items():
-        initial = {p.name.split(".", 1)[1]: p for p in parameters if p.kind == "scalar-initial"}
-        if initial:
-            if "s0" not in initial or "v0" not in initial:
-                raise MissingKinematicInputs(
-                    f"instance {instance!r} needs both s0 and v0 for trace synthesis")
-            s0 = concrete.assignments[f"{instance}.s0"]
-            v0 = concrete.assignments[f"{instance}.v0"]
-            traces.append(TimeSeries(parameter=f"{instance}.s", unit=initial["s0"].unit,
-                                     dt=dt, samples=tuple([s0 + v0 * t for t in times])))
-            traces.append(TimeSeries(parameter=f"{instance}.v", unit=initial["v0"].unit,
-                                     dt=dt, samples=(v0,) * count))
-            for local, parameter in initial.items():
-                if local not in ("s0", "v0"):
-                    value = concrete.assignments[parameter.name]
-                    traces.append(TimeSeries(parameter=parameter.name, unit=parameter.unit,
-                                             dt=dt, samples=(value,) * count))
-        for parameter in parameters:
-            if parameter.kind == "scalar-static":
-                value = concrete.assignments[parameter.name]
-                traces.append(TimeSeries(parameter=parameter.name, unit=parameter.unit,
-                                         dt=dt, samples=(value,) * count))
+    for instance, parameters in initial.items():
+        s0 = concrete.assignments.get(f"{instance}.s0")
+        v0 = concrete.assignments.get(f"{instance}.v0")
+        if "s0" not in parameters or "v0" not in parameters or s0 is None or v0 is None:
+            raise MissingKinematicInputs(
+                f"instance {instance!r} needs both s0 and v0 for trace synthesis")
+        traces.append(TimeSeries(parameter=f"{instance}.s", unit=parameters["s0"].unit,
+                                 dt=dt, samples=tuple([s0 + v0 * t for t in times])))
+        traces.append(TimeSeries(parameter=f"{instance}.v", unit=parameters["v0"].unit,
+                                 dt=dt, samples=(v0,) * count))
     return traces
 
 
 def recover_assignments(concrete: ConcreteScenario, traces: list[TimeSeries]) -> dict:
-    """Invert trace synthesis: read every assignment back from the t=0 samples."""
+    """Invert trace synthesis: ``s0`` and ``v0`` from the t=0 samples of the
+    ``s`` and ``v`` signals."""
     recovered: dict[str, float] = {}
     for trace in traces:
-        if trace.parameter in concrete.assignments:
-            recovered[trace.parameter] = trace.samples[0]
-            continue
         instance, _, local = trace.parameter.rpartition(".")
-        if local == "s" and f"{instance}.s0" in concrete.assignments:
-            recovered[f"{instance}.s0"] = trace.samples[0]
-        elif local == "v" and f"{instance}.v0" in concrete.assignments:
-            recovered[f"{instance}.v0"] = trace.samples[0]
+        if local in ("s", "v") and f"{instance}.{local}0" in concrete.assignments:
+            recovered[f"{instance}.{local}0"] = trace.samples[0]
     return recovered
 
 
@@ -174,8 +160,8 @@ def assemble_test_case(concrete: ConcreteScenario, traces: list[TimeSeries],
                 f"trace for {name!r} starts at {value!r}, assignment is "
                 f"{concrete.assignments.get(name)!r}")
 
-    environmental = {t.parameter: t.samples[0] for t in traces
-                     if t.parameter in concrete.assignments}
+    environmental = {name: value for name, value in concrete.assignments.items()
+                     if name not in recovered}
     if not environmental:
         raise IncompleteField("environmental_conditions")
 
@@ -211,15 +197,18 @@ def _expected_to_dict(expected: ExpectedBehavior) -> dict:
 def expected_from_dict(document: dict) -> ExpectedBehavior:
     check_document(document, "expected behavior", ("description",))
     checks = []
-    for record in check_records(document.get("checks", []), "expected behavior: 'checks'"):
-        try:
-            tolerance = float(record["tolerance"])
-            if tolerance < 0:
-                raise SchemaViolation("check tolerance must be >= 0")
-            checks.append(Check(signal=record["signal"], comparator=record["comparator"],
-                                bound=float(record["bound"]), tolerance=tolerance))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolation(f"bad check record: {exc}") from exc
+    for n, record in enumerate(check_records(document.get("checks", []),
+                                             "expected behavior: 'checks'",
+                                             ("signal", "comparator", "bound", "tolerance"))):
+        where = f"checks[{n}]"
+        numbers = check_numbers({key: record[key] for key in ("bound", "tolerance")}, where)
+        if numbers["tolerance"] < 0:
+            raise SchemaViolation(f"{where}: check tolerance must be >= 0")
+        if not isinstance(record["signal"], str):
+            raise SchemaViolation(f"{where}: 'signal' must be a string")
+        if record["comparator"] not in COMPARATORS:
+            raise SchemaViolation(f"{where}: bad comparator {record['comparator']!r}")
+        checks.append(Check(signal=record["signal"], comparator=record["comparator"], **numbers))
     return ExpectedBehavior(description=document["description"], checks=tuple(checks))
 
 
@@ -229,7 +218,7 @@ def load_expected(source: str) -> ExpectedBehavior:
 
 def testcase_to_dict(case: TestCase) -> dict:
     return {
-        "format": "testcase/1",
+        "format": "testcase/2",
         "unique_id": case.unique_id,
         "work_product_ref": case.work_product_ref,
         "preconditions": {"text": case.preconditions, "configuration": case.configuration},
@@ -245,7 +234,7 @@ def testcase_to_dict(case: TestCase) -> dict:
 def testcase_from_dict(document: dict) -> TestCase:
     check_document(document, "test case",
                    ("unique_id", "work_product_ref", "preconditions", "environmental_conditions",
-                    "input_data", "expected_behavior", "source_ref"), "testcase/1")
+                    "input_data", "expected_behavior", "source_ref"), "testcase/2")
     preconditions = check_object(document["preconditions"], "test case: 'preconditions'")
     try:
         return TestCase(
@@ -277,8 +266,8 @@ def deserialize_testcase(source: str) -> TestCase:
 # Payload bytes an export writes itself before it hands the rest of its case
 # files to a writer process. Starting that process costs about 20 ms, and
 # creating a file costs system time that then runs on another CPU while this
-# process goes on encoding: that pays off for the 42 MB of a 2,000-case export,
-# not for the 0.1-0.5 MB of one pairwise suite, which stays below this size.
+# process goes on encoding: that pays off for the 25 MB of a 2,000-case export,
+# not for the 0.1-0.3 MB of one pairwise suite, which stays below this size.
 HANDOFF_BYTES = 1 << 20
 
 # The writer: reads (name, payload) records from stdin, each a 4-byte name

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .canonical import check_document, dumps_canonical, load_json
+from .canonical import check_document, check_records, check_strings, dumps_canonical, load_json
 from .errors import DanglingReference, DuplicateTerm, ScenarioSyntaxError, SchemaViolation
 
 KINDS = ("entity", "relation", "attribute")
@@ -75,6 +75,10 @@ def _require(document: dict, key: str, types, where: str):
     return value
 
 
+def _names(value, where: str) -> tuple[str, ...]:
+    return tuple(normalize_name(n) for n in check_strings(value, where))
+
+
 def _term_from_dict(record: dict) -> Term:
     name = normalize_name(_require(record, "name", str, "term"))
     kind = _require(record, "kind", str, f"term {name!r}")
@@ -86,17 +90,17 @@ def _term_from_dict(record: dict) -> Term:
     required = False
     if kind == "relation":
         arity = _require(record, "arity", int, f"term {name!r}")
-        if arity < 1:
-            raise SchemaViolation(f"relation {name!r}: arity must be >= 1")
-        applies_to = tuple(normalize_name(n) for n in record.get("applies_to", []))
+        if type(arity) is not int or arity < 1:  # a bool is no arity
+            raise SchemaViolation(f"relation {name!r}: arity must be an integer >= 1")
+        applies_to = _names(record.get("applies_to", []), f"term {name!r}: 'applies_to'")
     elif kind == "attribute":
-        values = _require(record, "allowed_values", list, f"term {name!r}")
-        if not values:
+        allowed_values = _names(_require(record, "allowed_values", list, f"term {name!r}"),
+                                f"term {name!r}: 'allowed_values'")
+        if not allowed_values:
             raise SchemaViolation(f"attribute {name!r}: needs at least one allowed value")
-        allowed_values = tuple(normalize_name(v) for v in values)
         if len(set(allowed_values)) != len(allowed_values):
             raise SchemaViolation(f"attribute {name!r}: duplicate allowed values")
-        applies_to = tuple(normalize_name(n) for n in record.get("applies_to", []))
+        applies_to = _names(record.get("applies_to", []), f"term {name!r}: 'applies_to'")
         required = bool(record.get("required", False))
     return Term(
         name=name,
@@ -113,7 +117,8 @@ def _exclusion_from_dict(record: dict) -> Exclusion:
     def pattern(side):
         side_record = _require(record, side, dict, "exclusion")
         relation = normalize_name(_require(side_record, "relation", str, "exclusion"))
-        args = tuple(_require(side_record, "args", list, "exclusion"))
+        args = tuple(check_strings(_require(side_record, "args", list, "exclusion"),
+                                   "exclusion: 'args'"))
         return relation, args
 
     return Exclusion(first=pattern("first"), second=pattern("second"))
@@ -138,7 +143,8 @@ def vocabulary_from_dict(document: dict) -> Vocabulary:
             if resolved is None or resolved.kind != "entity":
                 raise DanglingReference(term.name, target)
 
-    exclusions = tuple(_exclusion_from_dict(r) for r in document.get("exclusions", []))
+    exclusions = tuple(_exclusion_from_dict(r) for r in
+                       check_records(document.get("exclusions", []), "vocabulary: 'exclusions'"))
     for exclusion in exclusions:
         for relation, args in (exclusion.first, exclusion.second):
             resolved = by_name.get(relation)

@@ -89,3 +89,13 @@ def test_check_numbers_rejects_non_finite(number):
     with pytest.raises(SchemaViolation, match="'a' is not finite"):
         check_numbers({"b": 1, "a": number}, "assignments")
     assert check_numbers({"b": 1, "a": -0.0}, "assignments") == {"b": 1.0, "a": -0.0}
+
+
+def test_value_too_deep_to_encode_is_a_schema_violation():
+    value = 0
+    for _ in range(sys.getrecursionlimit()):
+        value = {"x": [value]}
+    with pytest.raises(SchemaViolation, match="nested too deeply to encode"):
+        dumps_canonical({"source_ref": value})
+    with pytest.raises(SchemaViolation, match="nested too deeply to encode"):
+        content_hash(value)

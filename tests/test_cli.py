@@ -24,6 +24,14 @@ EXPORT_ARGS = ["--expected", EXPECTED, "--work-product", "req-keep-distance-001"
                "--duration", "2", "--dt", "1"]
 
 
+def _deep(value):
+    """``value`` inside 500 nested arrays: the decoder accepts it, the encoder
+    would need about 1,000 Python frames."""
+    for _ in range(500):
+        value = [value]
+    return value
+
+
 def test_validate_ok(capsys):
     assert main(["validate", "--vocab", VOCAB, SCENARIO]) == 0
     assert "OK" in capsys.readouterr().out
@@ -192,7 +200,8 @@ def test_pipeline_parses_expressions_at_most_ten_times(tmp_path, monkeypatch, ca
     ("assignments", []),
     ("assignments", {"c1.s0": "12.5"}),
     ("source_ref", "s1"),
-], ids=["assignments-list", "assignment-string", "source-ref-string"])
+    ("provenance", {"x": _deep(0)}),
+], ids=["assignments-list", "assignment-string", "source-ref-string", "deep-provenance"])
 def test_export_rejects_mistyped_scenario(tmp_path, capsys, field, value):
     assert main(["lower", "--vocab", VOCAB, "--catalog", CATALOG,
                  "--out", str(tmp_path), SCENARIO]) == 0
@@ -228,8 +237,15 @@ def _lowered_boundary_suite(tmp_path):
     return logical_path, str(tmp_path / "s1.suite.json")
 
 
-@pytest.mark.parametrize("checks", [5, [{"signal": "gap.c1.t1"}], "gap"],
-                         ids=["number", "record-without-fields", "string"])
+CHECK = {"signal": "gap.c1.t1", "comparator": ">=", "bound": 10.0, "tolerance": 0.5}
+
+
+@pytest.mark.parametrize("checks", [
+    5, [{"signal": "gap.c1.t1"}], "gap",
+    [dict(CHECK, bound=float("nan"))], [dict(CHECK, tolerance="1e999")],
+    [dict(CHECK, comparator="~~")], [dict(CHECK, signal=5)],
+], ids=["number", "record-without-fields", "string",
+        "bound-nan", "tolerance-string", "comparator", "signal-number"])
 def test_export_rejects_mistyped_expected(tmp_path, capsys, checks):
     logical_path, suite = _lowered_boundary_suite(tmp_path)
     document = json.loads((DATA / "expected.json").read_text())
@@ -424,7 +440,11 @@ def _edited_golden(tmp_path, edit):
     (lambda d: d["constraints"][0].update(lhs="t1.s0 - 1e999"), "'1e999' is not finite"),
     (lambda d: d["parameters"][0].update(kind="scalar-dynamic"), "bad kind 'scalar-dynamic'"),
     (lambda d: d["parameters"][0].update(name=5), "'name' must be a string"),
-], ids=["correlation-tolerance-nan", "literal-1e999", "parameter-kind", "parameter-name-number"])
+    (lambda d: d["source_ref"].update(x=_deep(0)), "nested too deeply to encode"),
+    (lambda d: d["parameters"][0]["provenance"].update(x=_deep("p")),
+     "nested too deeply to encode"),
+], ids=["correlation-tolerance-nan", "literal-1e999", "parameter-kind", "parameter-name-number",
+        "deep-source-ref", "deep-provenance"])
 def test_concretize_rejects_malformed_logical_records(tmp_path, capsys, edit, message):
     logical_path = _edited_golden(tmp_path, edit)
     out = tmp_path / "out"
@@ -458,3 +478,71 @@ def test_export_with_another_scenarios_logical_file(tmp_path, capsys):
                  suite] + EXPORT_ARGS) == 3
     assert "'s1', not 's2'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario_id", ["../escaped", 5, "", "a/b", ".hidden"],
+                         ids=["parent-path", "number", "empty", "sub-path", "hidden"])
+def test_unsafe_scenario_id_writes_nothing(tmp_path, capsys, scenario_id):
+    logical_path = _edited_golden(tmp_path, lambda d: d.update(scenario_id=scenario_id))
+    out = tmp_path / "run" / "out"
+    assert main(["concretize", "--method", "boundary", "--out", str(out), logical_path]) == 3
+    assert "bad scenario id" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["s1.logical.json"]
+
+
+# the vocabulary's terms[3] is the relation "follows", terms[4] the attribute "layout"
+@pytest.mark.parametrize("path, value, message", [
+    (("terms", 3, "applies_to"), 5, "'applies_to' must be an array of strings"),
+    (("terms", 3, "applies_to"), [5], "'applies_to' must be an array of strings"),
+    (("terms", 4, "allowed_values"), [5], "'allowed_values' must be an array of strings"),
+    (("exclusions",), 5, "'exclusions' must be an array"),
+    (("exclusions", 0, "first", "args"), ["X", 5], "'args' must be an array of strings"),
+    (("terms", 3, "arity"), True, "arity must be an integer"),
+], ids=["applies-to-number", "applies-to-numbers", "allowed-values-numbers",
+        "exclusions-number", "exclusion-args-numbers", "arity-bool"])
+def test_validate_rejects_malformed_vocabulary(tmp_path, capsys, path, value, message):
+    document = json.loads((DATA / "vocabulary.json").read_text())
+    vocabulary = tmp_path / "vocabulary.json"
+    vocabulary.write_text(json.dumps(replaced(document, path, value)))
+    assert main(["validate", "--vocab", str(vocabulary), SCENARIO]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_export_rejects_another_revision_of_the_logical_file(tmp_path, capsys):
+    logical_path, suite = _lowered_boundary_suite(tmp_path)
+    document = json.loads((tmp_path / "s1.logical.json").read_text())
+    (speed,) = [p for p in document["parameters"] if p["name"] == "c1.v0"]
+    speed["range"] = [1.0, 2.0]
+    narrowed = tmp_path / "narrowed.logical.json"
+    narrowed.write_text(json.dumps(document))
+    out = tmp_path / "cases"
+    assert main(["export", "--logical", str(narrowed), "--out", str(out), suite]
+                + EXPORT_ARGS) == 3
+    assert "different revision" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_road_only_scenario_has_no_input_data(tmp_path, capsys):
+    scenario = tmp_path / "road.scn"
+    scenario.write_text("scenario s2 / road r1 is two-lane-motorway / r1 geometry straight\n")
+    out = tmp_path / "run"
+    assert main(["pipeline", "--vocab", VOCAB, "--catalog", CATALOG, "--out", str(out),
+                 str(scenario)] + EXPORT_ARGS) == 3
+    assert "mandatory test case field is empty: input_data" in capsys.readouterr().err
+    assert not (out / "cases").exists()
+
+
+def test_cases_carry_each_assignment_once(tmp_path, capsys):
+    assert main(README_PIPELINE + ["--out", str(tmp_path)]) == 0
+    suite = json.loads((tmp_path / "concrete" / "s1.suite.json").read_text())
+    by_id = {s["scenario_id"]: s["assignments"] for s in suite["scenarios"]}
+    cases = sorted((tmp_path / "cases" / "s1").glob("tc-*.json"))
+    assert len(cases) == len(by_id)
+    for path in cases:
+        case = json.loads(path.read_text())
+        assert case["format"] == "testcase/2"
+        assignments = by_id[case["source_ref"]["scenario_id"]]
+        assert [t["parameter"] for t in case["input_data"]] == ["c1.s", "c1.v", "t1.s", "t1.v"]
+        assert case["environmental_conditions"] == {
+            name: value for name, value in assignments.items()
+            if name not in ("c1.s0", "c1.v0", "t1.s0", "t1.v0")}

@@ -633,3 +633,15 @@ def test_pinned_suite_bytes_pairwise_shapes(count, levels, constraints, sha256):
     suite = pairwise_cover(scenario, level_lists)
     text = dumps_canonical(suite_to_dict(suite, coverage_metrics(scenario, level_lists, suite)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
+
+
+def test_coverage_rejects_a_stale_revision():
+    scenario = make_logical([("a.x", 0, 1)])
+    stale = ConcreteScenario(scenario_id="x",
+                             source_ref={"scenario_id": "fixture", "hash": "0" * 64},
+                             assignments={"a.x": 0.5})
+    with pytest.raises(SourceMismatch, match="different revision"):
+        coverage_metrics(scenario, {"a.x": [0.0, 1.0]}, [stale])
+    unhashed = ConcreteScenario(scenario_id="x", source_ref={"scenario_id": "fixture"},
+                                assignments={"a.x": 0.5})
+    assert coverage_metrics(scenario, {"a.x": [0.0, 1.0]}, [unhashed]).scenario_count == 1

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scenkit.errors import (
     ArityMismatch,
@@ -174,3 +175,26 @@ def test_from_dict_rejects_mistyped_records(car_follows_truck, field, value):
     document[field] = value
     with pytest.raises(SchemaViolation):
         functional_from_dict(document)
+
+
+WORDS = st.sampled_from(["scenario", "s1", "..", "road", "car", "truck", "r1", "c1", "t1", "is",
+                         "follows", "lane", "right", "geometry", "curve", "layout",
+                         "two-lane-motorway", "/", "#"]) | st.text(max_size=3)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(lines=st.lists(st.lists(WORDS, max_size=8), max_size=6))
+def test_parse_raises_only_scenario_errors(vocabulary, lines):
+    """Any sequence of words, vocabulary terms or not: parsing and checking
+    either work or raise a ``ScenarioError``."""
+    try:
+        check_consistency(parse_functional("\n".join(map(" ".join, lines)), vocabulary),
+                          vocabulary)
+    except ScenarioError:
+        pass
+
+
+@pytest.mark.parametrize("scenario_id", ["..", ".hidden", "-x", "_", "s\u00e9"])
+def test_scenario_id_must_be_a_plain_file_name(vocabulary, scenario_id):
+    with pytest.raises(ScenarioSyntaxError, match="bad scenario id"):
+        parse_functional(f"scenario {scenario_id}\nroad r1 is two-lane-motorway\n", vocabulary)

@@ -177,3 +177,13 @@ def test_non_finite_distribution(mean, stddev, message):
                           distribution=Distribution("truncated-gaussian", mean=mean, stddev=stddev))
     findings = validate_logical(LogicalScenario(scenario_id="s", parameters=(parameter,))).findings
     assert [(f.code, f.message) for f in findings] == [("BAD_DISTRIBUTION", f"a.x: {message}")]
+
+
+@pytest.mark.parametrize("scenario_id", ["../escaped", 5, "", "a/b", ".hidden", "s1\n", None])
+def test_logical_scenario_id_must_be_a_plain_file_name(scenario_id):
+    document = logical_to_dict(make_logical([("a.x", 0, 1)]))
+    document["scenario_id"] = scenario_id
+    with pytest.raises(SchemaViolation, match="bad scenario id"):
+        logical_from_dict(document)
+    document["scenario_id"] = "s1.v-2_x"
+    assert logical_from_dict(document).scenario_id == "s1.v-2_x"

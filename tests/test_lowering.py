@@ -16,7 +16,16 @@ from scenkit.errors import (
     UnknownTerm,
     VocabularyMismatch,
 )
-from scenkit.functional import parse_functional
+from scenkit.canonical import dumps_canonical
+from scenkit.concretize import (
+    boundary_values,
+    check_concrete,
+    coverage_metrics,
+    pairwise_cover,
+    suite_from_dict,
+    suite_to_dict,
+)
+from scenkit.functional import check_consistency, parse_functional
 from scenkit.logical import (
     Correlation,
     Inequality,
@@ -26,6 +35,14 @@ from scenkit.logical import (
     validate_logical,
 )
 from scenkit.lowering import load_parameter_catalog, lower_to_logical
+from scenkit.testcase import (
+    assemble_test_case,
+    deserialize_testcase,
+    load_expected,
+    serialize_testcase,
+    synthesize_traces,
+)
+from scenkit.vocabulary import load_vocabulary
 
 from conftest import DATA, json_paths, replaced
 
@@ -248,7 +265,8 @@ def test_lower_correlation_and_arithmetic_templates(vocabulary, car_follows_truc
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
     | st.sampled_from(["s0", "A.s0", "B.s0 > A.s0", "t1.s0 < 1e999", "scalar-dynamic",
-                       "uniform", "correlation", "inequality"]),
+                       "uniform", "correlation", "inequality", "follows", "car", "X", "~~",
+                       "c1.s0", "1e999", "../s1"]),
     lambda children: st.lists(children, max_size=3)
     | st.dictionaries(st.text(max_size=3), children, max_size=3),
     max_leaves=6)
@@ -259,24 +277,62 @@ GOLDEN_DOC = json.loads((DATA / "golden" / "s1.logical.json").read_text())
 GOLDEN_DOC["constraints"].append({"id": "c001", "kind": "correlation", "target": "c1.v0",
                                   "source": "t1.v0", "slope": 1.0, "intercept": 0.0,
                                   "tolerance": 5.0, "provenance": {}})
-FUZZ_CASES = ([("catalog", path) for path in json_paths(CATALOG_DOC)]
-              + [("logical", path) for path in json_paths(GOLDEN_DOC)])
+# the documents of the export: two scenarios of the worked example's boundary
+# suite, the expected behaviour and one test case
+S1 = deserialize_logical((DATA / "golden" / "s1.logical.json").read_text())
+LEVELS = {p.name: boundary_values(p) for p in S1.parameters}
+SUITE = pairwise_cover(S1, LEVELS, "boundary")[:2]
+EXPECTED = load_expected((DATA / "expected.json").read_text())
+META = {"work_product_ref": "req-001", "preconditions": "nominal", "configuration": "default"}
+SCENARIO_TEXT = (DATA / "fig_car_follows_truck.scn").read_text()
 
 
-@settings(max_examples=250, derandomize=True, deadline=None)
+def export_one(concrete, expected):
+    """One concrete scenario through trace synthesis, assembly and encoding."""
+    traces = synthesize_traces(S1, concrete, 2.0, 1.0)
+    return serialize_testcase(assemble_test_case(concrete, traces, META, expected))
+
+
+DOCS = {
+    "catalog": CATALOG_DOC,
+    "logical": GOLDEN_DOC,
+    "vocabulary": json.loads((DATA / "vocabulary.json").read_text()),
+    "expected": json.loads((DATA / "expected.json").read_text()),
+    "suite": json.loads(dumps_canonical(suite_to_dict(SUITE))),
+    "testcase": json.loads(export_one(SUITE[0], EXPECTED)),
+}
+FUZZ_CASES = [(which, path) for which, document in DOCS.items()
+              for path in json_paths(document)]
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
 @given(case=st.sampled_from(FUZZ_CASES), value=JSON_VALUES)
 def test_loaders_raise_only_scenario_errors(vocabulary, car_follows_truck, case, value):
-    """One path of a fixture document replaced by any JSON value: loading,
-    lowering and validating either work or raise a ``ScenarioError``."""
+    """One path of a fixture document replaced by any JSON value: loading the
+    document and using what it loads either works or raises a ``ScenarioError``."""
     which, path = case
+    text = json.dumps(replaced(DOCS[which], path, value))
     try:
-        if which == "catalog":
-            catalog = load_parameter_catalog(
-                json.dumps(replaced(CATALOG_DOC, path, value)), vocabulary)
-            logical = lower_to_logical(car_follows_truck, catalog)
+        if which in ("catalog", "logical"):
+            if which == "catalog":
+                logical = lower_to_logical(car_follows_truck,
+                                           load_parameter_catalog(text, vocabulary))
+            else:
+                logical = deserialize_logical(text)
+            validate_logical(logical)
+            logical.compiled
+        elif which == "vocabulary":
+            loaded = load_vocabulary(text)
+            check_consistency(parse_functional(SCENARIO_TEXT, loaded), loaded)
+        elif which == "expected":
+            export_one(SUITE[0], load_expected(text))
+        elif which == "suite":
+            scenarios = suite_from_dict(json.loads(text))
+            coverage_metrics(S1, LEVELS, scenarios)
+            for concrete in scenarios:
+                check_concrete(S1, concrete)
+                export_one(concrete, EXPECTED)
         else:
-            logical = deserialize_logical(json.dumps(replaced(GOLDEN_DOC, path, value)))
-        validate_logical(logical)
-        logical.compiled
+            serialize_testcase(deserialize_testcase(text))
     except ScenarioError:
         pass

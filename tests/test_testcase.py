@@ -60,7 +60,7 @@ def test_synthesize_constant_velocity():
     traces = {t.parameter: t for t in synthesize_traces(scenario, concrete, 2.0, 1.0)}
     assert traces["c1.s"].samples == (0.0, 25.0, 50.0)
     assert traces["c1.v"].samples == (25.0, 25.0, 25.0)
-    assert traces["r1.lane_width"].samples == (3.5, 3.5, 3.5)
+    assert set(traces) == {"c1.s", "c1.v"}  # a static value is no signal
     assert traces["c1.s"].unit == "m" and traces["c1.v"].unit == "m/s"
 
 
@@ -96,11 +96,51 @@ def test_synthesize_source_checked():
         synthesize_traces(scenario, concrete, 1.0, 0.5)
 
 
+def test_synthesize_rejects_a_stale_revision():
+    scenario = kinematic_scenario()
+    concrete = ConcreteScenario(scenario_id="x", source_ref={"scenario_id": "kin",
+                                                             "hash": "0" * 64},
+                                assignments={"c1.s0": 0.0, "c1.v0": 1.0, "r1.lane_width": 3.0})
+    with pytest.raises(SourceMismatch, match="different revision"):
+        synthesize_traces(scenario, concrete, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("missing", ["c1.s0", "c1.v0"])
+def test_synthesize_requires_kinematic_assignments(missing):
+    scenario = kinematic_scenario()
+    assignments = {"c1.s0": 0.0, "c1.v0": 1.0, "r1.lane_width": 3.0}
+    del assignments[missing]
+    with pytest.raises(MissingKinematicInputs):
+        synthesize_traces(scenario, concrete_for(scenario, assignments), 1.0, 0.5)
+
+
+def test_static_scenario_has_no_input_data():
+    scenario = LogicalScenario(scenario_id="road", parameters=(
+        Parameter("r1.lane_width", "m", 2.5, 4.25),
+        Parameter("r1.curve_radius", "m", 400.0, 5000.0)))
+    concrete = concrete_for(scenario, {"r1.lane_width": 3.0, "r1.curve_radius": 900.0})
+    assert synthesize_traces(scenario, concrete, 1.0, 0.5) == []
+    with pytest.raises(IncompleteField) as excinfo:
+        assemble_test_case(concrete, [], META, EXPECTED)
+    assert excinfo.value.field == "input_data"
+
+
+def test_other_initial_values_are_environmental_conditions():
+    scenario = LogicalScenario(scenario_id="kin", parameters=kinematic_scenario().parameters + (
+        Parameter("c1.a0", "m/s^2", -3.0, 3.0, kind="scalar-initial"),))
+    assignments = {"c1.s0": 1.0, "c1.v0": 2.0, "r1.lane_width": 3.0, "c1.a0": -1.5}
+    concrete = concrete_for(scenario, assignments)
+    traces = synthesize_traces(scenario, concrete, 1.0, 0.5)
+    assert [t.parameter for t in traces] == ["c1.s", "c1.v"]
+    case = assemble_test_case(concrete, traces, META, EXPECTED)
+    assert case.environmental_conditions == {"r1.lane_width": 3.0, "c1.a0": -1.5}
+
+
 def test_recover_assignments_inverts_synthesis():
     scenario = kinematic_scenario()
     concrete = concrete_for(scenario, {"c1.s0": 7.0, "c1.v0": 3.0, "r1.lane_width": 4.0})
     traces = synthesize_traces(scenario, concrete, 2.0, 0.5)
-    assert recover_assignments(concrete, traces) == concrete.assignments
+    assert recover_assignments(concrete, traces) == {"c1.s0": 7.0, "c1.v0": 3.0}
 
 
 def test_assemble_has_six_fields():
@@ -111,8 +151,8 @@ def test_assemble_has_six_fields():
     assert case.unique_id.startswith("tc-")
     assert case.work_product_ref == META["work_product_ref"]
     assert case.preconditions and case.configuration
-    assert case.environmental_conditions["r1.lane_width"] == 3.5
-    assert len(case.input_data) == 3
+    assert case.environmental_conditions == {"r1.lane_width": 3.5}
+    assert [t.parameter for t in case.input_data] == ["c1.s", "c1.v"]
     assert case.expected.description
 
 
@@ -178,7 +218,7 @@ def test_serialize_round_trip():
 
 def test_to_dict_field_names():
     document = tcmod.testcase_to_dict(build_case())
-    assert document["format"] == "testcase/1"
+    assert document["format"] == "testcase/2"
     for key in ("unique_id", "work_product_ref", "preconditions", "environmental_conditions",
                 "input_data", "expected_behavior", "source_ref"):
         assert key in document
