@@ -61,12 +61,12 @@ def _write(target: Path, text: str) -> None:
     target.write_text(text, encoding="utf-8")
 
 
-def _write_suite(logical: LogicalScenario, args, seed: int, target: Path):
-    """Build the suite, measure its coverage and write both to ``target``."""
+def _build_suite(logical: LogicalScenario, args, seed: int):
+    """Build the suite and measure its coverage; returns (scenarios, coverage,
+    the suite file's text)."""
     scenarios, levels = generate_suite(logical, args.method, args.k, args.n, seed)
     coverage = cz.coverage_metrics(logical, levels, scenarios)
-    _write(target, dumps_canonical(cz.suite_to_dict(scenarios, coverage)))
-    return scenarios, coverage
+    return scenarios, coverage, dumps_canonical(cz.suite_to_dict(scenarios, coverage))
 
 
 def _emit_findings(path, findings, as_json):
@@ -142,7 +142,8 @@ def cmd_concretize(args) -> int:
         if status != EXIT_OK:
             return status
         target = out / f"{logical.scenario_id}.suite.json"
-        scenarios, coverage = _write_suite(logical, args, cz.derive_seed(args.seed, index), target)
+        scenarios, coverage, text = _build_suite(logical, args, cz.derive_seed(args.seed, index))
+        _write(target, text)
         print(f"{path} -> {target} ({len(scenarios)} scenarios, "
               f"pair coverage {coverage.pair_coverage:.3f})")
     return EXIT_OK
@@ -191,15 +192,17 @@ def cmd_pipeline(args) -> int:
         if status != EXIT_OK:
             return status
 
-        logical_path = out / "logical" / f"{logical.scenario_id}.logical.json"
-        _write(logical_path, serialize_logical(logical))
-
-        suite_path = out / "concrete" / f"{logical.scenario_id}.suite.json"
-        scenarios, coverage = _write_suite(logical, args, cz.derive_seed(args.seed, index),
-                                           suite_path)
-
+        # a scenario's files are written only once its cases are, so an
+        # export error leaves no half-written scenario behind
+        logical_text = serialize_logical(logical)
+        scenarios, coverage, suite_text = _build_suite(logical, args,
+                                                       cz.derive_seed(args.seed, index))
         cases_dir = out / "cases" / logical.scenario_id
         manifest = _export_cases(logical, scenarios, args, inputs, cases_dir)
+        logical_path = out / "logical" / f"{logical.scenario_id}.logical.json"
+        _write(logical_path, logical_text)
+        suite_path = out / "concrete" / f"{logical.scenario_id}.suite.json"
+        _write(suite_path, suite_text)
         summary.append({
             "scenario_id": logical.scenario_id,
             "logical": str(logical_path),

@@ -141,6 +141,8 @@ def _wrapper(scenario: LogicalScenario, method: str, seed: int | None = None):
 
 
 def _value_lists(scenario: LogicalScenario, levels: dict) -> list[list[float]]:
+    """Each parameter's levels, ascending, keeping the first of equal values
+    (so ``-0.0`` or ``0.0``, whichever is listed first)."""
     missing = [p.name for p in scenario.parameters if p.name not in levels]
     if missing:
         raise SchemaViolation(f"levels missing for parameters: {missing}")
@@ -153,23 +155,13 @@ def _value_lists(scenario: LogicalScenario, levels: dict) -> list[list[float]]:
             if not parameter.lo <= value <= parameter.hi:
                 raise SchemaViolation(
                     f"level {value!r} outside range of {parameter.name!r}")
-        value_lists.append(values)
+        value_lists.append(sorted(dict.fromkeys(values)))
     return value_lists
 
 
-def _level_rows(scenario: LogicalScenario, levels: dict) -> tuple[list[list[float]], list[tuple]]:
-    """The level lists, and every combination of them that satisfies the
-    constraints, sorted. The one enumeration of the level product."""
-    value_lists = _value_lists(scenario, levels)
-    rows = product(*value_lists)
-    for check in scenario.compiled.checks:
-        rows = filter(check, rows)
-    return value_lists, sorted(rows)
-
-
 class _PairLayout:
-    """One bit per level pair ``(i, value_i, j, value_j)`` with ``i < j``,
-    keyed by distinct value, so repeated levels share a bit.
+    """One bit per level pair ``(i, value_i, j, value_j)`` with ``i < j``, for
+    the distinct level lists of ``_value_lists``.
 
     Every parameter value also has a one-hot bit, numbered in declaration
     order. The pairs of value ``b`` of parameter ``j`` with all earlier
@@ -185,12 +177,11 @@ class _PairLayout:
         slots = 0  # one-hot bits of the earlier parameters
         size = 0
         for values in value_lists:
-            distinct = dict.fromkeys(values)
-            self.onehots.append({v: 1 << (slots + n) for n, v in enumerate(distinct)})
-            self.shifts.append({v: size + n * slots for n, v in enumerate(distinct)})
-            self.spans.append((slots, len(distinct)))
-            size += len(distinct) * slots
-            slots += len(distinct)
+            self.onehots.append({v: 1 << (slots + n) for n, v in enumerate(values)})
+            self.shifts.append({v: size + n * slots for n, v in enumerate(values)})
+            self.spans.append((slots, len(values)))
+            size += len(values) * slots
+            slots += len(values)
         self.size = size  # every distinct level pair
 
     def encode(self, row) -> tuple[int, int]:
@@ -204,33 +195,6 @@ class _PairLayout:
                 values |= onehot[value]
         return pairs, values
 
-    def encode_sorted(self, rows) -> list[int]:
-        """``encode(row)[0]`` of each row, for rows of levels only. A row
-        keeps the partial bits of the prefix it shares with the row before
-        it, which in a sorted level product is all but its last few
-        positions. Prefix values are compared by identity, as ``product``
-        yields the level lists' own objects; any other value recomputes."""
-        steps = list(zip(self.onehots, self.shifts))
-        partial = [(0, 0)] * (len(steps) + 1)  # (pairs, values) of each prefix
-        previous: tuple = ()
-        masks = []
-        for row in rows:
-            shared = 0
-            for value, before in zip(row, previous):
-                if value is not before:
-                    break
-                shared += 1
-            pairs, values = partial[shared]
-            for position in range(shared, len(steps)):
-                onehot, shifts = steps[position]
-                value = row[position]
-                pairs |= values << shifts[value]
-                values |= onehot[value]
-                partial[position + 1] = pairs, values
-            masks.append(pairs)
-            previous = row
-        return masks
-
     def pair_counts(self, pairs: int):
         """The number of bits of ``pairs`` set for each parameter pair."""
         for j, shifts in enumerate(self.shifts):
@@ -238,6 +202,59 @@ class _PairLayout:
                 field = (1 << count) - 1
                 yield sum((pairs >> (shift + start) & field).bit_count()
                           for shift in shifts.values())
+
+
+def _level_masks(scenario: LogicalScenario, levels: dict):
+    """``(layout, masks, row)`` for the rows of the level product that satisfy
+    every constraint, in sorted order: ``masks[i]`` is ``layout.encode(row(i))[0]``.
+
+    The level lists are sorted and distinct, so their nested product is
+    already sorted. Masks grow one parameter at a time, and each constraint is
+    checked once the last parameter it reads is placed: it reads nothing
+    later, so the partial row decides it. Row tuples are kept only up to the
+    last constrained parameter; the rest of the product is plain, so ``row``
+    splits an index into a prefix number and a mixed-radix tail.
+    """
+    value_lists = _value_lists(scenario, levels)
+    layout = _PairLayout(value_lists)
+    compiled = scenario.compiled
+    due: list[list] = [[] for _ in value_lists]  # checks by the last position they read
+    feasible = True
+    for positions, check in zip(compiled.positions, compiled.checks):
+        if positions:
+            due[positions[-1]].append(check)
+        else:
+            feasible = feasible and check(())
+    split = max((positions[-1] + 1 for positions in compiled.positions if positions), default=0)
+
+    grown = [((), 0, 0)] if feasible else []  # (row, pairs, one-hot values) of each prefix
+    for position in range(split):
+        steps = list(zip(value_lists[position], layout.shifts[position].values(),
+                         layout.onehots[position].values()))
+        grown = [(row + (value,), pairs | values << shift, values | onehot)
+                 for row, pairs, values in grown for value, shift, onehot in steps]
+        for check in due[position]:
+            grown = [entry for entry in grown if check(entry[0])]
+    prefixes = [row for row, _, _ in grown]
+    masks = [pairs for _, pairs, _ in grown]
+    placed = [values for _, _, values in grown]  # one-hot values of each row so far
+    for position in range(split, len(value_lists)):
+        shifts = list(layout.shifts[position].values())
+        masks = [pairs | values << shift for pairs, values in zip(masks, placed) for shift in shifts]
+        if position + 1 < len(value_lists):
+            onehots = list(layout.onehots[position].values())
+            placed = [values | onehot for values in placed for onehot in onehots]
+
+    tail = value_lists[split:]
+
+    def row(index: int) -> tuple:
+        digits = []
+        for values in reversed(tail):
+            index, digit = divmod(index, len(values))
+            digits.append(values[digit])
+        return prefixes[index] + tuple(reversed(digits))
+
+    return layout, masks, row
 
 
 def _search_minimal(masks: list[int], all_pairs: int, size: int,
@@ -343,31 +360,28 @@ def pairwise_cover(scenario: LogicalScenario, levels: dict,
                    method: str = "pairwise") -> list[ConcreteScenario]:
     """Covering suite: every feasible level pair appears in >= 1 scenario.
 
-    Feasibility is decided by full-row enumeration, so the suite never
-    contains a constraint-violating scenario and pairs without any feasible
-    completion are simply excluded. A bounded exact search tries to hit the
-    lower bound (the largest single-pair level product) before falling back
-    to the greedy construction. The search is skipped when ``_no_cover_of``
+    Feasibility is decided on the rows of the level product
+    (``_level_masks``), so the suite never contains a constraint-violating
+    scenario and pairs without any feasible completion are simply excluded.
+    A bounded exact search tries to hit the lower bound (the largest
+    single-pair level product) before falling back to the greedy
+    construction. The search is skipped when ``_no_cover_of``
     proves by Rao's bound for orthogonal arrays that no suite of the lower
     bound's size exists; the greedy suite is then the same as after a search
     that finds nothing. ``method`` labels the scenarios and their ids.
     """
-    value_lists, rows = _level_rows(scenario, levels)
+    layout, masks, row = _level_masks(scenario, levels)
     names = scenario.compiled.names
     if not names:
         return []
-    if not rows:
+    if not masks:
         raise InfeasibleLevels(
             "no combination of the given levels satisfies the constraints")
     wrap = _wrapper(scenario, method)
     if len(names) == 1:
-        return [wrap({names[0]: row[0]}, i) for i, row in enumerate(rows)]
+        return [wrap({names[0]: row(i)[0]}, i) for i in range(len(masks))]
 
-    layout = _PairLayout(value_lists)
-    masks = layout.encode_sorted(rows)
-    all_pairs = 0
-    for mask in masks:
-        all_pairs |= mask
+    all_pairs = _feasible_pairs(scenario, layout)
     lower_bound = max(layout.pair_counts(all_pairs))
 
     chosen = None
@@ -376,7 +390,7 @@ def pairwise_cover(scenario: LogicalScenario, levels: dict,
     if chosen is None:
         chosen = _greedy_cover(masks, all_pairs)
 
-    return [wrap(dict(zip(names, rows[index])), position)
+    return [wrap(dict(zip(names, row(index))), position)
             for position, index in enumerate(chosen)]
 
 
@@ -529,6 +543,8 @@ def concrete_to_dict(concrete: ConcreteScenario) -> dict:
 def concrete_from_dict(document: dict) -> ConcreteScenario:
     check_document(document, "concrete scenario",
                    ("scenario_id", "source_ref", "assignments", "method"), "concrete/1")
+    if not isinstance(document["scenario_id"], str):
+        raise SchemaViolation("concrete scenario: 'scenario_id' must be a string")
     return ConcreteScenario(
         scenario_id=document["scenario_id"],
         source_ref=dict(check_object(document["source_ref"], "concrete scenario: 'source_ref'")),
@@ -571,4 +587,11 @@ def suite_from_dict(document: dict) -> list[ConcreteScenario]:
     check_document(document, "concrete suite", ("scenarios",), "concrete-suite/1")
     if not isinstance(document["scenarios"], list):
         raise SchemaViolation("concrete suite: 'scenarios' must be an array")
-    return [concrete_from_dict(d) for d in document["scenarios"]]
+    scenarios = [concrete_from_dict(d) for d in document["scenarios"]]
+    seen: set[str] = set()
+    for concrete in scenarios:
+        if concrete.scenario_id in seen:
+            raise SchemaViolation(
+                f"concrete suite: scenario {concrete.scenario_id!r} is listed twice")
+        seen.add(concrete.scenario_id)
+    return scenarios

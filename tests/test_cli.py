@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,7 +202,9 @@ def test_pipeline_parses_expressions_at_most_ten_times(tmp_path, monkeypatch, ca
     ("assignments", {"c1.s0": "12.5"}),
     ("source_ref", "s1"),
     ("provenance", {"x": _deep(0)}),
-], ids=["assignments-list", "assignment-string", "source-ref-string", "deep-provenance"])
+    ("scenario_id", ["s1"]),
+], ids=["assignments-list", "assignment-string", "source-ref-string", "deep-provenance",
+        "scenario-id-list"])
 def test_export_rejects_mistyped_scenario(tmp_path, capsys, field, value):
     assert main(["lower", "--vocab", VOCAB, "--catalog", CATALOG,
                  "--out", str(tmp_path), SCENARIO]) == 0
@@ -546,3 +549,26 @@ def test_cases_carry_each_assignment_once(tmp_path, capsys):
         assert case["environmental_conditions"] == {
             name: value for name, value in assignments.items()
             if name not in ("c1.s0", "c1.v0", "t1.s0", "t1.v0")}
+
+
+def test_export_rejects_a_suite_listing_a_scenario_twice(tmp_path, capsys):
+    logical_path, suite = _lowered_boundary_suite(tmp_path)
+    document = json.loads(Path(suite).read_text())
+    document["scenarios"].append(document["scenarios"][0])
+    twice = tmp_path / "twice.suite.json"
+    twice.write_text(json.dumps(document))
+    out = tmp_path / "cases"
+    assert main(["export", "--logical", logical_path, "--out", str(out), str(twice)]
+                + EXPORT_ARGS) == 3
+    assert "listed twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_export_error_leaves_no_half_written_scenario(tmp_path, capsys):
+    scenario = tmp_path / "road.scn"
+    scenario.write_text("scenario s2 / road r1 is two-lane-motorway / r1 geometry straight\n")
+    out = tmp_path / "run"
+    assert main(["pipeline", "--vocab", VOCAB, "--catalog", CATALOG, "--out", str(out),
+                 str(scenario)] + EXPORT_ARGS) == 3
+    assert "input_data" in capsys.readouterr().err
+    assert not out.exists()

@@ -12,10 +12,13 @@ import scenkit.concretize
 import scenkit.logical
 from scenkit.concretize import (
     ConcreteScenario,
-    _level_rows,
+    _feasible_pairs,
+    _greedy_cover,
+    _level_masks,
     _no_cover_of,
     _PairLayout,
     _search_minimal,
+    _wrapper,
     boundary_values,
     check_concrete,
     concrete_from_dict,
@@ -483,11 +486,12 @@ def test_search_minimal_matches_the_reference(masks, extra, size):
 
 
 def _cover_inputs(scenario, levels):
-    """(layout, row masks, all pairs, lower bound) as ``pairwise_cover`` builds them."""
-    value_lists, rows = _level_rows(scenario, levels)
-    layout = _PairLayout(value_lists)
-    masks = layout.encode_sorted(rows)
+    """(layout, row masks, all pairs, lower bound) as ``pairwise_cover`` builds
+    them; all pairs are the union of the row masks, which is what
+    ``_feasible_pairs`` must give without enumerating the rows."""
+    layout, masks, _ = _level_masks(scenario, levels)
     all_pairs = functools.reduce(operator.or_, masks, 0)
+    assert _feasible_pairs(scenario, layout) == all_pairs
     return layout, masks, all_pairs, max(layout.pair_counts(all_pairs))
 
 
@@ -576,7 +580,7 @@ def test_no_cover_of_needs_two_parameters():
 
 @st.composite
 def encode_cases(draw):
-    width = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 5))
     names = [f"p{i}" for i in range(width)]
     # float(text) makes a new object per level, so equal levels are distinct
     # objects, as they are when read from JSON
@@ -584,20 +588,134 @@ def encode_cases(draw):
         st.sampled_from(["-0.0", "0.0", "1.0", "2.0"]), min_size=1, max_size=4))]
         for n in names}
     constraints = []
-    if width >= 2 and draw(st.booleans()):
-        constraints.append(("p0", draw(st.sampled_from(COMPARATORS)), "p1"))
+    for _ in range(draw(st.integers(0, 2))):
+        # any pair of positions, or one against a number: the last position a
+        # constraint reads decides where the row tuples stop
+        a, b = draw(st.sampled_from(names)), draw(st.sampled_from(names + ["1.5"]))
+        constraints.append((a, draw(st.sampled_from(COMPARATORS)), b))
     return make_logical([(n, -1, 3) for n in names], constraints), levels
 
 
+def _first_distinct(values):
+    """``values`` without any value equal to an earlier one."""
+    return [v for i, v in enumerate(values) if v not in values[:i]]
+
+
 @settings(max_examples=150, deadline=None)
-@given(encode_cases(), st.randoms())
-def test_encode_sorted_matches_encode(case, rng):
+@given(encode_cases())
+def test_level_masks_match_encode(case):
     scenario, levels = case
-    value_lists, rows = _level_rows(scenario, levels)
+    layout, masks, row = _level_masks(scenario, levels)
+    value_lists = [sorted(_first_distinct(levels[p.name])) for p in scenario.parameters]
+    names = [p.name for p in scenario.parameters]
+    expected = [r for r in itertools.product(*value_lists)
+                if all(c.holds(dict(zip(names, r))) for c in scenario.constraints)]
+    rows = [row(i) for i in range(len(masks))]
+    assert repr(rows) == repr(sorted(expected))  # repr tells -0.0 from 0.0
+    assert masks == [layout.encode(r)[0] for r in rows]
+
+
+def _level_rows_reference(scenario, levels):
+    """``_level_rows`` as it was before masks were built level by level,
+    verbatim but for its name and for the level lists, read here as given."""
+    value_lists = [[float(v) for v in levels[p.name]] for p in scenario.parameters]
+    rows = itertools.product(*value_lists)
+    for check in scenario.compiled.checks:
+        rows = filter(check, rows)
+    return value_lists, sorted(rows)
+
+
+def _encode_sorted_reference(self, rows):
+    """``_PairLayout.encode_sorted`` as it was, verbatim but for its name;
+    ``self`` is the layout."""
+    steps = list(zip(self.onehots, self.shifts))
+    partial = [(0, 0)] * (len(steps) + 1)  # (pairs, values) of each prefix
+    previous: tuple = ()
+    masks = []
+    for row in rows:
+        shared = 0
+        for value, before in zip(row, previous):
+            if value is not before:
+                break
+            shared += 1
+        pairs, values = partial[shared]
+        for position in range(shared, len(steps)):
+            onehot, shifts = steps[position]
+            value = row[position]
+            pairs |= values << shifts[value]
+            values |= onehot[value]
+            partial[position + 1] = pairs, values
+        masks.append(pairs)
+        previous = row
+    return masks
+
+
+def _pairwise_cover_reference(scenario, levels):
+    """``pairwise_cover`` over the reference rows and masks, for distinct levels."""
+    value_lists, rows = _level_rows_reference(scenario, levels)
+    names = scenario.compiled.names
+    if not names:
+        return []
+    if not rows:
+        raise InfeasibleLevels("no combination of the given levels satisfies the constraints")
+    wrap = _wrapper(scenario, "pairwise")
+    if len(names) == 1:
+        return [wrap({names[0]: row[0]}, i) for i, row in enumerate(rows)]
     layout = _PairLayout(value_lists)
-    assert layout.encode_sorted(rows) == [layout.encode(row)[0] for row in rows]
-    rng.shuffle(rows)  # any order is still right, only slower
-    assert layout.encode_sorted(rows) == [layout.encode(row)[0] for row in rows]
+    masks = _encode_sorted_reference(layout, rows)
+    all_pairs = functools.reduce(operator.or_, masks, 0)
+    lower_bound = max(layout.pair_counts(all_pairs))
+    chosen = None
+    if not _no_cover_of(layout, all_pairs, lower_bound):
+        chosen = _search_minimal(masks, all_pairs, lower_bound,
+                                 scenkit.concretize.EXACT_SEARCH_NODES)
+    if chosen is None:
+        chosen = _greedy_cover(masks, all_pairs)
+    return [wrap(dict(zip(names, rows[index])), position)
+            for position, index in enumerate(chosen)]
+
+
+def _suite_bytes(cover, scenario, levels):
+    """The suite-plus-coverage text of ``cover``'s suite, or its error type."""
+    try:
+        suite = cover(scenario, levels)
+    except InfeasibleLevels as error:
+        return type(error).__name__
+    return dumps_canonical(suite_to_dict(suite, coverage_metrics(scenario, levels, suite)))
+
+
+@st.composite
+def reference_cases(draw):
+    width = draw(st.integers(1, 5))
+    names = [f"p{i}" for i in range(width)]
+    levels = {n: draw(st.permutations(draw(st.lists(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 3.0]), min_size=1, max_size=4, unique=True))))
+        for n in names}
+    constraints = []
+    for number in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["pair", "sum", "correlation", "constant"]))
+        a, b, c = (draw(st.sampled_from(names)) for _ in range(3))
+        op = draw(st.sampled_from(COMPARATORS))
+        if kind == "correlation":
+            constraints.append(Correlation(
+                id=f"c{number:03d}", target=a, source=b, slope=draw(st.sampled_from([1.0, -0.5])),
+                intercept=draw(st.sampled_from([0.0, 1.0])),
+                tolerance=draw(st.sampled_from([0.0, 0.5, 1.5]))))
+            continue
+        lhs, rhs = {"pair": (a, b), "sum": (f"{a} + 2 * {b}", f"{c} + 1"),
+                    "constant": ("1", draw(st.sampled_from(["0", "2"])))}[kind]
+        constraints.append(Inequality(id=f"c{number:03d}", lhs=lhs, op=op, rhs=rhs))
+    parameters = tuple(Parameter(n, "m", 0.0, 3.0) for n in names)
+    return LogicalScenario(scenario_id="ref", parameters=parameters,
+                           constraints=tuple(constraints)), levels
+
+
+@settings(max_examples=200, deadline=None)
+@given(reference_cases())
+def test_pairwise_cover_matches_the_reference(case):
+    scenario, levels = case
+    assert (_suite_bytes(pairwise_cover, scenario, levels)
+            == _suite_bytes(_pairwise_cover_reference, scenario, levels))
 
 
 def test_rao_skip_guards(monkeypatch, logical_scenario):
@@ -633,6 +751,36 @@ def test_pinned_suite_bytes_pairwise_shapes(count, levels, constraints, sha256):
     suite = pairwise_cover(scenario, level_lists)
     text = dumps_canonical(suite_to_dict(suite, coverage_metrics(scenario, level_lists, suite)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("constraint, sha256", [
+    (("p0", ">", "1"), "54c3f8ef463ae78fd33fdf74528447b59e1a44a4261f99ed991cb71bcef3ad53"),
+    (("p1", "<", "p4"), "716149d1684550e83ce88a6ff6ae53e802ede5a0697f0eb581ea342e70d879e1"),
+    (("p2 + p5", ">=", "p7"), "fcb857ab99d8cd594d4dc5c69d3d6221d5231b8302a5126f5794489cdbfd10b1"),
+], ids=["split-first", "split-middle", "split-last"])
+def test_pinned_suite_bytes_constraint_split(constraint, sha256):
+    # the last constrained parameter is the first, a middle or the last one,
+    # so the rows are all tail, prefix and tail, or all prefix
+    names = [f"p{i}" for i in range(8)]
+    scenario = make_logical([(n, 0, 3) for n in names], [constraint], scenario_id="split8x4")
+    level_lists = {n: [float(v) for v in range(4)] for n in names}
+    suite = pairwise_cover(scenario, level_lists)
+    text = dumps_canonical(suite_to_dict(suite, coverage_metrics(scenario, level_lists, suite)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
+
+
+def test_duplicate_and_signed_zero_levels():
+    scenario = make_logical([("a.x", -1, 2), ("a.y", -1, 2), ("a.z", -1, 2)],
+                            [("a.x", "<=", "a.y")])
+    levels = {"a.x": [-0.0, 1.0, 0.0, 1.0], "a.y": [1.0, 0.0, -0.0, 1.0], "a.z": [2.0, 2.0]}
+    suite = pairwise_cover(scenario, levels)
+    assert coverage_metrics(scenario, levels, suite).pair_coverage == 1.0
+    # each parameter's zero is the one listed first; repr tells -0.0 from 0.0
+    assert {repr(c.assignments["a.x"]) for c in suite} == {"-0.0", "1.0"}
+    assert {repr(c.assignments["a.y"]) for c in suite} == {"1.0", "0.0"}
+    single = make_logical([("a.x", -1, 2)])
+    suite = pairwise_cover(single, {"a.x": [1.0, 0.0, 1.0, -0.0]})
+    assert [repr(c.assignments["a.x"]) for c in suite] == ["0.0", "1.0"]
 
 
 def test_coverage_rejects_a_stale_revision():
