@@ -132,17 +132,35 @@ def check_strings(value, what: str) -> list[str]:
     return value
 
 
+def check_text(record: dict, what: str, *keys: str) -> None:
+    """Each of ``keys`` in ``record`` is a string."""
+    for key in keys:
+        if not isinstance(record[key], str):
+            raise SchemaViolation(f"{what}: {key!r} must be a string")
+
+
+def check_number(value, what: str, key=None, finite: bool = True) -> float:
+    """A JSON number, as a float; a bool is no number here. With ``finite``,
+    NaN, an infinity and an integer beyond the float range are rejected;
+    without it they load as NaN or an infinity, for the caller to report.
+    ``what`` names the value, or with ``key`` the object holding it."""
+    if type(value) in (int, float):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal of more than 308 digits
+            number = math.inf if value > 0 else -math.inf
+        if not finite or math.isfinite(number):
+            return number
+        problem = "is not finite"
+    else:
+        problem = "is not a number"
+    raise SchemaViolation(f"{what} {problem}" if key is None else f"{what}: {key!r} {problem}")
+
+
 def check_numbers(value, what: str) -> dict[str, float]:
     """An object whose values are all finite JSON numbers, as floats."""
-    numbers = {}
-    for key, number in check_object(value, what).items():
-        if type(number) not in (int, float):  # a bool is no number here
-            raise SchemaViolation(f"{what}: {key!r} is not a number")
-        number = float(number)
-        if not math.isfinite(number):
-            raise SchemaViolation(f"{what}: {key!r} is not finite")
-        numbers[key] = number
-    return numbers
+    return {key: check_number(number, what, key)
+            for key, number in check_object(value, what).items()}
 
 
 def check_document(document, what: str, fields=(), format_tag: str | None = None) -> dict:

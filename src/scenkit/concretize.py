@@ -449,22 +449,21 @@ def _feasible_pairs(scenario: LogicalScenario, layout: _PairLayout) -> int:
     must hold.
     """
     compiled = scenario.compiled
-    for constraint, positions in zip(scenario.constraints, compiled.positions):
-        if not positions and not constraint.holds({}):
+    for check, positions in zip(compiled.checks, compiled.positions):
+        if not positions and not check(()):
             return 0
     fields = [sum(onehot.values()) for onehot in layout.onehots]  # value bits per position
     groups = list(fields)  # value bits of each position's component
     pairs = values = 0
     constrained: set[int] = set()
     for positions, numbers in compiled.components():
-        local = {compiled.names[p]: n for n, p in enumerate(positions)}
-        checks = [scenario.constraints[n].compile(local) for n in numbers]
+        checks = [compiled.checks[n] for n in numbers]
         found = 0
         full: list = [None] * len(fields)
         for row in product(*(layout.onehots[p] for p in positions)):
-            if all(check(row) for check in checks):
-                for position, value in zip(positions, row):
-                    full[position] = value
+            for position, value in zip(positions, row):
+                full[position] = value
+            if all(check(full) for check in checks):
                 row_pairs, row_values = layout.encode(full)
                 pairs |= row_pairs
                 found |= row_values

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from . import expressions
-from .canonical import (check_document, check_numbers, check_object, check_records,
-                        content_hash, dumps_canonical, is_scenario_id, load_json)
+from .canonical import (check_document, check_number, check_numbers, check_object,
+                        check_records, check_text, content_hash, dumps_canonical,
+                        is_scenario_id, load_json)
 from .errors import Finding, Report, SchemaViolation, UnboundConstraintParameter
 
 DISTRIBUTION_TYPES = ("uniform", "truncated-gaussian")
@@ -269,6 +270,8 @@ def distribution_to_dict(distribution: Distribution | None):
 
 
 def distribution_from_dict(record) -> Distribution | None:
+    """A distribution record; a ``mean`` or ``stddev`` that is a JSON number
+    but not finite is left to ``range_findings``."""
     if record is None:
         return None
     if not isinstance(record, dict) or "type" not in record:
@@ -277,8 +280,9 @@ def distribution_from_dict(record) -> Distribution | None:
     if kind == "uniform":
         return Distribution(type="uniform")
     if kind == "truncated-gaussian":
-        return Distribution(type="truncated-gaussian",
-                            mean=float(record["mean"]), stddev=float(record["stddev"]))
+        mean, stddev = (check_number(record[key], "distribution", key, finite=False)
+                        for key in ("mean", "stddev"))
+        return Distribution(type="truncated-gaussian", mean=mean, stddev=stddev)
     raise SchemaViolation(f"unknown distribution type {kind!r}")
 
 
@@ -329,29 +333,32 @@ def _provenance_from_dict(record) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(check_object(record, "provenance").items()))
 
 
-def _check_text(record: dict, where: str, *keys: str) -> None:
-    for key in keys:
-        if not isinstance(record[key], str):
-            raise SchemaViolation(f"{where}: {key!r} must be a string")
+def range_from_dict(bounds, where: str) -> tuple[float, float]:
+    """A ``[lo, hi]`` array of JSON numbers; a bound that is not finite is left
+    to ``range_findings``."""
+    if not (isinstance(bounds, list) and len(bounds) == 2):
+        raise SchemaViolation(f"{where}: range must be an array [lo, hi]")
+    lo, hi = (check_number(bound, where, "range", finite=False) for bound in bounds)
+    return lo, hi
 
 
 def parameter_from_dict(record: dict, where: str) -> Parameter:
     """One parameter record, of a logical file or a catalog template; a
     record without ``unit`` has the empty unit."""
     try:
-        lo, hi = record["range"]
+        lo, hi = range_from_dict(record["range"], where)
         parameter = Parameter(
             name=record["name"],
             unit=record.get("unit", ""),
-            lo=float(lo),
-            hi=float(hi),
+            lo=lo,
+            hi=hi,
             distribution=distribution_from_dict(record.get("distribution")),
             kind=record.get("kind", "scalar-static"),
             provenance=_provenance_from_dict(record.get("provenance", {})),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolation(f"{where}: bad parameter record: {exc}") from exc
-    _check_text(vars(parameter), where, "name", "unit")
+    check_text(vars(parameter), where, "name", "unit")
     if parameter.kind not in PARAMETER_KINDS:
         raise SchemaViolation(f"{where}: {parameter.name!r} has bad kind {parameter.kind!r}")
     return parameter
@@ -371,7 +378,7 @@ def constraint_from_dict(record: dict, where: str) -> Constraint:
                                     rhs=record["rhs"], provenance=provenance)
             constraint.parsed  # a malformed expression fails the load, not a later use
         elif kind == "correlation":
-            _check_text(record, where, "target", "source")
+            check_text(record, where, "target", "source")
             numbers = check_numbers({key: record[key] for key in
                                      ("slope", "intercept", "tolerance")}, where)
             if numbers["tolerance"] < 0:
@@ -382,7 +389,7 @@ def constraint_from_dict(record: dict, where: str) -> Constraint:
             raise SchemaViolation(f"{where}: unknown constraint kind {kind!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolation(f"{where}: bad constraint record: {exc}") from exc
-    _check_text(vars(constraint), where, "id")
+    check_text(vars(constraint), where, "id")
     return constraint
 
 

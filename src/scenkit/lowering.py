@@ -37,6 +37,7 @@ from .logical import (
     constraint_from_dict,
     parameter_from_dict,
     range_findings,
+    range_from_dict,
 )
 from .vocabulary import Vocabulary
 
@@ -136,10 +137,7 @@ def load_parameter_catalog(source: str, vocabulary: Vocabulary) -> ParameterCata
             override = []
             for name, bounds in check_object(record.get("override", {}),
                                              f"{where}: 'override'").items():
-                try:
-                    lo, hi = (float(b) for b in bounds)
-                except (TypeError, ValueError) as exc:
-                    raise SchemaViolation(f"{where}: bad override for {name!r}") from exc
+                lo, hi = range_from_dict(bounds, f"{where}: override for {name!r}")
                 _check_range(f"{where}.{name}", lo, hi)
                 override.append((name, lo, hi))
             attribute_templates[(attribute, value)] = AttributeEffect(

@@ -23,9 +23,11 @@ from pathlib import Path
 
 from .canonical import (
     check_document,
+    check_number,
     check_numbers,
     check_object,
     check_records,
+    check_text,
     content_hash,
     dumps_canonical,
     load_json,
@@ -196,6 +198,7 @@ def _expected_to_dict(expected: ExpectedBehavior) -> dict:
 
 def expected_from_dict(document: dict) -> ExpectedBehavior:
     check_document(document, "expected behavior", ("description",))
+    check_text(document, "expected behavior", "description")
     checks = []
     for n, record in enumerate(check_records(document.get("checks", []),
                                              "expected behavior: 'checks'",
@@ -204,8 +207,7 @@ def expected_from_dict(document: dict) -> ExpectedBehavior:
         numbers = check_numbers({key: record[key] for key in ("bound", "tolerance")}, where)
         if numbers["tolerance"] < 0:
             raise SchemaViolation(f"{where}: check tolerance must be >= 0")
-        if not isinstance(record["signal"], str):
-            raise SchemaViolation(f"{where}: 'signal' must be a string")
+        check_text(record, where, "signal")
         if record["comparator"] not in COMPARATORS:
             raise SchemaViolation(f"{where}: bad comparator {record['comparator']!r}")
         checks.append(Check(signal=record["signal"], comparator=record["comparator"], **numbers))
@@ -231,28 +233,38 @@ def testcase_to_dict(case: TestCase) -> dict:
     }
 
 
+def _series_from_dict(record: dict, where: str) -> TimeSeries:
+    check_text(record, where, "parameter", "unit")
+    if not isinstance(record["samples"], list):
+        raise SchemaViolation(f"{where}: 'samples' must be an array")
+    return TimeSeries(parameter=record["parameter"], unit=record["unit"],
+                      dt=check_number(record["dt"], where, "dt"),
+                      samples=tuple(check_number(sample, where, "samples")
+                                    for sample in record["samples"]))
+
+
 def testcase_from_dict(document: dict) -> TestCase:
     check_document(document, "test case",
                    ("unique_id", "work_product_ref", "preconditions", "environmental_conditions",
                     "input_data", "expected_behavior", "source_ref"), "testcase/2")
-    preconditions = check_object(document["preconditions"], "test case: 'preconditions'")
-    try:
-        return TestCase(
-            unique_id=document["unique_id"],
-            work_product_ref=document["work_product_ref"],
-            preconditions=preconditions["text"],
-            configuration=preconditions["configuration"],
-            environmental_conditions=check_numbers(document["environmental_conditions"],
-                                                   "test case: 'environmental_conditions'"),
-            input_data=tuple(TimeSeries(parameter=t["parameter"], unit=t["unit"],
-                                        dt=float(t["dt"]),
-                                        samples=tuple(float(s) for s in t["samples"]))
-                             for t in document["input_data"]),
-            expected=expected_from_dict(document["expected_behavior"]),
-            source_ref=dict(check_object(document["source_ref"], "test case: 'source_ref'")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolation(f"bad test case record: {exc}") from exc
+    check_text(document, "test case", "unique_id", "work_product_ref")
+    preconditions = check_document(document["preconditions"], "test case: 'preconditions'",
+                                   ("text", "configuration"))
+    check_text(preconditions, "test case: 'preconditions'", "text", "configuration")
+    series = check_records(document["input_data"], "test case: 'input_data'",
+                           ("parameter", "unit", "dt", "samples"))
+    return TestCase(
+        unique_id=document["unique_id"],
+        work_product_ref=document["work_product_ref"],
+        preconditions=preconditions["text"],
+        configuration=preconditions["configuration"],
+        environmental_conditions=check_numbers(document["environmental_conditions"],
+                                               "test case: 'environmental_conditions'"),
+        input_data=tuple(_series_from_dict(record, f"input_data[{n}]")
+                         for n, record in enumerate(series)),
+        expected=expected_from_dict(document["expected_behavior"]),
+        source_ref=dict(check_object(document["source_ref"], "test case: 'source_ref'")),
+    )
 
 
 def serialize_testcase(case: TestCase) -> str:

@@ -363,7 +363,8 @@ def _golden_logical(tmp_path, old, new):
     return str(path)
 
 
-@pytest.mark.parametrize("bounds", ["400.0, 1e309", "NaN, 5000.0"], ids=["inf", "nan"])
+@pytest.mark.parametrize("bounds", ["400.0, 1e309", "NaN, 5000.0", "400.0, 1" + "0" * 400],
+                         ids=["inf", "nan", "integer-beyond-float"])
 @pytest.mark.parametrize("method", ["random", "boundary", "pairwise"])
 def test_concretize_rejects_non_finite_range(tmp_path, capsys, bounds, method):
     logical_path = _golden_logical(tmp_path, CURVE_RADIUS, f'"range": [{bounds}]')
@@ -446,8 +447,14 @@ def _edited_golden(tmp_path, edit):
     (lambda d: d["source_ref"].update(x=_deep(0)), "nested too deeply to encode"),
     (lambda d: d["parameters"][0]["provenance"].update(x=_deep("p")),
      "nested too deeply to encode"),
+    (lambda d: d["parameters"][2].update(range=["0", True]), "'range' is not a number"),
+    (lambda d: d["parameters"][2].update(range=[400.0]), "range must be an array [lo, hi]"),
+    (lambda d: d["parameters"][4]["distribution"].update(mean="3.5", stddev=True),
+     "'mean' is not a number"),
+    (lambda d: d["parameters"][4]["distribution"].update(stddev=True), "'stddev' is not a number"),
 ], ids=["correlation-tolerance-nan", "literal-1e999", "parameter-kind", "parameter-name-number",
-        "deep-source-ref", "deep-provenance"])
+        "deep-source-ref", "deep-provenance", "range-string-and-bool", "range-one-bound",
+        "mean-string", "stddev-bool"])
 def test_concretize_rejects_malformed_logical_records(tmp_path, capsys, edit, message):
     logical_path = _edited_golden(tmp_path, edit)
     out = tmp_path / "out"

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scenkit.errors import (
     BadDistribution,
@@ -220,6 +220,22 @@ def test_catalog_non_finite_numbers(vocabulary, where, value, error):
         load_parameter_catalog(json.dumps(doc), vocabulary)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["entities"]["car"][0].update(range=["0", 200.0]),
+    lambda doc: doc["entities"]["car"][1]["distribution"].update(mean="25"),
+    lambda doc: doc["entities"]["car"][1]["distribution"].update(stddev=True),
+    lambda doc: doc["attributes"]["geometry"]["straight"].update(
+        override={"lane_width_right": [3.0, True]}),
+    lambda doc: doc["attributes"]["geometry"]["straight"].update(
+        override={"lane_width_right": "34"}),
+], ids=["range-string", "mean-string", "stddev-bool", "override-bool", "override-string"])
+def test_catalog_range_numbers_must_be_numbers(vocabulary, edit):
+    doc = catalog_doc()
+    edit(doc)
+    with pytest.raises(SchemaViolation, match="is not a number|must be an array"):
+        load_parameter_catalog(json.dumps(doc), vocabulary)
+
+
 @pytest.mark.parametrize("value", [True, "1.0", None])
 def test_catalog_correlation_numbers_must_be_numbers(vocabulary, value):
     doc = catalog_doc()
@@ -305,11 +321,32 @@ FUZZ_CASES = [(which, path) for which, document in DOCS.items()
               for path in json_paths(document)]
 
 
+def same_json(a, b) -> bool:
+    """JSON equality that tells a bool or a string from a number."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(same_json(a[k], b[k])
+                                                                   for k in a)
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(same_json, a, b))
+    if type(a) in (int, float) and type(b) in (int, float):
+        return float(a) == float(b)
+    return type(a) is type(b) and a == b
+
+
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(case=st.sampled_from(FUZZ_CASES), value=JSON_VALUES)
+@example(case=("testcase", ("input_data", 0, "dt")), value="1")
+@example(case=("testcase", ("input_data", 0, "dt")), value=True)
+@example(case=("testcase", ("input_data", 0, "samples", 1)), value="7")
+@example(case=("testcase", ("input_data", 0, "parameter")), value=5)
+@example(case=("testcase", ("unique_id",)), value=5)
+@example(case=("testcase", ("preconditions", "text")), value=5)
+@example(case=("expected", ("description",)), value=5)
 def test_loaders_raise_only_scenario_errors(vocabulary, car_follows_truck, case, value):
     """One path of a fixture document replaced by any JSON value: loading the
-    document and using what it loads either works or raises a ``ScenarioError``."""
+    document and using what it loads either works or raises a ``ScenarioError``.
+    A test case, or an expected behaviour, that loads is written back as it
+    was read: the loader coerces no value to another type."""
     which, path = case
     text = json.dumps(replaced(DOCS[which], path, value))
     try:
@@ -325,7 +362,8 @@ def test_loaders_raise_only_scenario_errors(vocabulary, car_follows_truck, case,
             loaded = load_vocabulary(text)
             check_consistency(parse_functional(SCENARIO_TEXT, loaded), loaded)
         elif which == "expected":
-            export_one(SUITE[0], load_expected(text))
+            written = json.loads(export_one(SUITE[0], load_expected(text)))
+            assert same_json(written["expected_behavior"], json.loads(text))
         elif which == "suite":
             scenarios = suite_from_dict(json.loads(text))
             coverage_metrics(S1, LEVELS, scenarios)
@@ -333,6 +371,7 @@ def test_loaders_raise_only_scenario_errors(vocabulary, car_follows_truck, case,
                 check_concrete(S1, concrete)
                 export_one(concrete, EXPECTED)
         else:
-            serialize_testcase(deserialize_testcase(text))
+            assert same_json(json.loads(serialize_testcase(deserialize_testcase(text))),
+                             json.loads(text))
     except ScenarioError:
         pass

@@ -26,7 +26,7 @@ from scenkit.testcase import (
     synthesize_traces,
 )
 
-from conftest import DATA, source_ref_for
+from conftest import DATA, replaced, source_ref_for
 
 META = {
     "work_product_ref": "req-keep-distance-001",
@@ -198,6 +198,8 @@ def test_expected_behavior_loading():
         load_expected('{"checks": []}')
     with pytest.raises(SchemaViolation):
         load_expected('{"description": "x", "checks": [{"signal": "s"}]}')
+    with pytest.raises(SchemaViolation, match="'description' must be a string"):
+        load_expected('{"description": 5}')
 
 
 def build_case(position=0.0):
@@ -266,10 +268,25 @@ def test_export_empty_suite(tmp_path):
     ("environmental_conditions", {"c1.s0": "30"}),
     ("input_data", [["c1.s", "m"]]),
     ("source_ref", "s1"),
+    pytest.param(("input_data", 0, "dt"), "1", id="dt-string"),
+    pytest.param(("input_data", 0, "dt"), True, id="dt-bool"),
+    pytest.param(("input_data", 0, "dt"), math.nan, id="dt-nan"),
+    pytest.param(("input_data", 0, "samples", 1), "7", id="sample-string"),
+    pytest.param(("input_data", 0, "samples", 1), math.nan, id="sample-nan"),
+    pytest.param(("input_data", 0, "samples", 1), 10**400, id="sample-beyond-float"),
+    pytest.param(("input_data", 0, "samples"), "0.0", id="samples-string"),
+    pytest.param(("input_data", 0, "parameter"), 5, id="parameter-number"),
+    pytest.param(("input_data", 0, "unit"), None, id="unit-null"),
+    pytest.param(("unique_id",), 5, id="unique-id-number"),
+    pytest.param(("work_product_ref",), ["req"], id="work-product-ref-list"),
+    pytest.param(("preconditions", "text"), 5, id="preconditions-text-number"),
+    pytest.param(("preconditions", "configuration"), None, id="configuration-null"),
+    pytest.param(("preconditions",), {"text": "nominal"}, id="configuration-missing"),
+    pytest.param(("expected_behavior", "description"), 5, id="description-number"),
 ])
 def test_from_dict_rejects_mistyped_fields(field, value):
     document = tcmod.testcase_to_dict(build_case())
-    document[field] = value
+    document = replaced(document, field if isinstance(field, tuple) else (field,), value)
     with pytest.raises(SchemaViolation):
         tcmod.testcase_from_dict(document)
 
