@@ -15,12 +15,15 @@ from fractions import Fraction
 from itertools import product
 
 from .canonical import (
-    check_document,
-    check_numbers,
-    check_object,
-    content_hash,
-    dumps_canonical,
-    load_json,
+    INTEGER,
+    NUMBER,
+    NUMBERS,
+    SOURCE_REF,
+    STRING,
+    Field,
+    List,
+    Object,
+    Record,
 )
 from .errors import (
     BadK,
@@ -527,70 +530,36 @@ def coverage_metrics(scenario: LogicalScenario, levels: dict,
     )
 
 
-def concrete_to_dict(concrete: ConcreteScenario) -> dict:
-    return {
-        "format": "concrete/1",
-        "scenario_id": concrete.scenario_id,
-        "source_ref": dict(concrete.source_ref),
-        "assignments": {k: float(v) for k, v in concrete.assignments.items()},
-        "method": concrete.method,
-        "seed": concrete.seed,
-        "provenance": dict(concrete.provenance),
-    }
+CONCRETE = Record(ConcreteScenario, Field("scenario_id", STRING), Field("source_ref", SOURCE_REF),
+                  Field("assignments", NUMBERS), Field("method", STRING),
+                  Field("seed", INTEGER, None),
+                  Field("provenance", Object(default_uniform=List(STRING)), dict),
+                  tag=("format", "concrete/1"), name="concrete")
+COVERAGE = Record(CoverageReport, Field("pair_coverage", NUMBER),
+                  Field("boundary_coverage", NUMBER), Field("scenario_count", INTEGER),
+                  Field("infeasible_combination_count", INTEGER))
+# (scenarios, coverage or None)
+SUITE = Record(tuple, Field("scenarios", List(CONCRETE)),
+               Field("coverage", COVERAGE, None, omit=True), tag=("format", "concrete-suite/1"),
+               name="suite")
 
 
-def concrete_from_dict(document: dict) -> ConcreteScenario:
-    check_document(document, "concrete scenario",
-                   ("scenario_id", "source_ref", "assignments", "method"), "concrete/1")
-    if not isinstance(document["scenario_id"], str):
-        raise SchemaViolation("concrete scenario: 'scenario_id' must be a string")
-    return ConcreteScenario(
-        scenario_id=document["scenario_id"],
-        source_ref=dict(check_object(document["source_ref"], "concrete scenario: 'source_ref'")),
-        assignments=check_numbers(document["assignments"], "concrete scenario: 'assignments'"),
-        method=document["method"],
-        seed=document.get("seed"),
-        provenance=dict(check_object(document.get("provenance", {}),
-                                     "concrete scenario: 'provenance'")),
-    )
-
-
-def serialize_concrete(concrete: ConcreteScenario) -> str:
-    return dumps_canonical(concrete_to_dict(concrete))
-
-
-def deserialize_concrete(source: str) -> ConcreteScenario:
-    return concrete_from_dict(load_json(source))
-
-
-def concrete_hash(concrete: ConcreteScenario) -> str:
-    return content_hash(concrete_to_dict(concrete))
+concrete_to_dict = CONCRETE.encode
+concrete_from_dict = CONCRETE.decode
+serialize_concrete = CONCRETE.dumps
+deserialize_concrete = CONCRETE.loads
+concrete_hash = CONCRETE.digest
 
 
 def suite_to_dict(scenarios: list[ConcreteScenario], coverage: CoverageReport | None = None) -> dict:
-    document: dict = {
-        "format": "concrete-suite/1",
-        "scenarios": [concrete_to_dict(c) for c in scenarios],
-    }
-    if coverage is not None:
-        document["coverage"] = {
-            "pair_coverage": coverage.pair_coverage,
-            "boundary_coverage": coverage.boundary_coverage,
-            "scenario_count": coverage.scenario_count,
-            "infeasible_combination_count": coverage.infeasible_combination_count,
-        }
-    return document
+    return SUITE.encode((scenarios, coverage))
 
 
 def suite_from_dict(document: dict) -> list[ConcreteScenario]:
-    check_document(document, "concrete suite", ("scenarios",), "concrete-suite/1")
-    if not isinstance(document["scenarios"], list):
-        raise SchemaViolation("concrete suite: 'scenarios' must be an array")
-    scenarios = [concrete_from_dict(d) for d in document["scenarios"]]
+    scenarios, _ = SUITE.decode(document)
     seen: set[str] = set()
     for concrete in scenarios:
         if concrete.scenario_id in seen:
-            raise SchemaViolation(
-                f"concrete suite: scenario {concrete.scenario_id!r} is listed twice")
+            raise SchemaViolation(f"suite: scenario {concrete.scenario_id!r} is listed twice")
         seen.add(concrete.scenario_id)
-    return scenarios
+    return list(scenarios)

@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import product
 
-from .canonical import (check_document, check_records, content_hash, dumps_canonical,
-                        is_scenario_id, load_json)
+from .canonical import SCENARIO_ID, STRING, Field, List, Record, is_scenario_id
 from .errors import (
     ArityMismatch,
     DuplicateInstance,
@@ -29,11 +28,10 @@ from .errors import (
     IllegalAttributeValue,
     Report,
     ScenarioSyntaxError,
-    SchemaViolation,
     UnknownTerm,
     UnknownVariationTarget,
 )
-from .vocabulary import Term, Vocabulary, normalize_name
+from .vocabulary import REF, Term, Vocabulary, normalize_name
 
 
 # ``line`` is the DSL source line of a parsed element; it takes no part in
@@ -409,53 +407,18 @@ def enumerate_variations(
     return variations
 
 
-def functional_to_dict(scenario: FunctionalScenario) -> dict:
-    return {
-        "format": "functional/1",
-        "scenario_id": scenario.scenario_id,
-        "vocabulary_ref": {
-            "domain_name": scenario.vocabulary_ref[0],
-            "version": scenario.vocabulary_ref[1],
-        },
-        "instances": [{"instance_id": i.instance_id, "term": i.term} for i in scenario.instances],
-        "relations": [{"relation": r.relation, "arguments": list(r.arguments)}
-                      for r in scenario.relations],
-        "attributes": [{"instance_id": a.instance_id, "attribute": a.attribute, "value": a.value}
-                       for a in scenario.attributes],
-    }
+INSTANCE = Record(EntityInstance, Field("instance_id", STRING), Field("term", STRING))
+PHRASE = Record(RelationPhrase, Field("relation", STRING), Field("arguments", List(STRING)))
+ASSIGNMENT = Record(AttributeAssignment, Field("instance_id", STRING), Field("attribute", STRING),
+                    Field("value", STRING))
+FUNCTIONAL = Record(FunctionalScenario, Field("scenario_id", SCENARIO_ID),
+                    Field("vocabulary_ref", REF), Field("instances", List(INSTANCE)),
+                    Field("relations", List(PHRASE)), Field("attributes", List(ASSIGNMENT)),
+                    tag=("format", "functional/1"), name="functional")
 
 
-def functional_from_dict(document: dict) -> FunctionalScenario:
-    check_document(document, "functional scenario",
-                   ("scenario_id", "vocabulary_ref", "instances", "relations", "attributes"),
-                   "functional/1")
-    ref = check_document(document["vocabulary_ref"], "vocabulary_ref", ("domain_name", "version"))
-    instances = check_records(document["instances"], "functional scenario: 'instances'",
-                              ("instance_id", "term"))
-    relations = check_records(document["relations"], "functional scenario: 'relations'",
-                              ("relation", "arguments"))
-    attributes = check_records(document["attributes"], "functional scenario: 'attributes'",
-                               ("instance_id", "attribute", "value"))
-    for r in relations:
-        if not isinstance(r["arguments"], list):
-            raise SchemaViolation("functional scenario: relation 'arguments' must be an array")
-    return FunctionalScenario(
-        scenario_id=document["scenario_id"],
-        vocabulary_ref=(ref["domain_name"], ref["version"]),
-        instances=tuple(EntityInstance(i["instance_id"], i["term"]) for i in instances),
-        relations=tuple(RelationPhrase(r["relation"], tuple(r["arguments"])) for r in relations),
-        attributes=tuple(AttributeAssignment(a["instance_id"], a["attribute"], a["value"])
-                         for a in attributes),
-    )
-
-
-def serialize_functional(scenario: FunctionalScenario) -> str:
-    return dumps_canonical(functional_to_dict(scenario))
-
-
-def deserialize_functional(source: str) -> FunctionalScenario:
-    return functional_from_dict(load_json(source))
-
-
-def functional_hash(scenario: FunctionalScenario) -> str:
-    return content_hash(functional_to_dict(scenario))
+functional_to_dict = FUNCTIONAL.encode
+functional_from_dict = FUNCTIONAL.decode
+serialize_functional = FUNCTIONAL.dumps
+deserialize_functional = FUNCTIONAL.loads
+functional_hash = FUNCTIONAL.digest

@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import expressions
-from .canonical import (check_document, check_number, check_numbers, check_object,
-                        check_records, check_text, content_hash, dumps_canonical,
-                        is_scenario_id, load_json)
+from .canonical import (NUMBER, REQUIRED, SCENARIO_ID, SOURCE_REF, STRING, Choice, Field, List,
+                        Number, Object, Record, Union, content_hash)
 from .errors import Finding, Report, SchemaViolation, UnboundConstraintParameter
 
 DISTRIBUTION_TYPES = ("uniform", "truncated-gaussian")
@@ -52,6 +51,7 @@ class Inequality:
     op: str
     rhs: str
     provenance: tuple[tuple[str, str], ...] = ()
+    kind = "inequality"  # the record's tag; a class attribute, not a field
 
     @cached_property
     def parsed(self) -> tuple:
@@ -93,6 +93,7 @@ class Correlation:
     intercept: float
     tolerance: float
     provenance: tuple[tuple[str, str], ...] = ()
+    kind = "correlation"  # the record's tag; a class attribute, not a field
 
     def variables(self) -> set[str]:
         return {self.target, self.source}
@@ -259,165 +260,76 @@ def validate_logical(scenario: LogicalScenario) -> Report:
     return Report(findings=tuple(findings))
 
 
-def distribution_to_dict(distribution: Distribution | None):
-    if distribution is None:
-        return None
-    record: dict = {"type": distribution.type}
-    if distribution.type == "truncated-gaussian":
-        record["mean"] = distribution.mean
-        record["stddev"] = distribution.stddev
-    return record
+# A range bound, mean or stddev that is not finite is left to ``range_findings``.
+BOUND = Number(finite=False)
 
 
-def distribution_from_dict(record) -> Distribution | None:
-    """A distribution record; a ``mean`` or ``stddev`` that is a JSON number
-    but not finite is left to ``range_findings``."""
-    if record is None:
-        return None
-    if not isinstance(record, dict) or "type" not in record:
-        raise SchemaViolation("distribution must be null or an object with a 'type'")
-    kind = record["type"]
-    if kind == "uniform":
-        return Distribution(type="uniform")
-    if kind == "truncated-gaussian":
-        mean, stddev = (check_number(record[key], "distribution", key, finite=False)
-                        for key in ("mean", "stddev"))
-        return Distribution(type="truncated-gaussian", mean=mean, stddev=stddev)
-    raise SchemaViolation(f"unknown distribution type {kind!r}")
+class _Range:
+    """A ``[lo, hi]`` array of JSON numbers, read as a pair of floats."""
+
+    plural = "ranges"
+    encode = list
+
+    def decode(self, value, where: str, key=None) -> tuple[float, float]:
+        if not (isinstance(value, list) and len(value) == 2):
+            raise SchemaViolation(f"{where}.{key} must be an array [lo, hi]")
+        lo, hi = (BOUND.decode(bound, where, key) for bound in value)
+        return lo, hi
 
 
-def _parameter_to_dict(parameter: Parameter) -> dict:
-    return {
-        "name": parameter.name,
-        "unit": parameter.unit,
-        "range": [parameter.lo, parameter.hi],
-        "distribution": distribution_to_dict(parameter.distribution),
-        "kind": parameter.kind,
-        "provenance": dict(parameter.provenance),
-    }
+RANGE = _Range()
+# Where a parameter or a constraint came from; other keys are kept as read.
+PROVENANCE = Object(lambda record: tuple(sorted(record.items())), instance=STRING, term=STRING,
+                    override=STRING, attribute=STRING, relation=STRING, arguments=STRING)
+# A uniform distribution ignores, but keeps, a mean and stddev it is given.
+DISTRIBUTION = Union(
+    "type",
+    Record(partial(Distribution, "uniform"), Field("mean", BOUND, None, omit=True),
+           Field("stddev", BOUND, None, omit=True), tag=("type", "uniform")),
+    Record(partial(Distribution, "truncated-gaussian"), Field("mean", BOUND),
+           Field("stddev", BOUND), tag=("type", "truncated-gaussian")))
 
 
-def _constraint_to_dict(constraint: Constraint) -> dict:
-    if isinstance(constraint, Inequality):
-        return {
-            "id": constraint.id,
-            "kind": "inequality",
-            "lhs": constraint.lhs,
-            "op": constraint.op,
-            "rhs": constraint.rhs,
-            "provenance": dict(constraint.provenance),
-        }
-    return {
-        "id": constraint.id,
-        "kind": "correlation",
-        "target": constraint.target,
-        "source": constraint.source,
-        "slope": constraint.slope,
-        "intercept": constraint.intercept,
-        "tolerance": constraint.tolerance,
-        "provenance": dict(constraint.provenance),
-    }
+def _parameter(range, **fields) -> Parameter:
+    return Parameter(lo=range[0], hi=range[1], **fields)
 
 
-def logical_to_dict(scenario: LogicalScenario) -> dict:
-    return {
-        "format": "logical/1",
-        "scenario_id": scenario.scenario_id,
-        "source_ref": dict(scenario.source_ref),
-        "parameters": [_parameter_to_dict(p) for p in scenario.parameters],
-        "constraints": [_constraint_to_dict(c) for c in scenario.constraints],
-    }
-
-
-def _provenance_from_dict(record) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted(check_object(record, "provenance").items()))
-
-
-def range_from_dict(bounds, where: str) -> tuple[float, float]:
-    """A ``[lo, hi]`` array of JSON numbers; a bound that is not finite is left
-    to ``range_findings``."""
-    if not (isinstance(bounds, list) and len(bounds) == 2):
-        raise SchemaViolation(f"{where}: range must be an array [lo, hi]")
-    lo, hi = (check_number(bound, where, "range", finite=False) for bound in bounds)
-    return lo, hi
-
-
-def parameter_from_dict(record: dict, where: str) -> Parameter:
-    """One parameter record, of a logical file or a catalog template; a
-    record without ``unit`` has the empty unit."""
-    try:
-        lo, hi = range_from_dict(record["range"], where)
-        parameter = Parameter(
-            name=record["name"],
-            unit=record.get("unit", ""),
-            lo=lo,
-            hi=hi,
-            distribution=distribution_from_dict(record.get("distribution")),
-            kind=record.get("kind", "scalar-static"),
-            provenance=_provenance_from_dict(record.get("provenance", {})),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolation(f"{where}: bad parameter record: {exc}") from exc
-    check_text(vars(parameter), where, "name", "unit")
-    if parameter.kind not in PARAMETER_KINDS:
-        raise SchemaViolation(f"{where}: {parameter.name!r} has bad kind {parameter.kind!r}")
-    return parameter
-
-
-def constraint_from_dict(record: dict, where: str) -> Constraint:
-    """One constraint record, of a logical file or a catalog template; a
-    record without ``id`` has the empty id."""
-    try:
-        kind = record.get("kind")
-        provenance = _provenance_from_dict(record.get("provenance", {}))
-        identifier = record.get("id", "")
-        if kind == "inequality":
-            if record["op"] not in expressions.COMPARATORS:
-                raise SchemaViolation(f"{where}: bad comparator {record['op']!r}")
-            constraint = Inequality(id=identifier, lhs=record["lhs"], op=record["op"],
-                                    rhs=record["rhs"], provenance=provenance)
-            constraint.parsed  # a malformed expression fails the load, not a later use
-        elif kind == "correlation":
-            check_text(record, where, "target", "source")
-            numbers = check_numbers({key: record[key] for key in
-                                     ("slope", "intercept", "tolerance")}, where)
-            if numbers["tolerance"] < 0:
-                raise SchemaViolation(f"{where}: correlation tolerance must be >= 0")
-            constraint = Correlation(id=identifier, target=record["target"],
-                                     source=record["source"], provenance=provenance, **numbers)
-        else:
-            raise SchemaViolation(f"{where}: unknown constraint kind {kind!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolation(f"{where}: bad constraint record: {exc}") from exc
-    check_text(vars(constraint), where, "id")
+def _parsed(constraint: Inequality, where: str) -> Inequality:
+    constraint.parsed  # a malformed expression fails the load, not a later use
     return constraint
 
 
-def logical_from_dict(document: dict) -> LogicalScenario:
-    check_document(document, "logical scenario",
-                   ("scenario_id", "source_ref", "parameters", "constraints"), "logical/1")
-    parameters = check_records(document["parameters"], "logical scenario: 'parameters'",
-                               ("name", "unit", "range"))
-    constraints = check_records(document["constraints"], "logical scenario: 'constraints'",
-                                ("id",))
-    if not is_scenario_id(document["scenario_id"]):
-        raise SchemaViolation(f"logical scenario: bad scenario id {document['scenario_id']!r}")
-    return LogicalScenario(
-        scenario_id=document["scenario_id"],
-        source_ref=dict(check_object(document["source_ref"], "logical scenario: 'source_ref'")),
-        parameters=tuple(parameter_from_dict(p, f"parameters[{n}]")
-                         for n, p in enumerate(parameters)),
-        constraints=tuple(constraint_from_dict(c, f"constraints[{n}]")
-                          for n, c in enumerate(constraints)),
-    )
+def parameter_record(unit=REQUIRED) -> Record:
+    """The parameter table; a catalog template's ``unit`` defaults to ``""``."""
+    return Record(_parameter, Field("name", STRING), Field("unit", STRING, unit),
+                  Field("range", RANGE), Field("distribution", DISTRIBUTION, None),
+                  Field("kind", Choice(PARAMETER_KINDS), "scalar-static"),
+                  Field("provenance", PROVENANCE, ()))
 
 
-def serialize_logical(scenario: LogicalScenario) -> str:
-    return dumps_canonical(logical_to_dict(scenario))
+def constraint_record(id=REQUIRED) -> Union:
+    """The constraint tables; a catalog template's ``id`` defaults to ``""``."""
+    identifier, provenance = Field("id", STRING, id), Field("provenance", PROVENANCE, ())
+    return Union(
+        "kind",
+        Record(Inequality, identifier, Field("lhs", STRING),
+               Field("op", Choice(expressions.COMPARATORS)), Field("rhs", STRING), provenance,
+               tag=("kind", "inequality"), check=_parsed),
+        Record(Correlation, identifier, Field("target", STRING), Field("source", STRING),
+               Field("slope", NUMBER), Field("intercept", NUMBER),
+               Field("tolerance", Number(minimum=0.0)), provenance, tag=("kind", "correlation")))
 
 
-def deserialize_logical(source: str) -> LogicalScenario:
-    return logical_from_dict(load_json(source))
+LOGICAL = Record(LogicalScenario, Field("scenario_id", SCENARIO_ID),
+                 Field("source_ref", SOURCE_REF), Field("parameters", List(parameter_record())),
+                 Field("constraints", List(constraint_record())), tag=("format", "logical/1"),
+                 name="logical")
+
+
+logical_to_dict = LOGICAL.encode
+logical_from_dict = LOGICAL.decode
+serialize_logical = LOGICAL.dumps
+deserialize_logical = LOGICAL.loads
 
 
 def logical_hash(scenario: LogicalScenario) -> str:

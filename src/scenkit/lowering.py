@@ -16,7 +16,7 @@ import string
 from dataclasses import dataclass, field, replace
 
 from . import expressions
-from .canonical import check_document, check_object, check_records, check_strings, load_json
+from .canonical import STRING, Field, List, Map, Record
 from .errors import (
     BadDistribution,
     BadRange,
@@ -34,12 +34,12 @@ from .logical import (
     Distribution,
     LogicalScenario,
     Parameter,
-    constraint_from_dict,
-    parameter_from_dict,
+    RANGE,
+    constraint_record,
+    parameter_record,
     range_findings,
-    range_from_dict,
 )
-from .vocabulary import Vocabulary
+from .vocabulary import REF, Term, Vocabulary
 
 _LOCAL_NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
 _PLACEHOLDER_RE = re.compile(r"([A-Z])\.([a-z][a-z0-9_]*)")
@@ -49,7 +49,7 @@ _PLACEHOLDER_RE = re.compile(r"([A-Z])\.([a-z][a-z0-9_]*)")
 class AttributeEffect:
     add: tuple[Parameter, ...] = ()
     remove: tuple[str, ...] = ()
-    override: tuple[tuple[str, float, float], ...] = ()
+    override: dict = field(default_factory=dict)  # local name -> (lo, hi)
 
 
 @dataclass(frozen=True)
@@ -66,28 +66,36 @@ def _check_range(name: str, lo: float, hi: float, distribution: Distribution | N
         raise (BadDistribution if finding.code == "BAD_DISTRIBUTION" else BadRange)(finding.message)
 
 
-def _parameter_templates(records, where: str) -> tuple[Parameter, ...]:
-    templates = []
-    for record in check_records(records, f"{where} templates"):
-        template = parameter_from_dict(record, where)
+def _check_templates(templates: tuple[Parameter, ...], where: str) -> None:
+    for template in templates:
         if not _LOCAL_NAME_RE.fullmatch(template.name):
             raise SchemaViolation(f"{where}: bad parameter name {template.name!r} "
                                   "(lowercase, no hyphens)")
         _check_range(f"{where}.{template.name}", template.lo, template.hi, template.distribution)
-        templates.append(template)
-    return tuple(templates)
 
 
-def _constraint_template(record: dict, where: str) -> Constraint:
-    """A constraint record; ``"expr": "lhs <op> rhs"`` is short for its
-    ``lhs``, ``op`` and ``rhs``."""
-    if "expr" in record:
-        if not isinstance(record["expr"], str):
-            raise SchemaViolation(f"{where}: 'expr' must be a string")
-        lhs, op, rhs = expressions.parse_comparison(record["expr"])
-        record = {**record, "lhs": expressions.format_expr(lhs), "op": op,
-                  "rhs": expressions.format_expr(rhs)}
-    return constraint_from_dict(record, where)
+class _ConstraintTemplate:
+    """A constraint record whose ``id`` may be left out, and in which
+    ``"expr": "lhs <op> rhs"`` is short for its ``lhs``, ``op`` and ``rhs``."""
+
+    plural = "objects"
+    record = constraint_record(id="")
+
+    def decode(self, value, where: str, key=None) -> Constraint:
+        if isinstance(value, dict) and "expr" in value:
+            expr = STRING.decode(value["expr"], where, "expr")
+            lhs, op, rhs = expressions.parse_comparison(expr)
+            value = {**value, "lhs": expressions.format_expr(lhs), "op": op,
+                     "rhs": expressions.format_expr(rhs)}
+        return self.record.decode(value, where, key)
+
+
+_TEMPLATES = List(parameter_record(unit=""))
+EFFECT = Record(AttributeEffect, Field("add", _TEMPLATES, ()), Field("remove", List(STRING), ()),
+                Field("override", Map(RANGE), dict))
+CATALOG = Record(dict, Field("vocabulary_ref", REF), Field("entities", Map(_TEMPLATES), dict),
+                 Field("attributes", Map(Map(EFFECT)), dict),
+                 Field("relations", Map(List(_ConstraintTemplate())), dict), name="catalog")
 
 
 def _constraint_placeholders(template: Constraint) -> set[tuple[str, str]]:
@@ -102,60 +110,46 @@ def _constraint_placeholders(template: Constraint) -> set[tuple[str, str]]:
     return references
 
 
-def load_parameter_catalog(source: str, vocabulary: Vocabulary) -> ParameterCatalog:
-    document = check_document(load_json(source), "catalog")
+def _term(vocabulary: Vocabulary, name: str, kind: str) -> Term:
+    term = vocabulary.lookup(name)
+    if term is None or term.kind != kind:
+        raise UnknownTerm(name)
+    return term
 
-    ref = check_document(document.get("vocabulary_ref"), "catalog vocabulary_ref",
-                         ("domain_name", "version"))
-    if (ref["domain_name"], ref["version"]) != (vocabulary.domain_name, vocabulary.version):
+
+def load_parameter_catalog(source: str, vocabulary: Vocabulary) -> ParameterCatalog:
+    catalog = CATALOG.loads(source)
+    ref = catalog["vocabulary_ref"]
+    if ref != (vocabulary.domain_name, vocabulary.version):
         raise VocabularyMismatch(
-            f"catalog targets {ref['domain_name']}/{ref['version']}, vocabulary is "
+            f"catalog targets {ref[0]}/{ref[1]}, vocabulary is "
             f"{vocabulary.domain_name}/{vocabulary.version}")
 
-    entity_templates: dict[str, tuple[Parameter, ...]] = {}
-    for entity, records in check_object(document.get("entities", {}), "catalog: 'entities'").items():
-        term = vocabulary.lookup(entity)
-        if term is None or term.kind != "entity":
-            raise UnknownTerm(entity)
-        templates = _parameter_templates(records, entity)
+    for entity, templates in catalog["entities"].items():
+        _term(vocabulary, entity, "entity")
+        _check_templates(templates, entity)
         if len({t.name for t in templates}) != len(templates):
             raise SchemaViolation(f"{entity}: duplicate parameter names in template set")
-        entity_templates[entity] = templates
 
     attribute_templates: dict[tuple[str, str], AttributeEffect] = {}
-    attributes = check_object(document.get("attributes", {}), "catalog: 'attributes'")
-    for attribute, by_value in attributes.items():
-        term = vocabulary.lookup(attribute)
-        if term is None or term.kind != "attribute":
-            raise UnknownTerm(attribute)
-        for value, record in check_object(by_value, f"catalog: {attribute!r}").items():
+    for attribute, by_value in catalog["attributes"].items():
+        term = _term(vocabulary, attribute, "attribute")
+        for value, effect in by_value.items():
             if value not in term.allowed_values:
                 raise SchemaViolation(f"{attribute}: {value!r} is not an allowed value")
             where = f"{attribute}={value}"
-            add = _parameter_templates(check_object(record, where).get("add", []), where)
-            remove = check_strings(record.get("remove", []), f"{where}: 'remove'")
-            override = []
-            for name, bounds in check_object(record.get("override", {}),
-                                             f"{where}: 'override'").items():
-                lo, hi = range_from_dict(bounds, f"{where}: override for {name!r}")
+            _check_templates(effect.add, where)
+            for name, (lo, hi) in effect.override.items():
                 _check_range(f"{where}.{name}", lo, hi)
-                override.append((name, lo, hi))
-            attribute_templates[(attribute, value)] = AttributeEffect(
-                add=add, remove=tuple(remove), override=tuple(override))
+            attribute_templates[(attribute, value)] = effect
 
-    relation_templates: dict[str, tuple[Constraint, ...]] = {}
-    relations = check_object(document.get("relations", {}), "catalog: 'relations'")
-    for relation, records in relations.items():
-        term = vocabulary.lookup(relation)
-        if term is None or term.kind != "relation":
-            raise UnknownTerm(relation)
-        templates = tuple(_constraint_template(r, relation)
-                          for r in check_records(records, f"{relation} templates"))
+    for relation, templates in catalog["relations"].items():
+        term = _term(vocabulary, relation, "relation")
         # every referenced slot/parameter must be producible by an allowed entity
         producible: set[str] = set()
         candidates = term.applies_to or [t.name for t in vocabulary.terms if t.kind == "entity"]
         for entity in candidates:
-            producible.update(t.name for t in entity_templates.get(entity, ()))
+            producible.update(t.name for t in catalog["entities"].get(entity, ()))
             for (attr, _value), effect in attribute_templates.items():
                 attr_term = vocabulary.lookup(attr)
                 if attr_term is not None and entity in attr_term.applies_to:
@@ -169,13 +163,12 @@ def load_parameter_catalog(source: str, vocabulary: Vocabulary) -> ParameterCata
                 if local_name not in producible:
                     raise UnboundConstraintParameter(
                         f"{relation}: no template of an allowed entity produces {local_name!r}")
-        relation_templates[relation] = templates
 
     return ParameterCatalog(
-        vocabulary_ref=(ref["domain_name"], ref["version"]),
-        entity_templates=entity_templates,
+        vocabulary_ref=ref,
+        entity_templates=catalog["entities"],
         attribute_templates=attribute_templates,
-        relation_templates=relation_templates,
+        relation_templates=catalog["relations"],
     )
 
 
@@ -199,7 +192,7 @@ def lower_to_logical(scenario: FunctionalScenario, catalog: ParameterCatalog) ->
                 continue
             for name in effect.remove:
                 templates = [t for t in templates if t.name != name]
-            for name, lo, hi in effect.override:
+            for name, (lo, hi) in effect.override.items():
                 for position, template in enumerate(templates):
                     if template.name != name:
                         continue

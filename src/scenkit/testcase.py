@@ -12,7 +12,6 @@ width, is an environmental condition, so each value is written once.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import shutil
@@ -22,15 +21,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .canonical import (
-    check_document,
-    check_number,
-    check_numbers,
-    check_object,
-    check_records,
-    check_text,
+    INTEGER,
+    NUMBER,
+    NUMBERS,
+    SOURCE_REF,
+    STRING,
+    Choice,
+    Field,
+    List,
+    Number,
+    Record,
     content_hash,
     dumps_canonical,
-    load_json,
 )
 from .concretize import ConcreteScenario, check_source, concrete_hash
 from .errors import (
@@ -38,7 +40,7 @@ from .errors import (
     DuplicateId,
     IncompleteField,
     MissingKinematicInputs,
-    SchemaViolation,
+    ScenarioError,
     TraceMismatch,
 )
 from .expressions import COMPARATORS
@@ -77,6 +79,11 @@ class TestCase:
     input_data: tuple[TimeSeries, ...] = ()
     expected: ExpectedBehavior = ExpectedBehavior(description="")
     source_ref: dict = field(default_factory=dict)
+
+    @property
+    def setup(self) -> tuple[str, str]:
+        """The ``preconditions`` record: the precondition text and the configuration."""
+        return self.preconditions, self.configuration
 
 
 # A million samples per signal already make a case file of tens of megabytes;
@@ -172,7 +179,7 @@ def assemble_test_case(concrete: ConcreteScenario, traces: list[TimeSeries],
         "source": source_hash,
         "meta": {"work_product_ref": work_product_ref, "preconditions": preconditions,
                  "configuration": configuration},
-        "expected": _expected_to_dict(expected),
+        "expected": EXPECTED.encode(expected),
     }
     unique_id = "tc-" + content_hash(digest_input)[:16]
 
@@ -188,91 +195,34 @@ def assemble_test_case(concrete: ConcreteScenario, traces: list[TimeSeries],
     )
 
 
-def _expected_to_dict(expected: ExpectedBehavior) -> dict:
-    return {
-        "description": expected.description,
-        "checks": [{"signal": c.signal, "comparator": c.comparator,
-                    "bound": c.bound, "tolerance": c.tolerance} for c in expected.checks],
-    }
+def _testcase(setup: tuple[str, str], **fields) -> TestCase:
+    return TestCase(preconditions=setup[0], configuration=setup[1], **fields)
 
 
-def expected_from_dict(document: dict) -> ExpectedBehavior:
-    check_document(document, "expected behavior", ("description",))
-    check_text(document, "expected behavior", "description")
-    checks = []
-    for n, record in enumerate(check_records(document.get("checks", []),
-                                             "expected behavior: 'checks'",
-                                             ("signal", "comparator", "bound", "tolerance"))):
-        where = f"checks[{n}]"
-        numbers = check_numbers({key: record[key] for key in ("bound", "tolerance")}, where)
-        if numbers["tolerance"] < 0:
-            raise SchemaViolation(f"{where}: check tolerance must be >= 0")
-        check_text(record, where, "signal")
-        if record["comparator"] not in COMPARATORS:
-            raise SchemaViolation(f"{where}: bad comparator {record['comparator']!r}")
-        checks.append(Check(signal=record["signal"], comparator=record["comparator"], **numbers))
-    return ExpectedBehavior(description=document["description"], checks=tuple(checks))
+SERIES = Record(TimeSeries, Field("parameter", STRING), Field("unit", STRING), Field("dt", NUMBER),
+                Field("samples", List(NUMBER)))
+CHECK = Record(Check, Field("signal", STRING), Field("comparator", Choice(COMPARATORS)),
+               Field("bound", NUMBER), Field("tolerance", Number(minimum=0.0)))
+EXPECTED = Record(ExpectedBehavior, Field("description", STRING), Field("checks", List(CHECK), ()),
+                  name="expected")
+TESTCASE = Record(_testcase, Field("unique_id", STRING), Field("work_product_ref", STRING),
+                  Field("preconditions", Record(tuple, Field("text", STRING),
+                                                Field("configuration", STRING)), attr="setup"),
+                  Field("environmental_conditions", NUMBERS), Field("input_data", List(SERIES)),
+                  Field("expected_behavior", EXPECTED, attr="expected"),
+                  Field("source_ref", SOURCE_REF), tag=("format", "testcase/2"), name="testcase")
+MANIFEST = Record(dict, Field("case_count", INTEGER),
+                  Field("cases", List(Record(dict, Field("unique_id", STRING),
+                                             Field("hash", STRING), Field("file", STRING)))),
+                  Field("suite_hash", STRING), tag=("format", "manifest/1"), name="manifest")
 
 
-def load_expected(source: str) -> ExpectedBehavior:
-    return expected_from_dict(load_json(source))
-
-
-def testcase_to_dict(case: TestCase) -> dict:
-    return {
-        "format": "testcase/2",
-        "unique_id": case.unique_id,
-        "work_product_ref": case.work_product_ref,
-        "preconditions": {"text": case.preconditions, "configuration": case.configuration},
-        "environmental_conditions": {k: float(v) for k, v in
-                                     case.environmental_conditions.items()},
-        "input_data": [{"parameter": t.parameter, "unit": t.unit, "dt": t.dt,
-                        "samples": list(t.samples)} for t in case.input_data],
-        "expected_behavior": _expected_to_dict(case.expected),
-        "source_ref": dict(case.source_ref),
-    }
-
-
-def _series_from_dict(record: dict, where: str) -> TimeSeries:
-    check_text(record, where, "parameter", "unit")
-    if not isinstance(record["samples"], list):
-        raise SchemaViolation(f"{where}: 'samples' must be an array")
-    return TimeSeries(parameter=record["parameter"], unit=record["unit"],
-                      dt=check_number(record["dt"], where, "dt"),
-                      samples=tuple(check_number(sample, where, "samples")
-                                    for sample in record["samples"]))
-
-
-def testcase_from_dict(document: dict) -> TestCase:
-    check_document(document, "test case",
-                   ("unique_id", "work_product_ref", "preconditions", "environmental_conditions",
-                    "input_data", "expected_behavior", "source_ref"), "testcase/2")
-    check_text(document, "test case", "unique_id", "work_product_ref")
-    preconditions = check_document(document["preconditions"], "test case: 'preconditions'",
-                                   ("text", "configuration"))
-    check_text(preconditions, "test case: 'preconditions'", "text", "configuration")
-    series = check_records(document["input_data"], "test case: 'input_data'",
-                           ("parameter", "unit", "dt", "samples"))
-    return TestCase(
-        unique_id=document["unique_id"],
-        work_product_ref=document["work_product_ref"],
-        preconditions=preconditions["text"],
-        configuration=preconditions["configuration"],
-        environmental_conditions=check_numbers(document["environmental_conditions"],
-                                               "test case: 'environmental_conditions'"),
-        input_data=tuple(_series_from_dict(record, f"input_data[{n}]")
-                         for n, record in enumerate(series)),
-        expected=expected_from_dict(document["expected_behavior"]),
-        source_ref=dict(check_object(document["source_ref"], "test case: 'source_ref'")),
-    )
-
-
-def serialize_testcase(case: TestCase) -> str:
-    return dumps_canonical(testcase_to_dict(case))
-
-
-def deserialize_testcase(source: str) -> TestCase:
-    return testcase_from_dict(load_json(source))
+expected_from_dict = EXPECTED.decode
+load_expected = EXPECTED.loads
+testcase_to_dict = TESTCASE.encode
+testcase_from_dict = TESTCASE.decode
+serialize_testcase = TESTCASE.dumps
+deserialize_testcase = TESTCASE.loads
 
 
 # Payload bytes an export writes itself before it hands the rest of its case
@@ -336,15 +286,12 @@ def _listed_files(manifest_path: Path) -> set[str]:
     """The case file names a ``manifest/1`` file lists: plain ``*.json`` names
     only, and none if the file is missing or malformed."""
     try:
-        document = json.loads(manifest_path.read_bytes())
-    except (OSError, ValueError, RecursionError):
+        manifest = MANIFEST.loads(manifest_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, ScenarioError):  # ValueError: not UTF-8
         return set()
-    if not (isinstance(document, dict) and document.get("format") == "manifest/1"
-            and isinstance(document.get("cases"), list)):
-        return set()
-    names = {entry.get("file") for entry in document["cases"] if isinstance(entry, dict)}
+    names = {entry["file"] for entry in manifest["cases"]}
     return {name for name in names
-            if isinstance(name, str) and name.endswith(".json") and name != "manifest.json"
+            if name.endswith(".json") and name != "manifest.json"
             and os.path.basename(name) == name}
 
 
@@ -397,12 +344,8 @@ def export_suite(cases: Iterable[TestCase], destination) -> dict:
         listed = [entries[unique_id] for unique_id in sorted(entries)]
         suite_hash = hashlib.sha256(
             "".join(sorted(e["hash"] for e in listed)).encode("ascii")).hexdigest()
-        manifest = {
-            "format": "manifest/1",
-            "case_count": len(listed),
-            "cases": listed,
-            "suite_hash": suite_hash,
-        }
+        manifest = MANIFEST.encode({"case_count": len(listed), "cases": listed,
+                                    "suite_hash": suite_hash})
         (staging / "manifest.json").write_bytes(dumps_canonical(manifest).encode("utf-8"))
         if not destination.exists():
             staging.rename(destination)

@@ -9,12 +9,11 @@ lowercase-with-hyphens before validation, so ``Two Lane Motorway`` and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
-from .canonical import check_document, check_records, check_strings, dumps_canonical, load_json
+from .canonical import BOOL, STRING, Field, List, Record, Scalar, Union
 from .errors import DanglingReference, DuplicateTerm, ScenarioSyntaxError, SchemaViolation
-
-KINDS = ("entity", "relation", "attribute")
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_-]*$")
 
@@ -68,135 +67,76 @@ class Vocabulary:
         return [t.name for t in self.terms]
 
 
-def _require(document: dict, key: str, types, where: str):
-    value = check_document(document, where, (key,))[key]
-    if not isinstance(value, types):
-        raise SchemaViolation(f"{where}: field {key!r} has wrong type")
-    return value
+class _Name(Scalar):
+    """A term name, normalized."""
+
+    def decode(self, value, where: str, key=None) -> str:
+        return normalize_name(super().decode(value, where, key))
 
 
-def _names(value, where: str) -> tuple[str, ...]:
-    return tuple(normalize_name(n) for n in check_strings(value, where))
+class _Arity(Scalar):
+    def decode(self, value, where: str, key=None) -> int:
+        if type(value) is not int or value < 1:  # a bool is no arity
+            raise SchemaViolation(f"{where}: arity must be an integer >= 1")
+        return value
 
 
-def _term_from_dict(record: dict) -> Term:
-    name = normalize_name(_require(record, "name", str, "term"))
-    kind = _require(record, "kind", str, f"term {name!r}")
-    if kind not in KINDS:
-        raise SchemaViolation(f"term {name!r}: unknown kind {kind!r}")
-    arity = None
-    allowed_values: tuple[str, ...] = ()
-    applies_to: tuple[str, ...] = ()
-    required = False
-    if kind == "relation":
-        arity = _require(record, "arity", int, f"term {name!r}")
-        if type(arity) is not int or arity < 1:  # a bool is no arity
-            raise SchemaViolation(f"relation {name!r}: arity must be an integer >= 1")
-        applies_to = _names(record.get("applies_to", []), f"term {name!r}: 'applies_to'")
-    elif kind == "attribute":
-        allowed_values = _names(_require(record, "allowed_values", list, f"term {name!r}"),
-                                f"term {name!r}: 'allowed_values'")
-        if not allowed_values:
-            raise SchemaViolation(f"attribute {name!r}: needs at least one allowed value")
-        if len(set(allowed_values)) != len(allowed_values):
-            raise SchemaViolation(f"attribute {name!r}: duplicate allowed values")
-        applies_to = _names(record.get("applies_to", []), f"term {name!r}: 'applies_to'")
-        required = bool(record.get("required", False))
-    return Term(
-        name=name,
-        kind=kind,
-        arity=arity,
-        allowed_values=allowed_values,
-        applies_to=applies_to,
-        required=required,
-        description=record.get("description", ""),
-    )
+NAME = _Name(str, "a string", "strings")
 
 
-def _exclusion_from_dict(record: dict) -> Exclusion:
-    def pattern(side):
-        side_record = _require(record, side, dict, "exclusion")
-        relation = normalize_name(_require(side_record, "relation", str, "exclusion"))
-        args = tuple(check_strings(_require(side_record, "args", list, "exclusion"),
-                                   "exclusion: 'args'"))
-        return relation, args
-
-    return Exclusion(first=pattern("first"), second=pattern("second"))
+def _allowed_values(term: Term, where: str) -> Term:
+    if not term.allowed_values:
+        raise SchemaViolation(f"{where}: attribute {term.name!r} needs at least one allowed value")
+    if len(set(term.allowed_values)) != len(term.allowed_values):
+        raise SchemaViolation(f"{where}: attribute {term.name!r} has duplicate allowed values")
+    return term
 
 
-def vocabulary_from_dict(document: dict) -> Vocabulary:
-    domain_name = normalize_name(_require(document, "domain_name", str, "vocabulary"))
-    version = _require(document, "version", str, "vocabulary")
-    term_records = _require(document, "terms", list, "vocabulary")
-    terms = [_term_from_dict(r) for r in term_records]
+def _term(kind: str, *fields: Field, check=None) -> Record:
+    return Record(partial(Term, kind=kind), Field("name", NAME), *fields,
+                  Field("description", STRING, "", omit=True), tag=("kind", kind), check=check)
 
-    seen: set[str] = set()
-    for term in terms:
-        if term.name in seen:
+
+def _resolved(vocabulary: Vocabulary, where: str) -> Vocabulary:
+    """Unique term names and resolved references; the terms sorted by name."""
+    by_name: dict[str, Term] = {}
+    for term in vocabulary.terms:
+        if term.name in by_name:
             raise DuplicateTerm(term.name)
-        seen.add(term.name)
-
-    by_name = {t.name: t for t in terms}
-    for term in terms:
+        by_name[term.name] = term
+    for term in vocabulary.terms:
         for target in term.applies_to:
             resolved = by_name.get(target)
             if resolved is None or resolved.kind != "entity":
                 raise DanglingReference(term.name, target)
-
-    exclusions = tuple(_exclusion_from_dict(r) for r in
-                       check_records(document.get("exclusions", []), "vocabulary: 'exclusions'"))
-    for exclusion in exclusions:
+    for exclusion in vocabulary.exclusions:
         for relation, args in (exclusion.first, exclusion.second):
             resolved = by_name.get(relation)
             if resolved is None or resolved.kind != "relation":
                 raise DanglingReference("exclusion", relation)
             if len(args) != resolved.arity:
                 raise SchemaViolation(f"exclusion on {relation!r}: wrong argument count")
-
     # Sorted storage makes loading order-independent and serialization canonical.
-    return Vocabulary(
-        domain_name=domain_name,
-        version=version,
-        terms=tuple(sorted(terms, key=lambda t: t.name)),
-        exclusions=exclusions,
-    )
+    return replace(vocabulary, terms=tuple(sorted(vocabulary.terms, key=lambda t: t.name)))
 
 
-def load_vocabulary(source: str) -> Vocabulary:
-    return vocabulary_from_dict(load_json(source))
+_APPLIES_TO = Field("applies_to", List(NAME), ())
+TERM = Union("kind",
+             _term("entity"),
+             _term("relation", Field("arity", _Arity(int, "an arity", "arities")), _APPLIES_TO),
+             _term("attribute", Field("allowed_values", List(NAME)), _APPLIES_TO,
+                   Field("required", BOOL, False, omit=True), check=_allowed_values))
+PATTERN = Record(tuple, Field("relation", NAME), Field("args", List(STRING)))
+EXCLUSION = Record(Exclusion, Field("first", PATTERN), Field("second", PATTERN))
+VOCABULARY = Record(Vocabulary, Field("domain_name", NAME), Field("version", STRING),
+                    Field("terms", List(TERM)),
+                    Field("exclusions", List(EXCLUSION), (), omit=True), check=_resolved,
+                    name="vocabulary")
+# A functional scenario's or a catalog's reference to the vocabulary it uses.
+REF = Record(tuple, Field("domain_name", STRING), Field("version", STRING))
 
 
-def _term_to_dict(term: Term) -> dict:
-    record: dict = {"name": term.name, "kind": term.kind}
-    if term.kind == "relation":
-        record["arity"] = term.arity
-        record["applies_to"] = list(term.applies_to)
-    elif term.kind == "attribute":
-        record["allowed_values"] = list(term.allowed_values)
-        record["applies_to"] = list(term.applies_to)
-        if term.required:
-            record["required"] = True
-    if term.description:
-        record["description"] = term.description
-    return record
-
-
-def vocabulary_to_dict(vocabulary: Vocabulary) -> dict:
-    document = {
-        "domain_name": vocabulary.domain_name,
-        "version": vocabulary.version,
-        "terms": [_term_to_dict(t) for t in vocabulary.terms],
-    }
-    if vocabulary.exclusions:
-        document["exclusions"] = [
-            {
-                "first": {"relation": e.first[0], "args": list(e.first[1])},
-                "second": {"relation": e.second[0], "args": list(e.second[1])},
-            }
-            for e in vocabulary.exclusions
-        ]
-    return document
-
-
-def serialize_vocabulary(vocabulary: Vocabulary) -> str:
-    return dumps_canonical(vocabulary_to_dict(vocabulary))
+vocabulary_from_dict = VOCABULARY.decode
+vocabulary_to_dict = VOCABULARY.encode
+load_vocabulary = VOCABULARY.loads
+serialize_vocabulary = VOCABULARY.dumps

@@ -203,8 +203,13 @@ def test_pipeline_parses_expressions_at_most_ten_times(tmp_path, monkeypatch, ca
     ("source_ref", "s1"),
     ("provenance", {"x": _deep(0)}),
     ("scenario_id", ["s1"]),
+    ("method", 5),
+    ("seed", "42"),
+    ("seed", 1.5),
+    ("provenance", {"default_uniform": 5}),
 ], ids=["assignments-list", "assignment-string", "source-ref-string", "deep-provenance",
-        "scenario-id-list"])
+        "scenario-id-list", "method-number", "seed-string", "seed-float",
+        "default-uniform-number"])
 def test_export_rejects_mistyped_scenario(tmp_path, capsys, field, value):
     assert main(["lower", "--vocab", VOCAB, "--catalog", CATALOG,
                  "--out", str(tmp_path), SCENARIO]) == 0
@@ -452,15 +457,53 @@ def _edited_golden(tmp_path, edit):
     (lambda d: d["parameters"][4]["distribution"].update(mean="3.5", stddev=True),
      "'mean' is not a number"),
     (lambda d: d["parameters"][4]["distribution"].update(stddev=True), "'stddev' is not a number"),
+    (lambda d: d["parameters"][0]["provenance"].update(instance=5),
+     "'instance' must be a string"),
+    (lambda d: d["constraints"][0]["provenance"].update(instance=5),
+     "'instance' must be a string"),
+    (lambda d: d["source_ref"].update(hash=5), "'hash' must be a string"),
 ], ids=["correlation-tolerance-nan", "literal-1e999", "parameter-kind", "parameter-name-number",
         "deep-source-ref", "deep-provenance", "range-string-and-bool", "range-one-bound",
-        "mean-string", "stddev-bool"])
+        "mean-string", "stddev-bool", "parameter-provenance-number",
+        "constraint-provenance-number", "source-hash-number"])
 def test_concretize_rejects_malformed_logical_records(tmp_path, capsys, edit, message):
     logical_path = _edited_golden(tmp_path, edit)
     out = tmp_path / "out"
     for method in ("pairwise", "random"):
         assert main(["concretize", "--method", method, "--out", str(out), logical_path]) == 3
         assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_samples_that_overflow_are_not_written(tmp_path, capsys):
+    """A car whose position overflows to infinity at t = 2 has no JSON
+    spelling: ``export`` and ``pipeline`` exit 3 and leave neither the
+    destination nor its staging directory."""
+    def widen(parameters):  # the car's s0 and v0, in a logical file or a catalog
+        for parameter in parameters:
+            if parameter["name"] in ("c1.s0", "c1.v0", "s0", "v0"):
+                parameter["range"] = [0.0, 1.5e308]
+
+    def unconstrained_wide_car(document):
+        widen(document["parameters"])
+        document["constraints"] = []
+
+    logical_path = _edited_golden(tmp_path, unconstrained_wide_car)
+    assert main(["concretize", "--method", "boundary", "--out", str(tmp_path),
+                 logical_path]) == 0
+    cases = tmp_path / "cases"
+    assert main(["export", "--logical", logical_path, "--out", str(cases),
+                 str(tmp_path / "s1.suite.json")] + EXPORT_ARGS) == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not cases.exists() and not (tmp_path / "cases.staging").exists()
+
+    catalog = json.loads((DATA / "catalog.json").read_text())
+    widen(catalog["entities"]["car"])
+    (tmp_path / "catalog.json").write_text(json.dumps(catalog))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--vocab", VOCAB, "--catalog", str(tmp_path / "catalog.json"),
+                 "--out", str(out), SCENARIO] + EXPORT_ARGS) == 3
+    assert "not finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -508,8 +551,11 @@ def test_unsafe_scenario_id_writes_nothing(tmp_path, capsys, scenario_id):
     (("exclusions",), 5, "'exclusions' must be an array"),
     (("exclusions", 0, "first", "args"), ["X", 5], "'args' must be an array of strings"),
     (("terms", 3, "arity"), True, "arity must be an integer"),
+    (("terms", 4, "required"), "no", "'required' must be a boolean"),
+    (("terms", 4, "description"), 5, "'description' must be a string"),
 ], ids=["applies-to-number", "applies-to-numbers", "allowed-values-numbers",
-        "exclusions-number", "exclusion-args-numbers", "arity-bool"])
+        "exclusions-number", "exclusion-args-numbers", "arity-bool", "required-string",
+        "description-number"])
 def test_validate_rejects_malformed_vocabulary(tmp_path, capsys, path, value, message):
     document = json.loads((DATA / "vocabulary.json").read_text())
     vocabulary = tmp_path / "vocabulary.json"

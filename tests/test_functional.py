@@ -168,8 +168,14 @@ def test_parser_rule_violations(vocabulary, text, error, line):
     ("relations", {"relation": "follows"}),
     ("relations", [{"relation": "follows", "arguments": 5}]),
     ("attributes", [{"instance_id": "c1", "attribute": "lane"}]),
+    ("scenario_id", 5),
+    ("instances", [{"instance_id": "c1", "term": 5}]),
+    ("relations", [{"relation": "follows", "arguments": [1, 2]}]),
+    ("attributes", [{"instance_id": "c1", "attribute": "lane", "value": ["x"]}]),
+    ("vocabulary_ref", {"domain_name": "motorway-traffic", "version": 2}),
 ], ids=["instances-number", "instance-without-id", "instance-string", "relations-object",
-        "arguments-number", "attribute-without-value"])
+        "arguments-number", "attribute-without-value", "scenario-id-number", "term-number",
+        "arguments-numbers", "value-list", "version-number"])
 def test_from_dict_rejects_mistyped_records(car_follows_truck, field, value):
     document = json.loads(serialize_functional(car_follows_truck))
     document[field] = value

@@ -25,7 +25,12 @@ from scenkit.concretize import (
     suite_from_dict,
     suite_to_dict,
 )
-from scenkit.functional import check_consistency, parse_functional
+from scenkit.functional import (
+    check_consistency,
+    deserialize_functional,
+    parse_functional,
+    serialize_functional,
+)
 from scenkit.logical import (
     Correlation,
     Inequality,
@@ -42,7 +47,7 @@ from scenkit.testcase import (
     serialize_testcase,
     synthesize_traces,
 )
-from scenkit.vocabulary import load_vocabulary
+from scenkit.vocabulary import load_vocabulary, serialize_vocabulary
 
 from conftest import DATA, json_paths, replaced
 
@@ -301,6 +306,7 @@ SUITE = pairwise_cover(S1, LEVELS, "boundary")[:2]
 EXPECTED = load_expected((DATA / "expected.json").read_text())
 META = {"work_product_ref": "req-001", "preconditions": "nominal", "configuration": "default"}
 SCENARIO_TEXT = (DATA / "fig_car_follows_truck.scn").read_text()
+VOCABULARY = load_vocabulary((DATA / "vocabulary.json").read_text())
 
 
 def export_one(concrete, expected):
@@ -313,6 +319,7 @@ DOCS = {
     "catalog": CATALOG_DOC,
     "logical": GOLDEN_DOC,
     "vocabulary": json.loads((DATA / "vocabulary.json").read_text()),
+    "functional": json.loads(serialize_functional(parse_functional(SCENARIO_TEXT, VOCABULARY))),
     "expected": json.loads((DATA / "expected.json").read_text()),
     "suite": json.loads(dumps_canonical(suite_to_dict(SUITE))),
     "testcase": json.loads(export_one(SUITE[0], EXPECTED)),
@@ -342,11 +349,15 @@ def same_json(a, b) -> bool:
 @example(case=("testcase", ("unique_id",)), value=5)
 @example(case=("testcase", ("preconditions", "text")), value=5)
 @example(case=("expected", ("description",)), value=5)
-def test_loaders_raise_only_scenario_errors(vocabulary, car_follows_truck, case, value):
+@example(case=("logical", ("parameters", 4, "distribution", "type")), value="uniform")
+@example(case=("functional", ("instances", 0, "term")), value=5)
+def test_loaders_raise_only_scenario_errors(vocabulary, catalog, car_follows_truck, case, value):
     """One path of a fixture document replaced by any JSON value: loading the
     document and using what it loads either works or raises a ``ScenarioError``.
-    A test case, or an expected behaviour, that loads is written back as it
-    was read: the loader coerces no value to another type."""
+    A logical scenario, suite, functional scenario, test case or expected
+    behaviour that loads is written back as it was read: the loader coerces no
+    value to another type. A vocabulary, which normalizes its names and sorts
+    its terms, reads back as the vocabulary it wrote."""
     which, path = case
     text = json.dumps(replaced(DOCS[which], path, value))
     try:
@@ -358,14 +369,24 @@ def test_loaders_raise_only_scenario_errors(vocabulary, car_follows_truck, case,
                 logical = deserialize_logical(text)
             validate_logical(logical)
             logical.compiled
+            if which == "logical":
+                assert same_json(json.loads(serialize_logical(logical)), json.loads(text))
         elif which == "vocabulary":
             loaded = load_vocabulary(text)
+            assert load_vocabulary(serialize_vocabulary(loaded)) == loaded
             check_consistency(parse_functional(SCENARIO_TEXT, loaded), loaded)
+        elif which == "functional":
+            scenario = deserialize_functional(text)
+            assert same_json(json.loads(serialize_functional(scenario)), json.loads(text))
+            if check_consistency(scenario, vocabulary).ok:
+                lower_to_logical(scenario, catalog)
         elif which == "expected":
             written = json.loads(export_one(SUITE[0], load_expected(text)))
             assert same_json(written["expected_behavior"], json.loads(text))
         elif which == "suite":
             scenarios = suite_from_dict(json.loads(text))
+            assert same_json(json.loads(dumps_canonical(suite_to_dict(scenarios))),
+                             json.loads(text))
             coverage_metrics(S1, LEVELS, scenarios)
             for concrete in scenarios:
                 check_concrete(S1, concrete)
