@@ -8,7 +8,6 @@ fully grounded scenarios, which are then augmented into executable test cases.
 from .concretize import (
     ConcreteScenario,
     CoverageReport,
-    Violation,
     boundary_values,
     check_concrete,
     coverage_metrics,
@@ -19,12 +18,10 @@ from .concretize import (
 )
 from .functional import (
     AttributeAssignment,
-    ConsistencyReport,
     EntityInstance,
     FunctionalScenario,
     RelationPhrase,
     check_consistency,
-    enumerate_variations,
     parse_functional,
 )
 from .logical import (
@@ -34,7 +31,6 @@ from .logical import (
     Inequality,
     LogicalScenario,
     Parameter,
-    ValidationReport,
     deserialize_logical,
     serialize_logical,
     validate_logical,

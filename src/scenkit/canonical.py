@@ -263,7 +263,8 @@ class Record:
     read into and written from that of the field values. ``tag``, a ``(key,
     value)`` pair such as a format, must be in a read record and is put in a
     written one. ``check(made, where)`` holds the record's other rules and
-    returns the record. ``name`` names a document's record in errors."""
+    returns the record. ``name`` names a document's record in errors. A key
+    that is neither a field's nor the tag's is an error."""
 
     plural = "objects"
 
@@ -273,6 +274,7 @@ class Record:
         attrs = [field.attr or field.key for field in fields]
         self.readers = [(f.key, attr, f.type.decode, f.default) for f, attr in zip(fields, attrs)]
         self.writers = [(f.key, f.type.encode, f.omit, f.default) for f in fields]
+        self.keys = frozenset([f.key for f in fields] + ([tag[0]] if tag else []))
         get = (itemgetter if make is dict else attrgetter)(*attrs)
         self.get = get if len(attrs) > 1 else lambda value: (get(value),)  # always a tuple
 
@@ -283,6 +285,9 @@ class Record:
         where = _path(where, key)
         if self.tag is not None and value.get(self.tag[0]) != self.tag[1]:
             raise SchemaViolation(f"{where}: expected {self.tag[0]} {self.tag[1]!r}")
+        if not self.keys.issuperset(value):
+            undeclared = next(name for name in value if name not in self.keys)
+            raise SchemaViolation(f"{where}: undeclared key {undeclared!r}")
         values = {}
         for name, attr, decode, default in self.readers:
             item = value.get(name, REQUIRED)  # REQUIRED: the key is missing

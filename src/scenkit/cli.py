@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import concretize as cz
 from . import testcase as tc
 from .canonical import dumps_canonical, load_json
-from .errors import ScenarioError
+from .errors import ScenarioError, SchemaViolation
 from .functional import check_consistency, parse_functional
 from .logical import LogicalScenario, deserialize_logical, serialize_logical, validate_logical
 from .lowering import load_parameter_catalog, lower_to_logical
@@ -56,9 +57,26 @@ def generate_suite(scenario: LogicalScenario, method: str, k: int, n: int, seed:
 
 def _write(target: Path, text: str) -> None:
     """Write ``text`` to ``target``, making its directory on the first write
-    into it, so a run that stops before writing leaves no empty directories."""
+    into it, so a run that stops before writing leaves no empty directories.
+    The text goes to ``<name>.tmp`` first and then replaces ``target``, so a
+    failed write leaves the previous file as it was."""
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(text, encoding="utf-8")
+    temporary = target.with_name(target.name + ".tmp")
+    try:
+        temporary.write_text(text, encoding="utf-8")
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
+def _claim(seen: dict, scenario_id: str, path) -> None:
+    """Record that ``path`` holds ``scenario_id``: a second file of the same id
+    in one run would overwrite the first one's outputs."""
+    if scenario_id in seen:
+        raise SchemaViolation(f"{path}: scenario {scenario_id!r} was already read from "
+                              f"{seen[scenario_id]}")
+    seen[scenario_id] = path
 
 
 def _build_suite(logical: LogicalScenario, args, seed: int):
@@ -107,9 +125,10 @@ def _gate(path, logical: LogicalScenario, args) -> int:
     return EXIT_FINDINGS
 
 
-def _lower_one(path, vocabulary, catalog, args):
+def _lower_one(path, vocabulary, catalog, args, seen: dict):
     """Parse, check and lower one DSL file; returns (logical or None, status)."""
     scenario = parse_functional(_read(path), vocabulary)
+    _claim(seen, scenario.scenario_id, path)
     findings = check_consistency(scenario, vocabulary).findings
     if findings:
         _emit_findings(path, findings, args.json)
@@ -123,8 +142,9 @@ def cmd_lower(args) -> int:
     catalog = load_parameter_catalog(_read(args.catalog), vocabulary)
     out = Path(args.out)
     worst = EXIT_OK
+    seen: dict = {}
     for path in args.scenarios:
-        logical, status = _lower_one(path, vocabulary, catalog, args)
+        logical, status = _lower_one(path, vocabulary, catalog, args, seen)
         worst = max(worst, status)
         if status != EXIT_OK:
             continue
@@ -136,8 +156,10 @@ def cmd_lower(args) -> int:
 
 def cmd_concretize(args) -> int:
     out = Path(args.out)
+    seen: dict = {}
     for index, path in enumerate(args.scenarios):
         logical = deserialize_logical(_read(path))
+        _claim(seen, logical.scenario_id, path)
         status = _gate(path, logical, args)
         if status != EXIT_OK:
             return status
@@ -187,8 +209,9 @@ def cmd_pipeline(args) -> int:
     inputs = _export_inputs(args)
     out = Path(args.out)
     summary = []
+    seen: dict = {}
     for index, path in enumerate(args.scenarios):
-        logical, status = _lower_one(path, vocabulary, catalog, args)
+        logical, status = _lower_one(path, vocabulary, catalog, args, seen)
         if status != EXIT_OK:
             return status
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 
 from .canonical import (
@@ -27,6 +26,7 @@ from .canonical import (
 )
 from .errors import (
     BadK,
+    Finding,
     InfeasibleLevels,
     SamplingExhausted,
     SchemaViolation,
@@ -46,13 +46,6 @@ class ConcreteScenario:
     method: str = "random"  # boundary | equivalence | pairwise | random
     seed: int | None = None
     provenance: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    subject: str
-    message: str
 
 
 @dataclass(frozen=True)
@@ -79,31 +72,31 @@ def equivalence_classes(parameter: Parameter, k: int) -> list[float]:
     return [parameter.lo + width * (i + 0.5) for i in range(k)]
 
 
-def _violations(scenario: LogicalScenario, assignments: dict) -> list[Violation]:
-    violations: list[Violation] = []
+def _violations(scenario: LogicalScenario, assignments: dict) -> list[Finding]:
+    violations: list[Finding] = []
     declared = {p.name for p in scenario.parameters}
     for name in assignments:
         if name not in declared:
-            violations.append(Violation("UNKNOWN_ASSIGNMENT", name,
-                                        f"assignment for undeclared parameter {name!r}"))
+            violations.append(Finding("UNKNOWN_ASSIGNMENT",
+                                      f"assignment for undeclared parameter {name!r}", (name,)))
     for parameter in scenario.parameters:
         if parameter.name not in assignments:
-            violations.append(Violation("MISSING_ASSIGNMENT", parameter.name,
-                                        f"parameter {parameter.name!r} is unassigned"))
+            violations.append(Finding("MISSING_ASSIGNMENT",
+                                      f"parameter {parameter.name!r} is unassigned",
+                                      (parameter.name,)))
             continue
         value = assignments[parameter.name]
         if not parameter.lo <= value <= parameter.hi:
-            violations.append(Violation(
-                "RANGE", parameter.name,
-                f"{parameter.name} = {value!r} outside [{parameter.lo!r}, {parameter.hi!r}]"))
+            violations.append(Finding(
+                "RANGE", f"{parameter.name} = {value!r} outside [{parameter.lo!r}, {parameter.hi!r}]",
+                (parameter.name,)))
     if not violations:
         compiled = scenario.compiled
         row = tuple(assignments[name] for name in compiled.names)
         for constraint, check in zip(scenario.constraints, compiled.checks):
             if not check(row):
-                violations.append(Violation("CONSTRAINT", constraint.id,
-                                            f"constraint {constraint.id} violated: "
-                                            f"{constraint.describe()}"))
+                violations.append(Finding("CONSTRAINT", f"constraint {constraint.id} violated: "
+                                          f"{constraint.describe()}", (constraint.id,)))
     return violations
 
 
@@ -120,7 +113,7 @@ def check_source(scenario: LogicalScenario, concrete: ConcreteScenario) -> None:
                              "different revision of the logical scenario")
 
 
-def check_concrete(scenario: LogicalScenario, concrete: ConcreteScenario) -> list[Violation]:
+def check_concrete(scenario: LogicalScenario, concrete: ConcreteScenario) -> list[Finding]:
     check_source(scenario, concrete)
     return _violations(scenario, concrete.assignments)
 
@@ -505,26 +498,17 @@ def coverage_metrics(scenario: LogicalScenario, levels: dict,
     for concrete in scenarios:
         covered |= layout.encode([concrete.assignments.get(n) for n in names])[0]
     feasible_count = feasible.bit_count()
-
-    if feasible_count:
-        pair_coverage = Fraction((covered & feasible).bit_count(), feasible_count)
-    else:
-        pair_coverage = Fraction(1)  # all of nothing is covered
-
+    hit = 0
+    for parameter in scenario.parameters:
+        values = {c.assignments.get(parameter.name) for c in scenarios}
+        if parameter.lo in values and parameter.hi in values:
+            hit += 1
     parameter_count = len(scenario.parameters)
-    if parameter_count:
-        hit = 0
-        for parameter in scenario.parameters:
-            values = {c.assignments.get(parameter.name) for c in scenarios}
-            if parameter.lo in values and parameter.hi in values:
-                hit += 1
-        boundary_coverage = Fraction(hit, parameter_count)
-    else:
-        boundary_coverage = Fraction(1)
 
+    # int / int rounds the exact ratio once; all of nothing is covered
     return CoverageReport(
-        pair_coverage=float(pair_coverage),
-        boundary_coverage=float(boundary_coverage),
+        pair_coverage=(covered & feasible).bit_count() / feasible_count if feasible_count else 1.0,
+        boundary_coverage=hit / parameter_count if parameter_count else 1.0,
         scenario_count=len(scenarios),
         infeasible_combination_count=layout.size - feasible_count,
     )

@@ -103,10 +103,6 @@ class DuplicateInstance(ScenarioError):
     exit_code = 3
 
 
-class UnknownVariationTarget(ScenarioError):
-    exit_code = 3
-
-
 # parameter catalog / lowering
 class BadRange(ScenarioError):
     exit_code = 3

@@ -16,8 +16,7 @@ instance's entity term whose allowed values contain the value, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from itertools import product
+from dataclasses import dataclass, field
 
 from .canonical import SCENARIO_ID, STRING, Field, List, Record, is_scenario_id
 from .errors import (
@@ -29,7 +28,6 @@ from .errors import (
     Report,
     ScenarioSyntaxError,
     UnknownTerm,
-    UnknownVariationTarget,
 )
 from .vocabulary import REF, Term, Vocabulary, normalize_name
 
@@ -72,8 +70,6 @@ class FunctionalScenario:
                 return inst
         return None
 
-
-ConsistencyReport = Report
 
 # Findings that make a DSL text malformed: ``parse_functional`` raises the
 # first of them, in source order, as the error class mapped here.
@@ -245,15 +241,6 @@ def parse_functional(dsl: str, vocabulary: Vocabulary) -> FunctionalScenario:
     return scenario
 
 
-def format_functional(scenario: FunctionalScenario) -> str:
-    """Pretty-print; ``parse_functional`` of the result recovers the scenario."""
-    lines = [f"scenario {scenario.scenario_id}"]
-    lines += [f"{inst.term} {inst.instance_id}" for inst in scenario.instances]
-    lines += [f"{a.instance_id} {a.attribute} {a.value}" for a in scenario.attributes]
-    lines += [f"{r.arguments[0]} {r.relation} {' '.join(r.arguments[1:])}".rstrip() for r in scenario.relations]
-    return "\n".join(lines) + "\n"
-
-
 def _match_exclusion(pattern_pair, first: RelationPhrase, second: RelationPhrase) -> bool:
     (rel_a, args_a), (rel_b, args_b) = pattern_pair
     if first.relation != rel_a or second.relation != rel_b:
@@ -365,46 +352,6 @@ def check_consistency(scenario: FunctionalScenario, vocabulary: Vocabulary) -> R
                 )
 
     return Report(findings=tuple(findings))
-
-
-def enumerate_variations(
-    scenario: FunctionalScenario,
-    vocabulary: Vocabulary,
-    vary: list[tuple[str, str]],
-) -> list[FunctionalScenario]:
-    """Cartesian product over the allowed values of the varied attributes.
-
-    Inconsistent combinations are dropped; output order is lexicographic over
-    the declared allowed-value order.
-    """
-    if not vary:
-        return [scenario]
-
-    value_axes: list[tuple[str, ...]] = []
-    for instance_id, attribute in vary:
-        if not any(a.instance_id == instance_id and a.attribute == attribute
-                   for a in scenario.attributes):
-            raise UnknownVariationTarget(f"({instance_id}, {attribute}) is not assigned")
-        term = vocabulary.lookup(attribute)
-        if term is None or term.kind != "attribute":
-            raise UnknownVariationTarget(f"{attribute!r} is not an attribute term")
-        value_axes.append(term.allowed_values)
-
-    variations: list[FunctionalScenario] = []
-    for index, combination in enumerate(product(*value_axes)):
-        attributes = list(scenario.attributes)
-        for (instance_id, attribute), value in zip(vary, combination):
-            for position, assignment in enumerate(attributes):
-                if assignment.instance_id == instance_id and assignment.attribute == attribute:
-                    attributes[position] = replace(assignment, value=value)
-        candidate = replace(
-            scenario,
-            scenario_id=f"{scenario.scenario_id}-v{index:03d}",
-            attributes=tuple(attributes),
-        )
-        if check_consistency(candidate, vocabulary).ok:
-            variations.append(candidate)
-    return variations
 
 
 INSTANCE = Record(EntityInstance, Field("instance_id", STRING), Field("term", STRING))

@@ -183,9 +183,6 @@ class CompiledScenario:
         return [(tuple(sorted(p)), tuple(sorted(n))) for p, n in groups]
 
 
-ValidationReport = Report
-
-
 def range_findings(name: str, lo: float, hi: float,
                    distribution: Distribution | None) -> list[Finding]:
     """``NON_FINITE_RANGE``, ``EMPTY_RANGE`` and ``BAD_DISTRIBUTION`` findings

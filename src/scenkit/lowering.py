@@ -76,17 +76,18 @@ def _check_templates(templates: tuple[Parameter, ...], where: str) -> None:
 
 class _ConstraintTemplate:
     """A constraint record whose ``id`` may be left out, and in which
-    ``"expr": "lhs <op> rhs"`` is short for its ``lhs``, ``op`` and ``rhs``."""
+    ``"expr": "lhs <op> rhs"`` is short for, and replaced by, its ``lhs``,
+    ``op`` and ``rhs``."""
 
     plural = "objects"
     record = constraint_record(id="")
 
     def decode(self, value, where: str, key=None) -> Constraint:
         if isinstance(value, dict) and "expr" in value:
-            expr = STRING.decode(value["expr"], where, "expr")
+            value = dict(value)
+            expr = STRING.decode(value.pop("expr"), where, "expr")
             lhs, op, rhs = expressions.parse_comparison(expr)
-            value = {**value, "lhs": expressions.format_expr(lhs), "op": op,
-                     "rhs": expressions.format_expr(rhs)}
+            value.update(lhs=expressions.format_expr(lhs), op=op, rhs=expressions.format_expr(rhs))
         return self.record.decode(value, where, key)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -329,16 +330,18 @@ sys.exit(code)
 """
 
 
-def _run_capped(argv):
+def _run_capped(argv, file_size=None):
+    """Runs ``TIMED_MAIN``; ``file_size`` also caps the bytes of any file written."""
     import resource
-    import subprocess
 
-    def cap_memory():
+    def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        if file_size is not None:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (file_size, file_size))
 
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, "-c", TIMED_MAIN] + argv, capture_output=True,
-                          text=True, timeout=60, env=env, preexec_fn=cap_memory)
+                          text=True, timeout=60, env=env, preexec_fn=cap)
 
 
 def test_export_and_pipeline_reject_too_many_samples(tmp_path, capsys):
@@ -418,9 +421,10 @@ def test_concretize_rejects_deep_expression(tmp_path, capsys, lhs):
     (("relations", "follows", 0), 5),
     (("relations", "follows", 0, "expr"), 5),
     (("entities", "car", 0, "name"), 5),
+    (("entities", "car", 0, "rnage"), [0.0, 5.0]),
 ], ids=["entities-list", "entity-records-number", "attribute-values-list",
         "attribute-record-number", "override-list", "remove-number", "relation-record-number",
-        "expr-number", "template-name-number"])
+        "expr-number", "template-name-number", "misspelled-range-key"])
 def test_lower_rejects_malformed_catalog(tmp_path, capsys, path, value):
     document = json.loads((DATA / "catalog.json").read_text())
     catalog = tmp_path / "catalog.json"
@@ -462,10 +466,12 @@ def _edited_golden(tmp_path, edit):
     (lambda d: d["constraints"][0]["provenance"].update(instance=5),
      "'instance' must be a string"),
     (lambda d: d["source_ref"].update(hash=5), "'hash' must be a string"),
+    (lambda d: [p.update(distrbution=p.pop("distribution")) for p in d["parameters"]
+                if "distribution" in p], "undeclared key 'distrbution'"),
 ], ids=["correlation-tolerance-nan", "literal-1e999", "parameter-kind", "parameter-name-number",
         "deep-source-ref", "deep-provenance", "range-string-and-bool", "range-one-bound",
         "mean-string", "stddev-bool", "parameter-provenance-number",
-        "constraint-provenance-number", "source-hash-number"])
+        "constraint-provenance-number", "source-hash-number", "misspelled-distribution"])
 def test_concretize_rejects_malformed_logical_records(tmp_path, capsys, edit, message):
     logical_path = _edited_golden(tmp_path, edit)
     out = tmp_path / "out"
@@ -625,3 +631,58 @@ def test_pipeline_export_error_leaves_no_half_written_scenario(tmp_path, capsys)
                  str(scenario)] + EXPORT_ARGS) == 3
     assert "input_data" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["lower", "concretize"])
+def test_failed_write_keeps_the_previous_file(tmp_path, capsys, command):
+    """A write cut short at 1,024 bytes by the file size limit exits 2 and
+    leaves the file it would have replaced, and no temporary file."""
+    out = tmp_path / "out"
+    logical_path, suite = _lowered_boundary_suite(out)
+    argv = ([command, "--vocab", VOCAB, "--catalog", CATALOG, "--out", str(out), SCENARIO]
+            if command == "lower" else [command, "--out", str(out), logical_path])
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert min(map(len, before.values())) > 1024
+    result = _run_capped(argv, file_size=1024)
+    assert result.returncode == 2, result.stderr
+    assert "File too large" in result.stderr
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def _tree(root: Path) -> dict:
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in root.rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize("command", ["lower", "concretize", "pipeline"])
+def test_a_scenario_id_read_twice_is_rejected(tmp_path, capsys, command):
+    """A second file of an id already read in the run exits 3, naming both
+    files, before anything of it is written: the tree is that of the first
+    file alone."""
+    if command == "concretize":
+        first, argv = str(DATA / "golden" / "s1.logical.json"), [command]
+        document = json.loads(Path(first).read_text())
+        text = json.dumps(replaced(document, ("parameters", 0, "range"), [3.0, 4.0]))
+    else:
+        first, argv = SCENARIO, [command, "--vocab", VOCAB, "--catalog", CATALOG]
+        text = Path(first).read_text().replace("c1 lane right", "c1 lane left")
+    second = tmp_path / "second"
+    second.write_text(text)
+    if command == "pipeline":
+        argv = argv + EXPORT_ARGS
+    assert main(argv + ["--out", str(tmp_path / "alone"), first]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "both"), first, str(second)]) == 3
+    error = capsys.readouterr().err
+    assert f"{second}: scenario 's1' was already read from {first}" in error
+    assert _tree(tmp_path / "both") == _tree(tmp_path / "alone")
+
+
+def test_cli_import_loads_neither_fractions_nor_subprocess():
+    """Every CLI start imports what ``scenkit.cli`` imports: coverage ratios
+    need no ``fractions``, and only a large export starts a writer process."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import scenkit.cli; "
+            "print(sorted({'fractions', 'subprocess'} & sys.modules.keys()))")
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout == "[]\n"

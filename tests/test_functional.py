@@ -12,18 +12,17 @@ from scenkit.errors import (
     ScenarioSyntaxError,
     SchemaViolation,
     UnknownTerm,
-    UnknownVariationTarget,
 )
 from scenkit.functional import (
     check_consistency,
     deserialize_functional,
-    enumerate_variations,
-    format_functional,
     functional_from_dict,
     functional_hash,
     parse_functional,
     serialize_functional,
 )
+
+from conftest import DATA
 
 
 def test_parse_example_counts(car_follows_truck):
@@ -96,36 +95,6 @@ def test_missing_required_attribute(vocabulary):
     assert report.findings[0].elements == ("r1", "geometry")
 
 
-def test_variations_single_attribute(car_follows_truck, vocabulary):
-    variations = enumerate_variations(car_follows_truck, vocabulary, [("r1", "geometry")])
-    assert len(variations) == 3
-    assert [v.scenario_id for v in variations] == ["s1-v000", "s1-v001", "s1-v002"]
-    values = [next(a.value for a in v.attributes if a.attribute == "geometry")
-              for v in variations]
-    assert values == ["straight", "curve", "clothoid"]
-
-
-def test_variations_two_attributes(car_follows_truck, vocabulary):
-    variations = enumerate_variations(
-        car_follows_truck, vocabulary, [("r1", "geometry"), ("c1", "lane")])
-    assert len(variations) == 6
-
-
-def test_variations_empty_vary(car_follows_truck, vocabulary):
-    assert enumerate_variations(car_follows_truck, vocabulary, []) == [car_follows_truck]
-
-
-def test_variations_unknown_target(car_follows_truck, vocabulary):
-    with pytest.raises(UnknownVariationTarget):
-        enumerate_variations(car_follows_truck, vocabulary, [("t1", "geometry")])
-
-
-def test_format_parse_round_trip(car_follows_truck, vocabulary):
-    text = format_functional(car_follows_truck)
-    again = parse_functional(text, vocabulary)
-    assert again == car_follows_truck
-
-
 def test_serialize_round_trip(car_follows_truck):
     text = serialize_functional(car_follows_truck)
     again = deserialize_functional(text)
@@ -134,9 +103,8 @@ def test_serialize_round_trip(car_follows_truck):
 
 
 def test_hash_changes_with_content(car_follows_truck, vocabulary):
-    other = parse_functional(
-        format_functional(car_follows_truck).replace("c1 lane right", "c1 lane left"),
-        vocabulary)
+    text = (DATA / "fig_car_follows_truck.scn").read_text()
+    other = parse_functional(text.replace("c1 lane right", "c1 lane left"), vocabulary)
     assert functional_hash(other) != functional_hash(car_follows_truck)
 
 

@@ -396,3 +396,23 @@ def test_loaders_raise_only_scenario_errors(vocabulary, catalog, car_follows_tru
                              json.loads(text))
     except ScenarioError:
         pass
+
+
+LOADERS = {
+    "catalog": lambda text: load_parameter_catalog(text, VOCABULARY),
+    "logical": deserialize_logical,
+    "vocabulary": load_vocabulary,
+    "functional": deserialize_functional,
+    "expected": load_expected,
+    "suite": lambda text: suite_from_dict(json.loads(text)),
+    "testcase": deserialize_testcase,
+}
+
+
+@pytest.mark.parametrize("which", sorted(DOCS))
+def test_loaders_reject_an_undeclared_key(which):
+    """Each fixture document loads, and with one key its format does not
+    declare, such as a misspelled optional field, it is a ``SchemaViolation``."""
+    LOADERS[which](json.dumps(DOCS[which]))
+    with pytest.raises(SchemaViolation, match="undeclared key 'note'"):
+        LOADERS[which](json.dumps({**DOCS[which], "note": "x"}))
