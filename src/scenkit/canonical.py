@@ -13,8 +13,9 @@ value and made encoding the trace samples of an export the slowest stage of a
 pipeline run. The encoder below handles exactly the JSON value types, renders
 strings with json's C string encoder, and joins an all-float array from
 C-level reprs, formatting the value of a constant array once. Unlike ``json``,
-it rejects a non-``str`` key with a ``TypeError`` instead of converting it,
-and a float that is not finite with a ``SchemaViolation``: JSON has no NaN or
+it rejects a non-``str`` key, and a record (a named tuple, which ``json``
+writes as an array), with a ``TypeError`` instead of converting it, and a
+float that is not finite with a ``SchemaViolation``: JSON has no NaN or
 infinity, and ``json`` would write a bare ``NaN`` that no loader here reads.
 
 Every artifact format is declared as field tables: a ``Record`` lists one
@@ -30,9 +31,10 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
 from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import ScenarioSyntaxError, SchemaViolation
 
@@ -74,7 +76,7 @@ def _encode(value, indent: str) -> str:
         return _finite(float.__repr__(value))
     inner = indent + "  "
     separator = "," + inner
-    if isinstance(value, (list, tuple)):
+    if type(value) is list or type(value) is tuple:  # a record is a tuple, but no JSON array
         if not value:
             return "[]"
         if set(map(type, value)) == {float}:
@@ -241,10 +243,12 @@ class Map:
 NUMBERS = Map(NUMBER)
 check_numbers = NUMBERS.decode  # (value, what): an object of finite numbers, as floats
 REQUIRED = object()  # the default of a field whose key must be present
+# The default of a record's dict field: a named tuple's default is one object,
+# shared by every instance, so it is an empty mapping that cannot be changed.
+EMPTY = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(NamedTuple):
     """One key of a record. A missing key reads as ``default``, or as what it
     returns if it is callable, and so does a ``null`` if the default is None;
     with ``omit``, a value equal to the default is not written. ``attr`` is

@@ -10,10 +10,11 @@ reads a row tuple in parameter order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 from .canonical import (
+    EMPTY,
     INTEGER,
     NUMBER,
     NUMBERS,
@@ -26,6 +27,7 @@ from .canonical import (
 )
 from .errors import (
     BadK,
+    BadN,
     Finding,
     InfeasibleLevels,
     SamplingExhausted,
@@ -38,18 +40,16 @@ ATTEMPTS_PER_SAMPLE = 1000  # rejection budget per requested sample
 EXACT_SEARCH_NODES = 200_000  # candidate-evaluation budget for the minimal-suite search
 
 
-@dataclass(frozen=True)
-class ConcreteScenario:
+class ConcreteScenario(NamedTuple):
     scenario_id: str
-    source_ref: dict = field(default_factory=dict)
-    assignments: dict = field(default_factory=dict)  # parameter name -> value
+    source_ref: dict = EMPTY
+    assignments: dict = EMPTY  # parameter name -> value
     method: str = "random"  # boundary | equivalence | pairwise | random
     seed: int | None = None
-    provenance: dict = field(default_factory=dict)
+    provenance: dict = EMPTY
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     pair_coverage: float
     boundary_coverage: float
     scenario_count: int
@@ -391,15 +391,15 @@ def pairwise_cover(scenario: LogicalScenario, levels: dict,
 
 
 def _draw(rng: random.Random, parameter: Parameter) -> float:
-    distribution = parameter.distribution
-    if parameter.lo == parameter.hi:
-        return parameter.lo
+    lo, hi, distribution = parameter.lo, parameter.hi, parameter.distribution
+    if lo == hi:
+        return lo
     if distribution is None or distribution.type == "uniform":
-        return rng.uniform(parameter.lo, parameter.hi)
+        return rng.uniform(lo, hi)
     # truncated gaussian: reject draws outside the range
     for _ in range(ATTEMPTS_PER_SAMPLE):
         value = rng.gauss(distribution.mean, distribution.stddev)
-        if parameter.lo <= value <= parameter.hi:
+        if lo <= value <= hi:
             return value
     raise SamplingExhausted(
         f"truncated gaussian on {parameter.name!r} rejected {ATTEMPTS_PER_SAMPLE} draws")
@@ -407,6 +407,8 @@ def _draw(rng: random.Random, parameter: Parameter) -> float:
 
 def sample_random(scenario: LogicalScenario, n: int, seed: int) -> list[ConcreteScenario]:
     """Rejection sampling: draw per-parameter, accept if all constraints hold."""
+    if n < 1:
+        raise BadN(f"n must be >= 1, got {n}")
     compiled = scenario.compiled
     wrap = _wrapper(scenario, "random", seed)
     rng = random.Random(seed)

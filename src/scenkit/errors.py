@@ -6,21 +6,30 @@ Exit codes follow the CLI contract: 0 ok, 1 findings, 2 I/O, 3 syntax/content,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Finding:
+def line_apart(record: type) -> type:
+    """Class decorator for a named tuple whose last field is ``line``, the DSL
+    source line of what it holds: ``line`` takes no part in its equality or
+    hashing, so the same element read from another line is the same element."""
+    record.__eq__ = lambda self, other: type(other) is type(self) and self[:-1] == other[:-1]
+    record.__ne__ = lambda self, other: not self == other
+    record.__hash__ = lambda self: hash(self[:-1])
+    return record
+
+
+@line_apart
+class Finding(NamedTuple):
     """One rule violation; ``line`` is the DSL source line when known."""
 
     code: str
     message: str
     elements: tuple[str, ...] = ()
-    line: int | None = field(default=None, compare=False, repr=False)
+    line: int | None = None
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     findings: tuple[Finding, ...] = ()
 
     @property
@@ -134,6 +143,10 @@ class OverrideWidensRange(ScenarioError):
 
 # concretization
 class BadK(ScenarioError):
+    exit_code = 3
+
+
+class BadN(ScenarioError):
     exit_code = 3
 
 

@@ -16,7 +16,7 @@ instance's entity term whose allowed values contain the value, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .canonical import SCENARIO_ID, STRING, Field, List, Record, is_scenario_id
 from .errors import (
@@ -28,36 +28,36 @@ from .errors import (
     Report,
     ScenarioSyntaxError,
     UnknownTerm,
+    line_apart,
 )
 from .vocabulary import REF, Term, Vocabulary, normalize_name
 
 
 # ``line`` is the DSL source line of a parsed element; it takes no part in
-# equality, hashing or serialization.
-@dataclass(frozen=True)
-class EntityInstance:
+# equality, hashing (``line_apart``) or serialization.
+@line_apart
+class EntityInstance(NamedTuple):
     instance_id: str
     term: str
-    line: int | None = field(default=None, compare=False, repr=False)
+    line: int | None = None
 
 
-@dataclass(frozen=True)
-class RelationPhrase:
+@line_apart
+class RelationPhrase(NamedTuple):
     relation: str
     arguments: tuple[str, ...]
-    line: int | None = field(default=None, compare=False, repr=False)
+    line: int | None = None
 
 
-@dataclass(frozen=True)
-class AttributeAssignment:
+@line_apart
+class AttributeAssignment(NamedTuple):
     instance_id: str
     attribute: str
     value: str
-    line: int | None = field(default=None, compare=False, repr=False)
+    line: int | None = None
 
 
-@dataclass(frozen=True)
-class FunctionalScenario:
+class FunctionalScenario(NamedTuple):
     scenario_id: str
     vocabulary_ref: tuple[str, str]  # (domain_name, version)
     instances: tuple[EntityInstance, ...] = ()

@@ -10,27 +10,25 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
+from typing import NamedTuple
 
 from . import expressions
-from .canonical import (NUMBER, REQUIRED, SCENARIO_ID, SOURCE_REF, STRING, Choice, Field, List,
-                        Number, Object, Record, Union, content_hash)
+from .canonical import (EMPTY, NUMBER, REQUIRED, SCENARIO_ID, SOURCE_REF, STRING, Choice, Field,
+                        List, Number, Object, Record, Union, content_hash)
 from .errors import Finding, Report, SchemaViolation, UnboundConstraintParameter
 
 DISTRIBUTION_TYPES = ("uniform", "truncated-gaussian")
 PARAMETER_KINDS = ("scalar-static", "scalar-initial")
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(NamedTuple):
     type: str
     mean: float | None = None
     stddev: float | None = None
 
 
-@dataclass(frozen=True)
-class Parameter:
+class Parameter(NamedTuple):
     name: str  # qualified: <instance_id>.<local_name>
     unit: str
     lo: float
@@ -44,13 +42,17 @@ class Parameter:
         return self.lo, self.hi
 
 
-@dataclass(frozen=True)
-class Inequality:
+# A record with a ``cached_property`` is a subclass of its named tuple: the
+# subclass has the instance ``__dict__`` that the property caches in.
+class _Inequality(NamedTuple):
     id: str
     lhs: str
     op: str
     rhs: str
     provenance: tuple[tuple[str, str], ...] = ()
+
+
+class Inequality(_Inequality):
     kind = "inequality"  # the record's tag; a class attribute, not a field
 
     @cached_property
@@ -79,11 +81,10 @@ class Inequality:
         """This constraint under ``id``, each variable ``name`` read as ``rename(name)``."""
         lhs, rhs = (expressions.format_expr(expressions.rename_expr(side, rename))
                     for side in self.parsed)
-        return replace(self, id=id, lhs=lhs, rhs=rhs, provenance=provenance)
+        return self._replace(id=id, lhs=lhs, rhs=rhs, provenance=provenance)
 
 
-@dataclass(frozen=True)
-class Correlation:
+class Correlation(NamedTuple):
     """target within slope*source + intercept, plus/minus tolerance (inclusive)."""
 
     id: str
@@ -114,20 +115,21 @@ class Correlation:
 
     def renamed(self, id: str, rename: Callable[[str], str], provenance) -> Correlation:
         """This constraint under ``id``, each variable ``name`` read as ``rename(name)``."""
-        return replace(self, id=id, target=rename(self.target), source=rename(self.source),
-                       provenance=provenance)
+        return self._replace(id=id, target=rename(self.target), source=rename(self.source),
+                             provenance=provenance)
 
 
 Constraint = Inequality | Correlation
 
 
-@dataclass(frozen=True)
-class LogicalScenario:
+class _LogicalScenario(NamedTuple):
     scenario_id: str
-    source_ref: dict = field(default_factory=dict)
+    source_ref: dict = EMPTY
     parameters: tuple[Parameter, ...] = ()
     constraints: tuple[Constraint, ...] = ()
 
+
+class LogicalScenario(_LogicalScenario):
     def parameter(self, name: str) -> Parameter | None:
         for parameter in self.parameters:
             if parameter.name == name:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import expressions
-from .canonical import STRING, Field, List, Map, Record
+from .canonical import EMPTY, STRING, Field, List, Map, Record
 from .errors import (
     BadDistribution,
     BadRange,
@@ -45,19 +45,17 @@ _LOCAL_NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
 _PLACEHOLDER_RE = re.compile(r"([A-Z])\.([a-z][a-z0-9_]*)")
 
 
-@dataclass(frozen=True)
-class AttributeEffect:
+class AttributeEffect(NamedTuple):
     add: tuple[Parameter, ...] = ()
     remove: tuple[str, ...] = ()
-    override: dict = field(default_factory=dict)  # local name -> (lo, hi)
+    override: dict = EMPTY  # local name -> (lo, hi)
 
 
-@dataclass(frozen=True)
-class ParameterCatalog:
+class ParameterCatalog(NamedTuple):
     vocabulary_ref: tuple[str, str]
-    entity_templates: dict = field(default_factory=dict)  # entity -> [Parameter]
-    attribute_templates: dict = field(default_factory=dict)  # (attr, value) -> AttributeEffect
-    relation_templates: dict = field(default_factory=dict)  # relation -> [Constraint]
+    entity_templates: dict = EMPTY  # entity -> [Parameter]
+    attribute_templates: dict = EMPTY  # (attr, value) -> AttributeEffect
+    relation_templates: dict = EMPTY  # relation -> [Constraint]
 
 
 def _check_range(name: str, lo: float, hi: float, distribution: Distribution | None = None):
@@ -201,7 +199,7 @@ def lower_to_logical(scenario: FunctionalScenario, catalog: ParameterCatalog) ->
                         raise OverrideWidensRange(
                             f"{assignment.attribute}={assignment.value} widens "
                             f"{instance.instance_id}.{name} beyond [{template.lo}, {template.hi}]")
-                    templates[position] = replace(template, lo=lo, hi=hi)
+                    templates[position] = template._replace(lo=lo, hi=hi)
                     provenance_extra[name] = f"{assignment.attribute}={assignment.value}"
             for template in effect.add:
                 templates = [t for t in templates if t.name != template.name]
@@ -215,8 +213,8 @@ def lower_to_logical(scenario: FunctionalScenario, catalog: ParameterCatalog) ->
             if extra is not None:
                 provenance.append(("override" if template.name in base_names else "attribute",
                                    extra))
-            parameters.append(replace(template, name=f"{instance.instance_id}.{template.name}",
-                                      provenance=tuple(sorted(provenance))))
+            parameters.append(template._replace(name=f"{instance.instance_id}.{template.name}",
+                                                provenance=tuple(sorted(provenance))))
 
     declared = {p.name for p in parameters}
     constraints = []

@@ -17,10 +17,11 @@ import os
 import shutil
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .canonical import (
+    EMPTY,
     INTEGER,
     NUMBER,
     NUMBERS,
@@ -47,38 +48,34 @@ from .expressions import COMPARATORS
 from .logical import LogicalScenario
 
 
-@dataclass(frozen=True)
-class TimeSeries:
+class TimeSeries(NamedTuple):
     parameter: str
     unit: str
     dt: float
     samples: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     signal: str
     comparator: str
     bound: float
     tolerance: float
 
 
-@dataclass(frozen=True)
-class ExpectedBehavior:
+class ExpectedBehavior(NamedTuple):
     description: str
     checks: tuple[Check, ...] = ()
 
 
-@dataclass(frozen=True)
-class TestCase:
+class TestCase(NamedTuple):
     unique_id: str
     work_product_ref: str
     preconditions: str
     configuration: str
-    environmental_conditions: dict = field(default_factory=dict)
+    environmental_conditions: dict = EMPTY
     input_data: tuple[TimeSeries, ...] = ()
     expected: ExpectedBehavior = ExpectedBehavior(description="")
-    source_ref: dict = field(default_factory=dict)
+    source_ref: dict = EMPTY
 
     @property
     def setup(self) -> tuple[str, str]:

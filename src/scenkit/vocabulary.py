@@ -9,8 +9,8 @@ lowercase-with-hyphens before validation, so ``Two Lane Motorway`` and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
+from typing import NamedTuple
 
 from .canonical import BOOL, STRING, Field, List, Record, Scalar, Union
 from .errors import DanglingReference, DuplicateTerm, ScenarioSyntaxError, SchemaViolation
@@ -25,8 +25,7 @@ def normalize_name(raw: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     name: str
     kind: str
     arity: int | None = None  # relations only
@@ -36,8 +35,7 @@ class Term:
     description: str = ""
 
 
-@dataclass(frozen=True)
-class Exclusion:
+class Exclusion(NamedTuple):
     """Two relation-phrase patterns that may not co-occur in one scenario.
 
     Each pattern is ``(relation name, argument variables)``; shared variables
@@ -48,16 +46,19 @@ class Exclusion:
     second: tuple[str, tuple[str, ...]]
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+# A subclass of its named tuple, for the instance ``__dict__`` that the
+# ``cached_property`` caches in.
+class _Vocabulary(NamedTuple):
     domain_name: str
     version: str
     terms: tuple[Term, ...] = ()  # sorted by name
     exclusions: tuple[Exclusion, ...] = ()
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {t.name: t for t in self.terms})
+
+class Vocabulary(_Vocabulary):
+    @cached_property
+    def _index(self) -> dict[str, Term]:
+        return {t.name: t for t in self.terms}
 
     def lookup(self, name: str) -> Term | None:
         """Exact, case-sensitive lookup; absence is a normal return."""
@@ -117,7 +118,7 @@ def _resolved(vocabulary: Vocabulary, where: str) -> Vocabulary:
             if len(args) != resolved.arity:
                 raise SchemaViolation(f"exclusion on {relation!r}: wrong argument count")
     # Sorted storage makes loading order-independent and serialization canonical.
-    return replace(vocabulary, terms=tuple(sorted(vocabulary.terms, key=lambda t: t.name)))
+    return vocabulary._replace(terms=tuple(sorted(vocabulary.terms, key=lambda t: t.name)))
 
 
 _APPLIES_TO = Field("applies_to", List(NAME), ())

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenkit.canonical import check_numbers, content_hash, dumps_canonical
-from scenkit.errors import SchemaViolation
+from scenkit.concretize import ConcreteScenario
+from scenkit.errors import Finding, SchemaViolation
 
 
 def reference(value) -> str:
@@ -90,9 +91,15 @@ def test_matches_json_reference_fixed(value):
 
 
 @pytest.mark.parametrize("value", [{1, 2}, b"bytes", {1: "a"}, {"a": {(1, 2): 0}},
-                                   [object()], {"a": frozenset()}],
-                         ids=["set", "bytes", "int-key", "tuple-key", "object", "frozenset"])
+                                   [object()], {"a": frozenset()},
+                                   ConcreteScenario("x", {"scenario_id": "s"}, {"a.x": 1.0},
+                                                    "random", 0, {}),
+                                   [Finding("RANGE", "a.x out of range", ("a.x",))]],
+                         ids=["set", "bytes", "int-key", "tuple-key", "object", "frozenset",
+                              "concrete-scenario", "finding"])
 def test_rejects_non_json_types(value):
+    """A record is a named tuple, which ``json`` writes as an array; it is
+    written only through its table."""
     with pytest.raises(TypeError):
         dumps_canonical(value)
 

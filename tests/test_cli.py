@@ -133,6 +133,26 @@ def test_random_suites_differ_by_seed(tmp_path, capsys):
     assert texts[0] != texts[1]
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_concretize_rejects_a_random_count_below_one(tmp_path, capsys, n):
+    assert main(["lower", "--vocab", VOCAB, "--catalog", CATALOG,
+                 "--out", str(tmp_path), SCENARIO]) == 0
+    out = tmp_path / "suites"
+    assert main(["concretize", "--out", str(out), "--method", "random", "--n", n,
+                 str(tmp_path / "s1.logical.json")]) == 3
+    assert f"n must be >= 1, got {n}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_pipeline_rejects_a_random_count_below_one(tmp_path, capsys, n):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--vocab", VOCAB, "--catalog", CATALOG, "--out", str(out),
+                 "--method", "random", "--n", n, SCENARIO] + EXPORT_ARGS) == 3
+    assert f"n must be >= 1, got {n}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("text", ["{\"format\": \"concrete-suite/1\", ", '{"format": "concrete-suite/1"}'],
                          ids=["malformed-json", "missing-scenarios"])
 def test_export_rejects_bad_suite(tmp_path, capsys, text):
@@ -678,11 +698,13 @@ def test_a_scenario_id_read_twice_is_rejected(tmp_path, capsys, command):
     assert _tree(tmp_path / "both") == _tree(tmp_path / "alone")
 
 
-def test_cli_import_loads_neither_fractions_nor_subprocess():
+@pytest.mark.parametrize("module", ["fractions", "subprocess", "dataclasses", "inspect"])
+def test_cli_import_does_not_load(module):
     """Every CLI start imports what ``scenkit.cli`` imports: coverage ratios
-    need no ``fractions``, and only a large export starts a writer process."""
+    need no ``fractions``, only a large export starts a writer process, and
+    records are named tuples, not dataclasses, which import ``inspect``."""
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import scenkit.cli; "
-            "print(sorted({'fractions', 'subprocess'} & sys.modules.keys()))")
-    result = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+            "print(sys.argv[2] in sys.modules)")
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src"), module],
                             capture_output=True, text=True, timeout=60, check=True)
-    assert result.stdout == "[]\n"
+    assert result.stdout == "False\n"

@@ -36,6 +36,7 @@ from scenkit.canonical import dumps_canonical
 from scenkit.cli import generate_suite
 from scenkit.errors import (
     BadK,
+    BadN,
     InfeasibleLevels,
     SamplingExhausted,
     SchemaViolation,
@@ -177,7 +178,9 @@ def test_sample_random_deterministic_and_clean():
     second = sample_random(scenario, 20, seed=42)
     assert [serialize_concrete(c) for c in first] == [serialize_concrete(c) for c in second]
     assert all(check_concrete(scenario, c) == [] for c in first)
-    assert sample_random(scenario, 0, seed=1) == []
+    for n in (0, -1):
+        with pytest.raises(BadN):
+            sample_random(scenario, n, seed=1)
 
 
 def test_sample_random_hits_interior():
