@@ -19,7 +19,7 @@ from pathlib import Path
 from . import concretize as cz
 from . import testcase as tc
 from .canonical import dumps_canonical, load_json
-from .errors import ScenarioError, SchemaViolation
+from .errors import ScenarioError, ScenarioSyntaxError, SchemaViolation
 from .functional import check_consistency, parse_functional
 from .logical import LogicalScenario, deserialize_logical, serialize_logical, validate_logical
 from .lowering import load_parameter_catalog, lower_to_logical
@@ -28,13 +28,14 @@ from .vocabulary import load_vocabulary
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_IO = 2
-EXIT_SYNTAX = 3
 EXIT_INFEASIBLE = 4
-EXIT_INTERNAL = 5
 
 
 def _read(path) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioSyntaxError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
 
 
 def generate_suite(scenario: LogicalScenario, method: str, k: int, n: int, seed: int):
@@ -186,6 +187,8 @@ def _export_inputs(args):
 
 def _export_cases(logical, scenarios, args, inputs, destination) -> dict:
     """Stream one test case per concrete scenario into ``destination``."""
+    if not scenarios:
+        raise SchemaViolation(f"scenario {logical.scenario_id!r}: no concrete scenario to export")
     expected, meta = inputs
     cases = (tc.assemble_test_case(
                  concrete, tc.synthesize_traces(logical, concrete, args.duration, args.dt),

@@ -66,50 +66,36 @@ class SchemaViolation(ScenarioError):
 class DuplicateTerm(ScenarioError):
     exit_code = 3
 
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"duplicate term name: {name!r}")
-
 
 class DanglingReference(ScenarioError):
     exit_code = 3
 
-    def __init__(self, source: str, target: str):
-        self.source = source
-        self.target = target
-        super().__init__(f"term {source!r} refers to unknown entity {target!r}")
-
 
 # functional DSL
-class UnknownTerm(ScenarioError):
-    exit_code = 3
-
+class UnknownTerm(ScenarioSyntaxError):
     def __init__(self, word: str, line: int | None = None, hint: str | None = None):
         self.word = word
-        self.line = line
         self.hint = hint
         message = f"unknown term {word!r}"
-        if line is not None:
-            message = f"line {line}: {message}"
         if hint is not None:
             message += f" (did you mean {hint!r}?)"
-        super().__init__(message)
+        super().__init__(message, line=line)
 
 
-class ArityMismatch(ScenarioError):
-    exit_code = 3
+class ArityMismatch(ScenarioSyntaxError):
+    pass
 
 
-class IllegalAttributeValue(ScenarioError):
-    exit_code = 3
+class IllegalAttributeValue(ScenarioSyntaxError):
+    pass
 
 
-class IllegalApplication(ScenarioError):
-    exit_code = 3
+class IllegalApplication(ScenarioSyntaxError):
+    pass
 
 
-class DuplicateInstance(ScenarioError):
-    exit_code = 3
+class DuplicateInstance(ScenarioSyntaxError):
+    pass
 
 
 # parameter catalog / lowering

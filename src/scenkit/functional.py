@@ -141,7 +141,7 @@ class _Builder:
         ]
         if not candidates:
             raise IllegalAttributeValue(
-                f"line {line}: no attribute of {instance.term!r} allows the value {raw_value!r}"
+                f"no attribute of {instance.term!r} allows the value {raw_value!r}", line=line
             )
         if len(candidates) > 1:
             names = ", ".join(t.name for t in candidates)
@@ -234,10 +234,7 @@ def parse_functional(dsl: str, vocabulary: Vocabulary) -> FunctionalScenario:
     errors = [f for f in check_consistency(scenario, vocabulary).findings if f.code in PARSE_ERRORS]
     if errors:
         first = min(errors, key=lambda f: f.line)
-        error = PARSE_ERRORS[first.code]
-        if error is ScenarioSyntaxError:
-            raise ScenarioSyntaxError(first.message, line=first.line)
-        raise error(f"line {first.line}: {first.message}")
+        raise PARSE_ERRORS[first.code](first.message, line=first.line)
     return scenario
 
 

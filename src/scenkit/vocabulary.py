@@ -103,18 +103,18 @@ def _resolved(vocabulary: Vocabulary, where: str) -> Vocabulary:
     by_name: dict[str, Term] = {}
     for term in vocabulary.terms:
         if term.name in by_name:
-            raise DuplicateTerm(term.name)
+            raise DuplicateTerm(f"duplicate term name: {term.name!r}")
         by_name[term.name] = term
     for term in vocabulary.terms:
         for target in term.applies_to:
             resolved = by_name.get(target)
             if resolved is None or resolved.kind != "entity":
-                raise DanglingReference(term.name, target)
+                raise DanglingReference(f"term {term.name!r} refers to unknown entity {target!r}")
     for exclusion in vocabulary.exclusions:
         for relation, args in (exclusion.first, exclusion.second):
             resolved = by_name.get(relation)
             if resolved is None or resolved.kind != "relation":
-                raise DanglingReference("exclusion", relation)
+                raise DanglingReference(f"exclusion refers to unknown relation {relation!r}")
             if len(args) != resolved.arity:
                 raise SchemaViolation(f"exclusion on {relation!r}: wrong argument count")
     # Sorted storage makes loading order-independent and serialization canonical.

@@ -643,6 +643,53 @@ def test_export_rejects_a_suite_listing_a_scenario_twice(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["export", "pipeline"])
+def test_an_export_of_no_scenario_is_rejected(tmp_path, capsys, command):
+    """A suite with no concrete scenario would export a manifest of no test
+    case: it exits 3, naming the scenario, and writes nothing."""
+    out = tmp_path / "out"
+    if command == "export":
+        logical_path, _ = _lowered_boundary_suite(tmp_path)
+        empty = tmp_path / "empty.suite.json"
+        empty.write_text('{"format": "concrete-suite/1", "scenarios": []}')
+        argv, scenario_id = ["export", "--logical", logical_path, str(empty)], "s1"
+    else:
+        bare = tmp_path / "bare.scn"
+        bare.write_text("scenario s9\n")
+        argv, scenario_id = ["pipeline", "--vocab", VOCAB, "--catalog", CATALOG, str(bare)], "s9"
+    assert main(argv + ["--out", str(out)] + EXPORT_ARGS) == 3
+    assert f"scenario {scenario_id!r}: no concrete scenario to export" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "out.staging").exists()
+
+
+@pytest.mark.parametrize("command, role", [
+    ("validate", "scenario"), ("lower", "catalog"), ("concretize", "logical"),
+    ("export", "suite"), ("export", "expected"),
+], ids=["validate-scenario", "lower-catalog", "concretize-logical", "export-suite",
+        "export-expected"])
+def test_input_that_is_not_utf8_is_a_syntax_error(tmp_path, capsys, command, role):
+    """A file that does not decode as UTF-8 exits 3, naming the file and the
+    offset of its first bad byte, and writes nothing."""
+    logical_path, suite = _lowered_boundary_suite(tmp_path / "in")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {
+        "validate": ["validate", "--vocab", VOCAB, SCENARIO],
+        "lower": ["lower", "--vocab", VOCAB, "--catalog", CATALOG, "--out", str(out), SCENARIO],
+        "concretize": ["concretize", "--out", str(out), logical_path],
+        "export": ["export", "--logical", logical_path, "--out", str(out), suite] + EXPORT_ARGS,
+    }[command]
+    good = {"scenario": SCENARIO, "catalog": CATALOG, "logical": logical_path,
+            "suite": suite, "expected": EXPECTED}[role]
+    text = Path(good).read_bytes()
+    bad = tmp_path / "bad"
+    bad.write_bytes(text[:12] + b"\xff" + text[12:])
+    argv[argv.index(good)] = str(bad)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text at byte 12\n"
+    assert not out.exists() and not (tmp_path / "out.staging").exists()
+
+
 def test_pipeline_export_error_leaves_no_half_written_scenario(tmp_path, capsys):
     scenario = tmp_path / "road.scn"
     scenario.write_text("scenario s2 / road r1 is two-lane-motorway / r1 geometry straight\n")
@@ -708,3 +755,12 @@ def test_cli_import_does_not_load(module):
     result = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src"), module],
                             capture_output=True, text=True, timeout=60, check=True)
     assert result.stdout == "False\n"
+
+
+def test_package_import_loads_no_module():
+    """``scenkit`` re-exports nothing: each name is imported from its module."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import scenkit; "
+            "print(sorted(name for name in sys.modules if name.startswith('scenkit.')))")
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout == "[]\n"

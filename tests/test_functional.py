@@ -126,6 +126,8 @@ def test_parser_rule_violations(vocabulary, text, error, line):
     with pytest.raises(ScenarioError) as excinfo:
         parse_functional(text, vocabulary)
     assert type(excinfo.value) is error
+    assert isinstance(excinfo.value, ScenarioSyntaxError)
+    assert excinfo.value.line == line
     assert f"line {line}:" in str(excinfo.value)
 
 

@@ -69,6 +69,13 @@ def test_dangling_applies_to_rejected():
         vocabulary_from_dict(make_doc(terms))
 
 
+def test_exclusion_on_an_unknown_relation_rejected():
+    exclusions = [{"first": {"relation": "folows", "args": ["X", "Y"]},
+                   "second": {"relation": "follows", "args": ["Y", "X"]}}]
+    with pytest.raises(DanglingReference, match="unknown relation 'folows'"):
+        vocabulary_from_dict(make_doc(FIVE_TERMS, exclusions))
+
+
 def test_relation_arity_must_be_positive():
     terms = [{"name": "alone", "kind": "relation", "arity": 0}]
     with pytest.raises(SchemaViolation):
