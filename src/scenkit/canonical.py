@@ -116,7 +116,7 @@ def load_json(source: str, loads=json.loads):
     try:
         return loads(source)
     except json.JSONDecodeError as exc:
-        raise ScenarioSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+        raise ScenarioSyntaxError(exc.msg, line=exc.lineno) from exc
     except RecursionError as exc:
         raise ScenarioSyntaxError("JSON nested too deeply to decode") from exc
 

@@ -37,7 +37,6 @@ from .errors import (
 from .logical import LogicalScenario, Parameter
 
 ATTEMPTS_PER_SAMPLE = 1000  # rejection budget per requested sample
-EXACT_SEARCH_NODES = 200_000  # candidate-evaluation budget for the minimal-suite search
 
 
 class ConcreteScenario(NamedTuple):
@@ -200,155 +199,118 @@ class _PairLayout:
                           for shift in shifts.values())
 
 
-def _level_masks(scenario: LogicalScenario, levels: dict):
-    """``(layout, masks, row)`` for the rows of the level product that satisfy
-    every constraint, in sorted order: ``masks[i]`` is ``layout.encode(row(i))[0]``.
+def _components(scenario: LogicalScenario,
+                value_lists: list[list[float]]) -> list[tuple[tuple[int, ...], list[tuple]]]:
+    """(positions, feasible partial rows) of each component of
+    ``compiled.components()``, the rows in sorted order.
 
-    The level lists are sorted and distinct, so their nested product is
-    already sorted. Masks grow one parameter at a time, and each constraint is
-    checked once the last parameter it reads is placed: it reads nothing
-    later, so the partial row decides it. Row tuples are kept only up to the
-    last constrained parameter; the rest of the product is plain, so ``row``
-    splits an index into a prefix number and a mixed-radix tail.
+    Components share no constraint and no parameter, so a level row satisfies
+    every constraint iff each constraint without parameters holds and the
+    row's values at each component's positions form one of its feasible
+    partial rows. Raises ``InfeasibleLevels`` naming a false constraint
+    without parameters, or the constraints of the first component with no
+    feasible partial row.
     """
-    value_lists = _value_lists(scenario, levels)
-    layout = _PairLayout(value_lists)
     compiled = scenario.compiled
-    due: list[list] = [[] for _ in value_lists]  # checks by the last position they read
-    feasible = True
-    for positions, check in zip(compiled.positions, compiled.checks):
-        if positions:
-            due[positions[-1]].append(check)
-        else:
-            feasible = feasible and check(())
-    split = max((positions[-1] + 1 for positions in compiled.positions if positions), default=0)
-
-    grown = [((), 0, 0)] if feasible else []  # (row, pairs, one-hot values) of each prefix
-    for position in range(split):
-        steps = list(zip(value_lists[position], layout.shifts[position].values(),
-                         layout.onehots[position].values()))
-        grown = [(row + (value,), pairs | values << shift, values | onehot)
-                 for row, pairs, values in grown for value, shift, onehot in steps]
-        for check in due[position]:
-            grown = [entry for entry in grown if check(entry[0])]
-    prefixes = [row for row, _, _ in grown]
-    masks = [pairs for _, pairs, _ in grown]
-    placed = [values for _, _, values in grown]  # one-hot values of each row so far
-    for position in range(split, len(value_lists)):
-        shifts = list(layout.shifts[position].values())
-        masks = [pairs | values << shift for pairs, values in zip(masks, placed) for shift in shifts]
-        if position + 1 < len(value_lists):
-            onehots = list(layout.onehots[position].values())
-            placed = [values | onehot for values in placed for onehot in onehots]
-
-    tail = value_lists[split:]
-
-    def row(index: int) -> tuple:
-        digits = []
-        for values in reversed(tail):
-            index, digit = divmod(index, len(values))
-            digits.append(values[digit])
-        return prefixes[index] + tuple(reversed(digits))
-
-    return layout, masks, row
+    for constraint, positions, check in zip(scenario.constraints, compiled.positions,
+                                            compiled.checks):
+        if not positions and not check(()):
+            raise InfeasibleLevels(f"constraint {constraint.id} is false: {constraint.describe()}")
+    components = []
+    for positions, numbers in compiled.components():
+        checks = [compiled.checks[n] for n in numbers]
+        full: list = [None] * len(value_lists)
+        rows = []
+        for row in product(*(value_lists[p] for p in positions)):
+            for position, value in zip(positions, row):
+                full[position] = value
+            if all(check(full) for check in checks):
+                rows.append(row)
+        if not rows:
+            ids = ", ".join(scenario.constraints[n].id for n in numbers)
+            raise InfeasibleLevels(
+                f"no combination of the given levels satisfies constraints {ids}")
+        components.append((positions, rows))
+    return components
 
 
-def _search_minimal(masks: list[int], all_pairs: int, size: int,
-                    budget: int) -> list[int] | None:
-    """Depth-first search for a covering suite of exactly ``size`` rows.
+def _orthogonal_array(value_lists: list[list[float]]) -> list[list[float]] | None:
+    """Bose's orthogonal array of strength 2 (Bose, Sankhya 3, 1938): for ``s``
+    levels each, ``s`` prime, and at most ``s + 1`` parameters, the ``s * s``
+    rows ``(a, b, a + b, 2a + b, ...) mod s`` show every level pair exactly
+    once, which meets the lower bound. None for any other shape."""
+    s = len(value_lists[0])
+    if (s < 2 or len(value_lists) > s + 1 or any(len(values) != s for values in value_lists)
+            or any(s % d == 0 for d in range(2, s))):
+        return None
+    return [[values[digit] for values, digit in
+             zip(value_lists, [a] + [(m * a + b) % s for m in range(s)])]
+            for a in range(s) for b in range(s)]
 
-    Deterministic: rows are tried in lexicographic order under a fixed node
-    budget. A node is one row whose gain a scan tests; the search gives up
-    when it would test row ``budget + 1``. Returns row indices or None when
-    no suite is found in budget.
+
+def _density_rows(layout: _PairLayout, value_lists: list[list[float]],
+                  components: list, uncovered: int) -> list[list[float]]:
+    """Rows covering the level pairs of ``uncovered``, built one at a time by
+    the density method of the AETG family (Cohen et al., IEEE TSE 1997;
+    Bryce & Colbourn, STVR 2007).
+
+    A row starts from the parameter pair (i, j) with the most uncovered pairs,
+    the first in ``pair_counts`` order winning ties, set to its first
+    uncovered level pair by j's value, then i's. The other parameters follow,
+    the one in the most uncovered pairs at the row's start first and
+    declaration order breaking ties. Each takes the level that covers the most
+    new pairs, the lowest level winning ties. A parameter of a constraint
+    component takes only a level that, with the levels already placed in its
+    component, matches one of the component's feasible partial rows (from
+    ``_components``), so every row satisfies every constraint. Every row
+    covers its starting pair, so the loop ends.
     """
-    remaining = budget
-    count = len(masks)
-    pairs_per_row = max((m.bit_count() for m in masks), default=0)
-
-    def descend(start: int, chosen: list[int], uncovered: int, left: int) -> list[int] | None:
-        nonlocal remaining
-        if not uncovered:
-            return list(chosen)
-        slots = size - len(chosen)
-        if slots <= 0 or slots * pairs_per_row < left:
-            return None
-        # best-effort cut: only pursue rows that keep up with the average
-        # coverage the target size demands; uneven minimal suites are
-        # missed here and handled by the greedy fallback instead
-        need = -(-left // slots)
-        position = start
-        while True:
-            # the budget left ends the scan and is charged after it; once it
-            # is spent, every scan is empty and the search unwinds with None
-            stop = min(count, position + remaining)
-            for index in range(position, stop):
-                if (uncovered & masks[index]).bit_count() >= need:
-                    break
-            else:
-                remaining -= stop - position
-                return None
-            remaining -= index + 1 - position
-            new = uncovered & masks[index]
-            chosen.append(index)
-            found = descend(index + 1, chosen, uncovered ^ new, left - new.bit_count())
-            if found is not None:
-                return found
-            chosen.pop()
-            position = index + 1
-
-    return descend(0, [], all_pairs, all_pairs.bit_count())
-
-
-def _no_cover_of(layout: _PairLayout, all_pairs: int, size: int) -> bool:
-    """True when Rao's bound proves that no ``size`` rows cover ``all_pairs``.
-
-    Gather, in declaration order, parameters of ``s`` distinct levels, with
-    ``s * s == size``, whose every pair has all its ``s * s`` level pairs to
-    cover. A ``size``-row cover shows each of those level pairs exactly once,
-    so the gathered columns form an orthogonal array of strength 2, which
-    needs ``size >= 1 + sum(s - 1)`` rows (Rao's bound; Hedayat, Sloane &
-    Stufken, *Orthogonal Arrays*, Springer 1999). Columns of unequal level
-    counts can pair up this way only two at a time, and two columns never
-    break the bound, so none other is gathered. One column proves nothing.
-    """
-    level_counts = [count for _, count in layout.spans]
-    pairs = [(i, j) for j in range(len(level_counts)) for i in range(j)]  # pair_counts' order
-    full = {(i, j) for (i, j), count in zip(pairs, layout.pair_counts(all_pairs))
-            if count == level_counts[i] * level_counts[j] == size}
-    gathered: list[int] = []
-    for j, count in enumerate(level_counts):
-        if count * count == size and all((i, j) in full for i in gathered):
-            gathered.append(j)
-    return len(gathered) >= 2 and size < 1 + sum(level_counts[j] - 1 for j in gathered)
-
-
-def _greedy_cover(masks: list[int], all_pairs: int) -> list[int]:
-    """Pick the row covering the most uncovered pairs; first wins ties.
-
-    A row's gain only falls as pairs get covered, so the gain last computed
-    for it is a bound: a row whose bound cannot beat the best so far is
-    skipped, and the scan stops once no row can.
-    """
-    uncovered = all_pairs
-    bounds = [m.bit_count() for m in masks]
-    ceiling = max(bounds, default=0)
-    suite: list[int] = []
+    count = len(value_lists)
+    pairs = [(i, j) for j in range(count) for i in range(j)]  # pair_counts' order
+    # the pair blocks of parameter p end where those of p + 1 start
+    ends = [min(shifts.values()) for shifts in layout.shifts[1:]] + [layout.size]
+    home = {p: (number, k) for number, (positions, _) in enumerate(components)
+            for k, p in enumerate(positions)}
+    suite = []
     while uncovered:
-        cap = min(ceiling, uncovered.bit_count())
-        best_index = -1
-        best_new = 0
-        for index, bound in enumerate(bounds):
-            if bound <= best_new:
-                continue
-            new = (uncovered & masks[index]).bit_count()
-            bounds[index] = new
-            if new > best_new:
-                best_index, best_new = index, new
-                if new == cap:
-                    break
-        suite.append(best_index)
-        uncovered &= ~masks[best_index]
+        counts = list(layout.pair_counts(uncovered))
+        i, j = pairs[counts.index(max(counts))]
+        start, width = layout.spans[i]
+        for b, shift in layout.shifts[j].items():
+            field = uncovered >> (shift + start) & ((1 << width) - 1)
+            if field:
+                seed = {i: value_lists[i][(field & -field).bit_length() - 1], j: b}
+                break
+        involved = [0] * count
+        for (p, q), pair_count in zip(pairs, counts):
+            involved[p] += pair_count
+            involved[q] += pair_count
+        order = sorted((p for p in range(count) if p not in seed), key=lambda p: -involved[p])
+
+        live = [rows for _, rows in components]  # partial rows matching the levels placed
+        row: list = [None] * count
+        values = anchors = 0  # one-hot bits of the placed values; first bits of their pair blocks
+        for p in (i, j, *order):
+            value = seed.get(p)
+            if value is None:
+                levels = value_lists[p]
+                if p in home:
+                    number, k = home[p]
+                    allowed = {partial[k] for partial in live[number]}
+                    levels = [v for v in levels if v in allowed]
+                shifts, onehots = layout.shifts[p], layout.onehots[p]
+                earlier = values & ((1 << layout.spans[p][0]) - 1)  # pairs in p's own blocks
+                later = anchors >> ends[p] << ends[p]  # blocks of placed parameters after p
+                value = max(levels, key=lambda v: (uncovered & (
+                    earlier << shifts[v] | later << onehots[v].bit_length() - 1)).bit_count())
+            row[p] = value
+            values |= layout.onehots[p][value]
+            anchors |= 1 << layout.shifts[p][value]
+            if p in home:
+                number, k = home[p]
+                live[number] = [partial for partial in live[number] if partial[k] == value]
+        uncovered &= ~layout.encode(row)[0]
+        suite.append(row)
     return suite
 
 
@@ -356,38 +318,29 @@ def pairwise_cover(scenario: LogicalScenario, levels: dict,
                    method: str = "pairwise") -> list[ConcreteScenario]:
     """Covering suite: every feasible level pair appears in >= 1 scenario.
 
-    Feasibility is decided on the rows of the level product
-    (``_level_masks``), so the suite never contains a constraint-violating
-    scenario and pairs without any feasible completion are simply excluded.
-    A bounded exact search tries to hit the lower bound (the largest
-    single-pair level product) before falling back to the greedy
-    construction. The search is skipped when ``_no_cover_of``
-    proves by Rao's bound for orthogonal arrays that no suite of the lower
-    bound's size exists; the greedy suite is then the same as after a search
-    that finds nothing. ``method`` labels the scenarios and their ids.
+    Feasibility is decided per constraint component (``_components``), so the
+    suite never contains a constraint-violating scenario, pairs without any
+    feasible completion are simply excluded, and the level product is never
+    enumerated. Without constraints, a shape that Bose's orthogonal array
+    fits gets its ``s * s`` rows; every other suite is built by
+    ``_density_rows``. ``method`` labels the scenarios and their ids.
     """
-    layout, masks, row = _level_masks(scenario, levels)
+    value_lists = _value_lists(scenario, levels)
     names = scenario.compiled.names
     if not names:
         return []
-    if not masks:
-        raise InfeasibleLevels(
-            "no combination of the given levels satisfies the constraints")
+    components = _components(scenario, value_lists)
     wrap = _wrapper(scenario, method)
     if len(names) == 1:
-        return [wrap({names[0]: row(i)[0]}, i) for i in range(len(masks))]
+        values = [row[0] for row in components[0][1]] if components else value_lists[0]
+        return [wrap({names[0]: value}, i) for i, value in enumerate(values)]
 
-    all_pairs = _feasible_pairs(scenario, layout)
-    lower_bound = max(layout.pair_counts(all_pairs))
-
-    chosen = None
-    if not _no_cover_of(layout, all_pairs, lower_bound):
-        chosen = _search_minimal(masks, all_pairs, lower_bound, EXACT_SEARCH_NODES)
-    if chosen is None:
-        chosen = _greedy_cover(masks, all_pairs)
-
-    return [wrap(dict(zip(names, row(index))), position)
-            for position, index in enumerate(chosen)]
+    rows = None if components else _orthogonal_array(value_lists)
+    if rows is None:
+        layout = _PairLayout(value_lists)
+        rows = _density_rows(layout, value_lists, components,
+                             _feasible_pairs(layout, components))
+    return [wrap(dict(zip(names, row)), position) for position, row in enumerate(rows)]
 
 
 def _draw(rng: random.Random, parameter: Parameter) -> float:
@@ -435,46 +388,32 @@ def derive_seed(master: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def _feasible_pairs(scenario: LogicalScenario, layout: _PairLayout) -> int:
+def _feasible_pairs(layout: _PairLayout, components: list) -> int:
     """The level pairs that occur in some level row satisfying every
-    constraint, without enumerating the level product.
+    constraint, from the feasible partial rows of ``_components``.
 
-    Constraints link parameters into components that are independent of each
-    other. A pair inside one component is feasible if it occurs in a feasible
+    A pair inside one component is feasible if it occurs in a feasible
     partial row of that component; a pair across components is feasible if
-    each of its values occurs in one of its own component. Either way every
-    component needs a feasible partial row, and every constant constraint
-    must hold.
+    each of its values occurs in one of its own component. A parameter in no
+    constraint has every level feasible.
     """
-    compiled = scenario.compiled
-    for check, positions in zip(compiled.checks, compiled.positions):
-        if not positions and not check(()):
-            return 0
     fields = [sum(onehot.values()) for onehot in layout.onehots]  # value bits per position
     groups = list(fields)  # value bits of each position's component
-    pairs = values = 0
-    constrained: set[int] = set()
-    for positions, numbers in compiled.components():
-        checks = [compiled.checks[n] for n in numbers]
+    pairs = 0
+    values = sum(fields)  # less the levels of a component that no feasible partial row has
+    for positions, rows in components:
         found = 0
         full: list = [None] * len(fields)
-        for row in product(*(layout.onehots[p] for p in positions)):
+        for row in rows:
             for position, value in zip(positions, row):
                 full[position] = value
-            if all(check(full) for check in checks):
-                row_pairs, row_values = layout.encode(full)
-                pairs |= row_pairs
-                found |= row_values
-        if not found:
-            return 0
-        values |= found
+            row_pairs, row_values = layout.encode(full)
+            pairs |= row_pairs
+            found |= row_values
         group = sum(fields[p] for p in positions)
+        values &= ~group | found
         for position in positions:
             groups[position] = group
-        constrained.update(positions)
-    for position, field in enumerate(fields):
-        if position not in constrained:
-            values |= field  # in no constraint: every level is feasible
 
     earlier = 0  # value bits of the positions before the current one
     for position, onehot in enumerate(layout.onehots):
@@ -493,8 +432,12 @@ def coverage_metrics(scenario: LogicalScenario, levels: dict,
     for concrete in scenarios:
         check_source(scenario, concrete)
 
-    layout = _PairLayout(_value_lists(scenario, levels))
-    feasible = _feasible_pairs(scenario, layout)
+    value_lists = _value_lists(scenario, levels)
+    layout = _PairLayout(value_lists)
+    try:
+        feasible = _feasible_pairs(layout, _components(scenario, value_lists))
+    except InfeasibleLevels:
+        feasible = 0  # no level row satisfies every constraint
     names = scenario.compiled.names
     covered = 0
     for concrete in scenarios:

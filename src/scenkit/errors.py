@@ -48,9 +48,8 @@ class ScenarioSyntaxError(ScenarioError):
 
     exit_code = 3
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+    def __init__(self, message: str, line: int | None = None):
         self.line = line
-        self.column = column
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
@@ -74,7 +73,6 @@ class DanglingReference(ScenarioError):
 # functional DSL
 class UnknownTerm(ScenarioSyntaxError):
     def __init__(self, word: str, line: int | None = None, hint: str | None = None):
-        self.word = word
         self.hint = hint
         message = f"unknown term {word!r}"
         if hint is not None:

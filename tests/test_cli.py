@@ -20,7 +20,7 @@ CATALOG = str(DATA / "catalog.json")
 SCENARIO = str(DATA / "fig_car_follows_truck.scn")
 EXPECTED = str(DATA / "expected.json")
 
-WORKED_SUITE_SHA256 = "6c5bc47c22555e99c52e3104f05585f2bfa2fa2b8ecbd13f49bdb1974657a1a9"
+WORKED_SUITE_SHA256 = "95cc49e455d33450f145401f59931ce16869eb59972e130cd0b82e4e067b09a5"
 
 EXPORT_ARGS = ["--expected", EXPECTED, "--work-product", "req-keep-distance-001",
                "--duration", "2", "--dt", "1"]
@@ -142,6 +142,15 @@ def test_concretize_rejects_a_random_count_below_one(tmp_path, capsys, n):
                  str(tmp_path / "s1.logical.json")]) == 3
     assert f"n must be >= 1, got {n}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_infeasible_levels_name_the_constraint(tmp_path, capsys):
+    # one level per parameter, each range's midpoint: t1.s0 > c1.s0 (c000) fails
+    assert main(["lower", "--vocab", VOCAB, "--catalog", CATALOG,
+                 "--out", str(tmp_path), SCENARIO]) == 0
+    assert main(["concretize", "--out", str(tmp_path / "suites"), "--method", "equivalence",
+                 "--k", "1", str(tmp_path / "s1.logical.json")]) == 4
+    assert "satisfies constraints c000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

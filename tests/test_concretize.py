@@ -8,17 +8,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import scenkit.concretize
 import scenkit.logical
 from scenkit.concretize import (
     ConcreteScenario,
+    _components,
     _feasible_pairs,
-    _greedy_cover,
-    _level_masks,
-    _no_cover_of,
     _PairLayout,
-    _search_minimal,
-    _wrapper,
+    _value_lists,
     boundary_values,
     check_concrete,
     concrete_from_dict,
@@ -33,7 +29,6 @@ from scenkit.concretize import (
     suite_to_dict,
 )
 from scenkit.canonical import dumps_canonical
-from scenkit.cli import generate_suite
 from scenkit.errors import (
     BadK,
     BadN,
@@ -129,13 +124,22 @@ def test_pairwise_constrained_drops_infeasible_pairs():
     coverage = coverage_metrics(scenario, levels, suite)
     assert coverage.pair_coverage == 1.0
     assert coverage.infeasible_combination_count == 3
+    # p0 keeps 1 of its 4 levels, so 2 rows cover every pair
+    scenario = make_logical([("p0", 0, 3), ("p1", 0, 3)], [("p0", "<", "0.5")])
+    levels = {"p0": [0.0, 1.0, 2.0, 3.0], "p1": [0.0, 1.0]}
+    suite = pairwise_cover(scenario, levels)
+    assert len(suite) == 2
+    assert coverage_metrics(scenario, levels, suite).pair_coverage == 1.0
 
 
 def test_pairwise_all_levels_infeasible():
-    scenario = make_logical([("t1.s0", 0, 10), ("c1.s0", 0, 10)],
-                            [("t1.s0", ">", "c1.s0")])
-    with pytest.raises(InfeasibleLevels):
-        pairwise_cover(scenario, {"t1.s0": [5.0], "c1.s0": [5.0]})
+    scenario = make_logical([("t1.s0", 0, 10), ("c1.s0", 0, 10), ("a.x", 0, 1)],
+                            [("a.x", "<", "2"), ("t1.s0", ">", "c1.s0")])
+    with pytest.raises(InfeasibleLevels, match=r"satisfies constraints c001$"):
+        pairwise_cover(scenario, {"t1.s0": [5.0], "c1.s0": [5.0], "a.x": [0.0]})
+    constant = make_logical([("a.x", 0, 1), ("a.y", 0, 1)], [("a.x", "<", "2"), ("1", ">", "2")])
+    with pytest.raises(InfeasibleLevels, match=r"constraint c001 is false"):
+        pairwise_cover(constant, {"a.x": [0.0], "a.y": [0.0]})
 
 
 def test_pairwise_level_validation():
@@ -284,7 +288,7 @@ def test_coverage_counts_duplicate_levels_once():
 
 
 PIN_NAMES = [f"p{i}" for i in range(8)]
-PIN8_SHA256 = "7b0adc2aec9cb3b7cd132a90a8e9284916d07cf07468328bf3237cf33336d1e6"
+PIN8_SHA256 = "c3a5207ead267e1245771dbcba0654d06baea7cd5cf3327a4825abb2da3d1fd8"
 
 
 def test_pinned_suite_bytes_eight_parameters():
@@ -419,167 +423,7 @@ def test_logical_hash_is_computed_once_per_scenario(monkeypatch):
     assert len(calls) == 1
 
 
-# The pairwise cover's internals: the exact search, the Rao-bound skip and the
-# prefix-sharing row encoder must leave every suite as it was.
-
-class _BudgetExceeded(Exception):
-    pass
-
-
-def _search_minimal_reference(masks, all_pairs, size, budget):
-    """The exact search as it was before its scans became stop indices,
-    verbatim but for its name; ``_search_minimal`` must return the same."""
-    nodes = 0
-    pairs_per_row = max((m.bit_count() for m in masks), default=0)
-
-    def descend(start: int, chosen: list[int], uncovered: int, left: int) -> list[int] | None:
-        nonlocal nodes
-        if not uncovered:
-            return list(chosen)
-        slots = size - len(chosen)
-        if slots <= 0 or slots * pairs_per_row < left:
-            return None
-        # best-effort cut: only pursue rows that keep up with the average
-        # coverage the target size demands; uneven minimal suites are
-        # missed here and handled by the greedy fallback instead
-        need = -(-left // slots)
-        for index in range(start, len(masks)):
-            nodes += 1
-            if nodes > budget:
-                raise _BudgetExceeded
-            new = uncovered & masks[index]
-            gain = new.bit_count()
-            if gain < need:
-                continue
-            chosen.append(index)
-            found = descend(index + 1, chosen, uncovered ^ new, left - gain)
-            if found is not None:
-                return found
-            chosen.pop()
-        return None
-
-    try:
-        return descend(0, [], all_pairs, all_pairs.bit_count())
-    except _BudgetExceeded:
-        return None
-
-
-class _CountingMasks(list):
-    """A mask list that counts its indexed reads: one per node of the
-    reference search."""
-    reads = 0
-
-    def __getitem__(self, index):
-        self.reads += 1
-        return list.__getitem__(self, index)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 2**12 - 1), max_size=12),
-       st.integers(0, 2**14 - 1) | st.just(0), st.integers(1, 8))
-def test_search_minimal_matches_the_reference(masks, extra, size):
-    all_pairs = functools.reduce(operator.or_, masks, 0) | extra
-    counting = _CountingMasks(masks)
-    unbounded = _search_minimal_reference(counting, all_pairs, size, float("inf"))
-    nodes = counting.reads  # where the reference search stops without a budget
-    assert _search_minimal(masks, all_pairs, size, nodes) == unbounded
-    for budget in {0, 1, max(nodes - 1, 0), nodes + 1}:
-        assert (_search_minimal(masks, all_pairs, size, budget)
-                == _search_minimal_reference(masks, all_pairs, size, budget))
-
-
-def _cover_inputs(scenario, levels):
-    """(layout, row masks, all pairs, lower bound) as ``pairwise_cover`` builds
-    them; all pairs are the union of the row masks, which is what
-    ``_feasible_pairs`` must give without enumerating the rows."""
-    layout, masks, _ = _level_masks(scenario, levels)
-    all_pairs = functools.reduce(operator.or_, masks, 0)
-    assert _feasible_pairs(scenario, layout) == all_pairs
-    return layout, masks, all_pairs, max(layout.pair_counts(all_pairs))
-
-
-def _has_cover(masks, all_pairs, size, fields):
-    """Whether some ``size`` distinct masks cover ``all_pairs``, by exhaustive
-    search. A row shows one level pair of each parameter pair, so a field
-    (the level pairs of one parameter pair) may never hold more uncovered
-    pairs than slots are left, and a field holding exactly as many must gain
-    one from every row. The next row is tried from all masks with one chosen
-    uncovered pair, which every cover has; failed states are remembered."""
-    holding = {}  # pair bit -> the distinct masks with it
-    for mask in sorted(set(masks)):
-        bits = mask
-        while bits:
-            holding.setdefault(bits & -bits, []).append(mask)
-            bits &= bits - 1
-    failed = set()
-
-    def search(uncovered, slots):
-        if not uncovered:
-            return True
-        if (uncovered, slots) in failed:
-            return False
-        open_fields = [uncovered & field for field in fields]
-        if any(left.bit_count() > slots for left in open_fields):
-            return False
-        tight = [left for left in open_fields if left.bit_count() == slots]
-        target = tight[0] if tight else uncovered
-        for mask in holding.get(target & -target, ()):
-            if all(mask & left for left in tight) and search(uncovered & ~mask, slots - 1):
-                return True
-        failed.add((uncovered, slots))
-        return False
-
-    return search(all_pairs, size)
-
-
-def _pair_fields(layout, value_lists):
-    """The level-pair bits of each parameter pair."""
-    fields = []
-    for i, j in itertools.combinations(range(len(value_lists)), 2):
-        field = 0
-        for a, b in itertools.product(value_lists[i], value_lists[j]):
-            row = [None] * len(value_lists)
-            row[i], row[j] = a, b
-            field |= layout.encode(row)[0]
-        fields.append(field)
-    return fields
-
-
-def test_no_cover_of_is_sound():
-    rng = random.Random(61)
-    fired = 0
-    for _ in range(300):
-        names = [f"p{i}" for i in range(rng.randint(2, 6))]
-        shared = rng.randint(1, 3) if rng.random() < 0.7 else None
-        levels = {n: sorted(rng.sample(LEVEL_VALUES, shared or rng.randint(1, 3)))
-                  for n in names}
-        constraints = []
-        for _ in range(rng.randint(0, 2)):
-            a, b = rng.sample(names, 2)
-            constraints.append((a, rng.choice(COMPARATORS), rng.choice([b, "1.5"])))
-        scenario = make_logical([(n, 0, 3) for n in names], constraints)
-        try:
-            layout, masks, all_pairs, size = _cover_inputs(scenario, levels)
-        except InfeasibleLevels:
-            continue
-        if not _no_cover_of(layout, all_pairs, size):
-            continue
-        fired += 1
-        fields = _pair_fields(layout, [levels[n] for n in names])
-        assert not _has_cover(masks, all_pairs, size, fields), (levels, constraints)
-    assert fired >= 40
-
-
-def test_no_cover_of_needs_two_parameters():
-    # p0 keeps 1 of its 4 levels, so a 2-row suite covers every pair; the
-    # bound over p0 alone (1 + 3 rows) would wrongly rule it out
-    scenario = make_logical([("p0", 0, 3), ("p1", 0, 3)], [("p0", "<", "0.5")])
-    levels = {"p0": [0.0, 1.0, 2.0, 3.0], "p1": [0.0, 1.0]}
-    layout, _, all_pairs, size = _cover_inputs(scenario, levels)
-    assert size == 2
-    assert not _no_cover_of(layout, all_pairs, size)
-    assert len(pairwise_cover(scenario, levels)) == 2
-
+# The pairwise cover against the level product, which it never enumerates.
 
 @st.composite
 def encode_cases(draw):
@@ -592,8 +436,7 @@ def encode_cases(draw):
         for n in names}
     constraints = []
     for _ in range(draw(st.integers(0, 2))):
-        # any pair of positions, or one against a number: the last position a
-        # constraint reads decides where the row tuples stop
+        # any pair of positions, or one against a number
         a, b = draw(st.sampled_from(names)), draw(st.sampled_from(names + ["1.5"]))
         constraints.append((a, draw(st.sampled_from(COMPARATORS)), b))
     return make_logical([(n, -1, 3) for n in names], constraints), levels
@@ -604,87 +447,32 @@ def _first_distinct(values):
     return [v for i, v in enumerate(values) if v not in values[:i]]
 
 
+def _feasible_rows(scenario, value_lists):
+    names = [p.name for p in scenario.parameters]
+    return [row for row in itertools.product(*value_lists)
+            if all(c.holds(dict(zip(names, row))) for c in scenario.constraints)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(encode_cases())
-def test_level_masks_match_encode(case):
+def test_feasible_pairs_match_the_product(case):
+    """The level lists keep the first of equal levels, each component's
+    partial rows are the projections of the feasible product rows, and the
+    feasible pairs are the union of those rows' pairs."""
     scenario, levels = case
-    layout, masks, row = _level_masks(scenario, levels)
     value_lists = [sorted(_first_distinct(levels[p.name])) for p in scenario.parameters]
-    names = [p.name for p in scenario.parameters]
-    expected = [r for r in itertools.product(*value_lists)
-                if all(c.holds(dict(zip(names, r))) for c in scenario.constraints)]
-    rows = [row(i) for i in range(len(masks))]
-    assert repr(rows) == repr(sorted(expected))  # repr tells -0.0 from 0.0
-    assert masks == [layout.encode(r)[0] for r in rows]
-
-
-def _level_rows_reference(scenario, levels):
-    """``_level_rows`` as it was before masks were built level by level,
-    verbatim but for its name and for the level lists, read here as given."""
-    value_lists = [[float(v) for v in levels[p.name]] for p in scenario.parameters]
-    rows = itertools.product(*value_lists)
-    for check in scenario.compiled.checks:
-        rows = filter(check, rows)
-    return value_lists, sorted(rows)
-
-
-def _encode_sorted_reference(self, rows):
-    """``_PairLayout.encode_sorted`` as it was, verbatim but for its name;
-    ``self`` is the layout."""
-    steps = list(zip(self.onehots, self.shifts))
-    partial = [(0, 0)] * (len(steps) + 1)  # (pairs, values) of each prefix
-    previous: tuple = ()
-    masks = []
-    for row in rows:
-        shared = 0
-        for value, before in zip(row, previous):
-            if value is not before:
-                break
-            shared += 1
-        pairs, values = partial[shared]
-        for position in range(shared, len(steps)):
-            onehot, shifts = steps[position]
-            value = row[position]
-            pairs |= values << shifts[value]
-            values |= onehot[value]
-            partial[position + 1] = pairs, values
-        masks.append(pairs)
-        previous = row
-    return masks
-
-
-def _pairwise_cover_reference(scenario, levels):
-    """``pairwise_cover`` over the reference rows and masks, for distinct levels."""
-    value_lists, rows = _level_rows_reference(scenario, levels)
-    names = scenario.compiled.names
-    if not names:
-        return []
-    if not rows:
-        raise InfeasibleLevels("no combination of the given levels satisfies the constraints")
-    wrap = _wrapper(scenario, "pairwise")
-    if len(names) == 1:
-        return [wrap({names[0]: row[0]}, i) for i, row in enumerate(rows)]
+    assert repr(_value_lists(scenario, levels)) == repr(value_lists)  # repr tells -0.0 from 0.0
+    feasible = _feasible_rows(scenario, value_lists)
+    if not feasible:
+        with pytest.raises(InfeasibleLevels):
+            _components(scenario, value_lists)
+        return
+    components = _components(scenario, value_lists)
+    for positions, rows in components:
+        assert rows == sorted({tuple(row[p] for p in positions) for row in feasible})
     layout = _PairLayout(value_lists)
-    masks = _encode_sorted_reference(layout, rows)
-    all_pairs = functools.reduce(operator.or_, masks, 0)
-    lower_bound = max(layout.pair_counts(all_pairs))
-    chosen = None
-    if not _no_cover_of(layout, all_pairs, lower_bound):
-        chosen = _search_minimal(masks, all_pairs, lower_bound,
-                                 scenkit.concretize.EXACT_SEARCH_NODES)
-    if chosen is None:
-        chosen = _greedy_cover(masks, all_pairs)
-    return [wrap(dict(zip(names, rows[index])), position)
-            for position, index in enumerate(chosen)]
-
-
-def _suite_bytes(cover, scenario, levels):
-    """The suite-plus-coverage text of ``cover``'s suite, or its error type."""
-    try:
-        suite = cover(scenario, levels)
-    except InfeasibleLevels as error:
-        return type(error).__name__
-    return dumps_canonical(suite_to_dict(suite, coverage_metrics(scenario, levels, suite)))
+    assert _feasible_pairs(layout, components) == functools.reduce(
+        operator.or_, (layout.encode(row)[0] for row in feasible), 0)
 
 
 @st.composite
@@ -716,36 +504,55 @@ def reference_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(reference_cases())
 def test_pairwise_cover_matches_the_reference(case):
+    """The reference is the level product: the suite covers every level pair
+    of its feasible rows (one parameter: lists its feasible levels) and every
+    scenario passes ``check_concrete``; with no feasible row the cover raises
+    ``InfeasibleLevels``."""
     scenario, levels = case
-    assert (_suite_bytes(pairwise_cover, scenario, levels)
-            == _suite_bytes(_pairwise_cover_reference, scenario, levels))
+    names = [p.name for p in scenario.parameters]
+    feasible = _feasible_rows(scenario, [levels[n] for n in names])
+    if not feasible:
+        with pytest.raises(InfeasibleLevels):
+            pairwise_cover(scenario, levels)
+        return
+    suite = pairwise_cover(scenario, levels)
+    assert all(check_concrete(scenario, c) == [] for c in suite)
+    if len(names) == 1:
+        assert [c.assignments[names[0]] for c in suite] == sorted({row[0] for row in feasible})
+    wanted = {((i, row[i]), (j, row[j]))
+              for row in feasible for i, j in itertools.combinations(range(len(names)), 2)}
+    assert suite_pairs(names, suite) >= wanted
 
 
-def test_rao_skip_guards(monkeypatch, logical_scenario):
-    names = [f"p{i}" for i in range(7)]
-    scenario = make_logical([(n, 0, 3) for n in names])
+def test_pairwise_past_the_level_product():
+    # 4**12 = 16.7M level rows, which the cover never enumerates
+    names = [f"p{i}" for i in range(12)]
+    scenario = make_logical([(n, 0, 3) for n in names], [("p3", "<", "p7")])
     levels = {n: [0.0, 1.0, 2.0, 3.0] for n in names}
-    searched = []
-    original = scenkit.concretize._search_minimal
+    suite = pairwise_cover(scenario, levels)
+    assert coverage_metrics(scenario, levels, suite).pair_coverage == 1.0
+    assert all(check_concrete(scenario, c) == [] for c in suite)
 
-    def refuse(*args):
-        raise AssertionError("a 7 x 4 cover has no 16-row suite to search for")
 
-    monkeypatch.setattr(scenkit.concretize, "_search_minimal", refuse)
-    assert len(pairwise_cover(scenario, levels)) == 28
-    monkeypatch.setattr(scenkit.concretize, "_search_minimal",
-                        lambda *args: searched.append(args[2]) or original(*args))
-    suite, _ = generate_suite(logical_scenario, "pairwise", 2, 0, 0)
-    assert searched == [16]  # the worked example still searches, and fails
-    assert len(suite) == 24
+@pytest.mark.parametrize("count, levels, rows", [
+    (3, 2, 4), (4, 3, 9), (6, 5, 25), (8, 7, 49),  # Bose's orthogonal arrays: s * s rows
+    (5, 3, None), (5, 4, None),  # too many parameters, or not prime: the density rows
+])
+def test_pairwise_orthogonal_array_shapes(count, levels, rows):
+    names = [f"p{i}" for i in range(count)]
+    scenario = make_logical([(n, 0, levels - 1) for n in names])
+    level_lists = {n: [float(v) for v in range(levels)] for n in names}
+    suite = pairwise_cover(scenario, level_lists)
+    assert rows is None or len(suite) == rows
+    assert len(suite_pairs(names, suite)) == count * (count - 1) // 2 * levels * levels
 
 
 @pytest.mark.parametrize("count, levels, constraints, sha256", [
-    (7, 4, [], "0b0755bad5f69fa40c70b035bbe6d98273f99c0396eae62cf7a753e5bc5fccba"),
-    (8, 3, [], "a68ff419cae2bfb201d7e44e23b327e21ae1cfc4ba641a958a785572f66f602f"),
+    (7, 4, [], "bf808469cb93da5e084fcd102c87f9b59079d3f417b3aa9c2c2fbc88116e2eb7"),
+    (8, 3, [], "b104d771a365b7c599f411bf83de2796e8e18516cf55b9bb5f3b5c69548c6cfe"),
     (6, 5, [("p0", ">", "p1")],
-     "645b8fca358b404e93d7dffd09ed5de80e0228893c8f231bcbd307a515652cb4"),
-])
+     "9985e5cbbaeb4f6d03b7d8bf8d3de92e8318519a1256a9ad3bce1da313bead58"),
+], ids=["7x4", "8x3", "6x5"])
 def test_pinned_suite_bytes_pairwise_shapes(count, levels, constraints, sha256):
     names = [f"p{i}" for i in range(count)]
     scenario = make_logical([(n, 0, levels - 1) for n in names], constraints,
@@ -757,13 +564,13 @@ def test_pinned_suite_bytes_pairwise_shapes(count, levels, constraints, sha256):
 
 
 @pytest.mark.parametrize("constraint, sha256", [
-    (("p0", ">", "1"), "54c3f8ef463ae78fd33fdf74528447b59e1a44a4261f99ed991cb71bcef3ad53"),
-    (("p1", "<", "p4"), "716149d1684550e83ce88a6ff6ae53e802ede5a0697f0eb581ea342e70d879e1"),
-    (("p2 + p5", ">=", "p7"), "fcb857ab99d8cd594d4dc5c69d3d6221d5231b8302a5126f5794489cdbfd10b1"),
+    (("p0", ">", "1"), "17935f1a3e8a27a91e9178c40f783e9088d6701a57f3d8f2e52a61e59c9074bb"),
+    (("p1", "<", "p4"), "ed4d4f9269e92fb6526f67434ef8b33a3fba9bdb4433cccc55c22d1ddefea9de"),
+    (("p2 + p5", ">=", "p7"), "ba5da2667551fcd840435912019108dfc4bf9d025f9f8cdb26dbb4522956f942"),
 ], ids=["split-first", "split-middle", "split-last"])
 def test_pinned_suite_bytes_constraint_split(constraint, sha256):
-    # the last constrained parameter is the first, a middle or the last one,
-    # so the rows are all tail, prefix and tail, or all prefix
+    # the one constraint component is at the start, inside or at the end of
+    # the row, so a row is filled around it in a different order each time
     names = [f"p{i}" for i in range(8)]
     scenario = make_logical([(n, 0, 3) for n in names], [constraint], scenario_id="split8x4")
     level_lists = {n: [float(v) for v in range(4)] for n in names}
