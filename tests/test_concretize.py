@@ -124,11 +124,16 @@ def test_pairwise_constrained_drops_infeasible_pairs():
     coverage = coverage_metrics(scenario, levels, suite)
     assert coverage.pair_coverage == 1.0
     assert coverage.infeasible_combination_count == 3
-    # p0 keeps 1 of its 4 levels, so 2 rows cover every pair
+
+
+def test_no_cover_of_needs_two_parameters():
+    # p0 keeps 1 of its 4 levels, so 2 rows cover every pair; a size bound
+    # over p0's four levels alone (1 + 3 rows) would wrongly ask for more
     scenario = make_logical([("p0", 0, 3), ("p1", 0, 3)], [("p0", "<", "0.5")])
     levels = {"p0": [0.0, 1.0, 2.0, 3.0], "p1": [0.0, 1.0]}
     suite = pairwise_cover(scenario, levels)
     assert len(suite) == 2
+    assert all(check_concrete(scenario, c) == [] for c in suite)
     assert coverage_metrics(scenario, levels, suite).pair_coverage == 1.0
 
 
