@@ -21,16 +21,18 @@ infinity, and ``json`` would write a bare ``NaN`` that no loader here reads.
 Every artifact format is declared as field tables: a ``Record`` lists one
 ``Field`` per JSON key. ``Record.decode`` reads a loaded document through its
 table and raises a ``SchemaViolation`` naming the record and the key;
-``Record.encode`` builds the dict that ``dumps_canonical`` writes. A rule
-beyond one field's JSON type lives with the module that owns the record.
+``Record.encode`` builds the dict that ``dumps_canonical`` writes.
+``Record.dumps`` writes the same text straight from a record's attributes,
+through a writer compiled from the table, and ``dumps_canonical`` of
+``Record.encode`` is its reference. A rule beyond one field's JSON type lives
+with the module that owns the record.
 """
-
-from __future__ import annotations
 
 import hashlib
 import json
 import math
 import re
+from functools import cached_property
 from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
@@ -96,13 +98,19 @@ def _encode(value, indent: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def dumps_canonical(obj) -> str:
-    """``obj`` as canonical JSON; a value nested too deeply to encode, or a
-    float that is not finite, is a ``SchemaViolation``."""
+def document_text(write, value) -> str:
+    """``write(value, indent)`` as a whole document: from the first column,
+    with a trailing newline. A value nested too deeply to encode, or a float
+    that is not finite, is a ``SchemaViolation``."""
     try:
-        return _encode(obj, "\n") + "\n"
+        return write(value, "\n") + "\n"
     except RecursionError as exc:
         raise SchemaViolation("value nested too deeply to encode") from exc
+
+
+def dumps_canonical(obj) -> str:
+    """``obj`` as canonical JSON."""
+    return document_text(_encode, obj)
 
 
 def content_hash(obj) -> str:
@@ -124,7 +132,9 @@ def load_json(source: str, loads=json.loads):
 # Each type reads a loaded JSON value with ``decode(value, where, key)``:
 # ``where`` names the record holding the value and ``key`` its key there, or
 # ``key`` is None and ``where`` names the value. ``encode``, unless None,
-# turns a read value back into JSON values.
+# turns a read value back into JSON values. A type that nests records also
+# has ``write(value, indent)``, which writes the canonical JSON text of its
+# encoding without building it; ``indent`` is as in ``_encode``.
 
 def _error(where: str, key, problem: str) -> SchemaViolation:
     return SchemaViolation(f"{where} {problem}" if key is None else f"{where}: {key!r} {problem}")
@@ -132,6 +142,15 @@ def _error(where: str, key, problem: str) -> SchemaViolation:
 
 def _path(where: str, key) -> str:
     return where if key is None else f"{where}.{key}"
+
+
+def _writer(kind):
+    """``kind.write``, or for a type without one, ``_encode`` of its encoding."""
+    write = getattr(kind, "write", None)
+    if write is None:
+        encode = kind.encode
+        write = _encode if encode is None else lambda value, indent: _encode(encode(value), indent)
+    return write
 
 
 class Scalar:
@@ -219,6 +238,14 @@ class List:
     def encode(self, value) -> list:
         return list(value) if self.item.encode is None else list(map(self.item.encode, value))
 
+    def write(self, value, indent: str) -> str:
+        write = getattr(self.item, "write", None)
+        if write is None:
+            return _encode(self.encode(value), indent)
+        inner = indent + "  "
+        items = [write(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+
 
 class Map:
     """A JSON object of any keys whose values are of one type, read as a dict."""
@@ -275,6 +302,7 @@ class Record:
     def __init__(self, make, *fields: Field, tag: tuple[str, str] | None = None, check=None,
                  name: str = ""):
         self.make, self.tag, self.check, self.name = make, tag, check, name
+        self.fields = fields
         attrs = [field.attr or field.key for field in fields]
         self.readers = [(f.key, attr, f.type.decode, f.default) for f, attr in zip(fields, attrs)]
         self.writers = [(f.key, f.type.encode, f.omit, f.default) for f in fields]
@@ -312,17 +340,51 @@ class Record:
                 document[key] = item if encode is None or item is None else encode(item)
         return document
 
+    @cached_property
+    def write(self):
+        """``writer()``, compiled when a record of this table is first written."""
+        return self.writer()
+
+    def writer(self, **types):
+        """``write(value, indent)``, compiled from the field table: the text of
+        ``dumps_canonical(self.encode(value))`` from ``indent`` on, written
+        from the value's attributes. The keys are sorted here, once, and each
+        field's type writes its value. ``types`` replaces the type of the
+        fields it names by key, e.g. with ``TEXT`` for a value written before."""
+        entries = [(self.tag[0], encode_basestring(self.tag[0]) + ": "
+                    + encode_basestring(self.tag[1]), None, None, False, None)] if self.tag else []
+        for n, field in enumerate(self.fields):
+            entries.append((field.key, encode_basestring(field.key) + ": ", n,
+                            _writer(types.get(field.key, field.type)), field.omit, field.default))
+        entries.sort(key=itemgetter(0))
+        get = (lambda value: value) if self.make is tuple else self.get
+
+        def write(value, indent: str) -> str:
+            items = get(value)
+            inner = indent + "  "
+            parts = []
+            for _, prefix, n, write_item, omit, default in entries:
+                if n is None:  # the tag
+                    parts.append(prefix)
+                    continue
+                item = items[n]
+                if not (omit and item == default):
+                    parts.append(prefix + ("null" if item is None else write_item(item, inner)))
+            return "{" + inner + ("," + inner).join(parts) + indent + "}" if parts else "{}"
+        return write
+
     def loads(self, source: str):
         """A document's JSON text, read."""
         return self.decode(load_json(source))
 
     def dumps(self, value) -> str:
-        """A document as canonical JSON text."""
-        return dumps_canonical(self.encode(value))
+        """A document as canonical JSON text, equal to
+        ``dumps_canonical(self.encode(value))``."""
+        return document_text(self.write, value)
 
     def digest(self, value) -> str:
         """The content hash of a document."""
-        return content_hash(self.encode(value))
+        return hashlib.sha256(self.dumps(value).encode("utf-8")).hexdigest()
 
 
 class Object:
@@ -362,6 +424,23 @@ class Union:
 
     def encode(self, value) -> dict:
         return self.records[getattr(value, self.key)].encode(value)
+
+    def write(self, value, indent: str) -> str:
+        return self.records[getattr(value, self.key)].write(value, indent)
+
+
+class _Text:
+    """JSON text already written at the indent it is put at, written as it
+    is; a type to write with, not to read."""
+
+    plural, encode = "texts", None
+
+    @staticmethod
+    def write(text: str, indent: str) -> str:
+        return text
+
+
+TEXT = _Text()
 
 
 # A scenario id names its output files (``<id>.logical.json``, ``cases/<id>/``),

@@ -39,10 +39,13 @@ def _read(path) -> str:
 
 
 def generate_suite(scenario: LogicalScenario, method: str, k: int, n: int, seed: int):
-    """Build a concrete suite; returns (scenarios, levels used for coverage)."""
+    """Build a concrete suite and measure its coverage; returns (scenarios,
+    coverage). A suite built from levels enumerates each constraint
+    component's level rows once, for both."""
     boundary = {p.name: cz.boundary_values(p) for p in scenario.parameters}
     if method == "random":
-        return cz.sample_random(scenario, n, seed), boundary
+        scenarios = cz.sample_random(scenario, n, seed)
+        return scenarios, cz.coverage_metrics(scenario, boundary, scenarios)
     if method == "boundary":
         levels = boundary
     elif method == "equivalence":
@@ -53,7 +56,9 @@ def generate_suite(scenario: LogicalScenario, method: str, k: int, n: int, seed:
                   for p in scenario.parameters}
     else:
         raise ScenarioError(f"unknown method {method!r}")
-    return cz.pairwise_cover(scenario, levels, method), levels
+    components = cz.level_components(scenario, levels)
+    scenarios = cz.pairwise_cover(scenario, levels, method, components)
+    return scenarios, cz.coverage_metrics(scenario, levels, scenarios, components)
 
 
 def _write(target: Path, text: str) -> None:
@@ -83,8 +88,7 @@ def _claim(seen: dict, scenario_id: str, path) -> None:
 def _build_suite(logical: LogicalScenario, args, seed: int):
     """Build the suite and measure its coverage; returns (scenarios, coverage,
     the suite file's text)."""
-    scenarios, levels = generate_suite(logical, args.method, args.k, args.n, seed)
-    coverage = cz.coverage_metrics(logical, levels, scenarios)
+    scenarios, coverage = generate_suite(logical, args.method, args.k, args.n, seed)
     return scenarios, coverage, dumps_canonical(cz.suite_to_dict(scenarios, coverage))
 
 
@@ -190,11 +194,8 @@ def _export_cases(logical, scenarios, args, inputs, destination) -> dict:
     if not scenarios:
         raise SchemaViolation(f"scenario {logical.scenario_id!r}: no concrete scenario to export")
     expected, meta = inputs
-    cases = (tc.assemble_test_case(
-                 concrete, tc.synthesize_traces(logical, concrete, args.duration, args.dt),
-                 meta, expected)
-             for concrete in scenarios)
-    return tc.export_suite(cases, destination)
+    export = tc.Export(logical, scenarios, args.duration, args.dt, meta, expected)
+    return tc.export_suite(scenarios, destination, export.render)
 
 
 def cmd_export(args) -> int:
@@ -246,10 +247,6 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser):
-    parser.add_argument("--json", action="store_true", help="machine-readable reports")
-
-
 def _add_method(parser):
     parser.add_argument("--method", default="pairwise",
                         choices=["boundary", "equivalence", "pairwise", "random"])
@@ -268,55 +265,71 @@ def _add_export(parser):
     parser.add_argument("--configuration", default="default")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _validate_arguments(parser):
+    parser.add_argument("--vocab", required=True)
+    parser.add_argument("scenarios", nargs="+")
+
+
+def _lower_arguments(parser):
+    parser.add_argument("--vocab", required=True)
+    parser.add_argument("--catalog", required=True)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("scenarios", nargs="+")
+
+
+def _concretize_arguments(parser):
+    parser.add_argument("--out", required=True)
+    parser.add_argument("scenarios", nargs="+")
+    _add_method(parser)
+
+
+def _export_arguments(parser):
+    parser.add_argument("--logical", required=True)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("suite")
+    _add_export(parser)
+
+
+def _pipeline_arguments(parser):
+    _lower_arguments(parser)
+    _add_method(parser)
+    _add_export(parser)
+
+
+# name: (help line, command, adds its arguments but --json)
+COMMANDS = {
+    "validate": ("parse and consistency-check functional scenarios", cmd_validate,
+                 _validate_arguments),
+    "lower": ("lower functional scenarios to logical scenarios", cmd_lower, _lower_arguments),
+    "concretize": ("derive concrete suites from logical scenarios", cmd_concretize,
+                   _concretize_arguments),
+    "export": ("turn a concrete suite into test case files", cmd_export, _export_arguments),
+    "pipeline": ("run the whole chain end to end", cmd_pipeline, _pipeline_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand's name and help line, and of the
+    arguments of ``command`` alone: a run parses one subcommand, and adding
+    the arguments of all five took about 1 ms, near a tenth of a small run."""
     parser = argparse.ArgumentParser(prog="scenkit",
                                      description="functional/logical/concrete scenario pipeline")
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    p = subparsers.add_parser("validate", help="parse and consistency-check functional scenarios")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("scenarios", nargs="+")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = subparsers.add_parser("lower", help="lower functional scenarios to logical scenarios")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--catalog", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("scenarios", nargs="+")
-    _add_common(p)
-    p.set_defaults(func=cmd_lower)
-
-    p = subparsers.add_parser("concretize", help="derive concrete suites from logical scenarios")
-    p.add_argument("--out", required=True)
-    p.add_argument("scenarios", nargs="+")
-    _add_method(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_concretize)
-
-    p = subparsers.add_parser("export", help="turn a concrete suite into test case files")
-    p.add_argument("--logical", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("suite")
-    _add_export(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_export)
-
-    p = subparsers.add_parser("pipeline", help="run the whole chain end to end")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--catalog", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("scenarios", nargs="+")
-    _add_method(p)
-    _add_export(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_pipeline)
-
+    for name, (summary, func, add_arguments) in COMMANDS.items():
+        subparser = subparsers.add_parser(name, help=summary)
+        if name == command:
+            add_arguments(subparser)
+            subparser.add_argument("--json", action="store_true", help="machine-readable reports")
+            subparser.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse reads the first argument that names a subcommand as the subcommand:
+    # the top-level parser has no option that takes a value
+    command = next((arg for arg in argv if arg in COMMANDS), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except ScenarioError as exc:

@@ -7,8 +7,6 @@ consumer evaluates constraints through the scenario's compiled form, which
 reads a row tuple in parameter order.
 """
 
-from __future__ import annotations
-
 import random
 from itertools import product
 from typing import NamedTuple
@@ -314,8 +312,14 @@ def _density_rows(layout: _PairLayout, value_lists: list[list[float]],
     return suite
 
 
-def pairwise_cover(scenario: LogicalScenario, levels: dict,
-                   method: str = "pairwise") -> list[ConcreteScenario]:
+def level_components(scenario: LogicalScenario, levels: dict) -> list:
+    """``_components`` of ``levels``, enumerated once for both
+    ``pairwise_cover`` and ``coverage_metrics`` of one suite."""
+    return _components(scenario, _value_lists(scenario, levels))
+
+
+def pairwise_cover(scenario: LogicalScenario, levels: dict, method: str = "pairwise",
+                   components: list | None = None) -> list[ConcreteScenario]:
     """Covering suite: every feasible level pair appears in >= 1 scenario.
 
     Feasibility is decided per constraint component (``_components``), so the
@@ -324,12 +328,14 @@ def pairwise_cover(scenario: LogicalScenario, levels: dict,
     enumerated. Without constraints, a shape that Bose's orthogonal array
     fits gets its ``s * s`` rows; every other suite is built by
     ``_density_rows``. ``method`` labels the scenarios and their ids.
+    ``components``, if given, is ``level_components(scenario, levels)``.
     """
     value_lists = _value_lists(scenario, levels)
     names = scenario.compiled.names
     if not names:
         return []
-    components = _components(scenario, value_lists)
+    if components is None:
+        components = _components(scenario, value_lists)
     wrap = _wrapper(scenario, method)
     if len(names) == 1:
         values = [row[0] for row in components[0][1]] if components else value_lists[0]
@@ -426,16 +432,19 @@ def _feasible_pairs(layout: _PairLayout, components: list) -> int:
     return pairs
 
 
-def coverage_metrics(scenario: LogicalScenario, levels: dict,
-                     scenarios: list[ConcreteScenario]) -> CoverageReport:
-    """Mechanical pair and boundary coverage, exact until the final division."""
+def coverage_metrics(scenario: LogicalScenario, levels: dict, scenarios: list[ConcreteScenario],
+                     components: list | None = None) -> CoverageReport:
+    """Mechanical pair and boundary coverage, exact until the final division.
+    ``components``, if given, is ``level_components(scenario, levels)``."""
     for concrete in scenarios:
         check_source(scenario, concrete)
 
     value_lists = _value_lists(scenario, levels)
     layout = _PairLayout(value_lists)
     try:
-        feasible = _feasible_pairs(layout, _components(scenario, value_lists))
+        if components is None:
+            components = _components(scenario, value_lists)
+        feasible = _feasible_pairs(layout, components)
     except InfeasibleLevels:
         feasible = 0  # no level row satisfies every constraint
     names = scenario.compiled.names

@@ -4,8 +4,6 @@ Exit codes follow the CLI contract: 0 ok, 1 findings, 2 I/O, 3 syntax/content,
 4 infeasible, 5 internal.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 

@@ -14,8 +14,6 @@ instance's entity term whose allowed values contain the value, so
 ``road r1 is two-lane-motorway`` reads naturally while staying grounded.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .canonical import SCENARIO_ID, STRING, Field, List, Record, is_scenario_id

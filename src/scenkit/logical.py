@@ -6,8 +6,6 @@ ranges and optional distributions, plus inequality and correlation
 constraints over those parameters.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Callable
 from functools import cached_property, partial
@@ -77,7 +75,7 @@ class Inequality(_Inequality):
     def describe(self) -> str:
         return f"{self.lhs} {self.op} {self.rhs}"
 
-    def renamed(self, id: str, rename: Callable[[str], str], provenance) -> Inequality:
+    def renamed(self, id: str, rename: Callable[[str], str], provenance) -> "Inequality":
         """This constraint under ``id``, each variable ``name`` read as ``rename(name)``."""
         lhs, rhs = (expressions.format_expr(expressions.rename_expr(side, rename))
                     for side in self.parsed)
@@ -113,7 +111,7 @@ class Correlation(NamedTuple):
         return (f"{self.target} = {self.slope!r}*{self.source} + {self.intercept!r} "
                 f"+- {self.tolerance!r}")
 
-    def renamed(self, id: str, rename: Callable[[str], str], provenance) -> Correlation:
+    def renamed(self, id: str, rename: Callable[[str], str], provenance) -> "Correlation":
         """This constraint under ``id``, each variable ``name`` read as ``rename(name)``."""
         return self._replace(id=id, target=rename(self.target), source=rename(self.source),
                              provenance=provenance)
@@ -137,7 +135,7 @@ class LogicalScenario(_LogicalScenario):
         return None
 
     @cached_property
-    def compiled(self) -> CompiledScenario:
+    def compiled(self) -> "CompiledScenario":
         return CompiledScenario(self)
 
     @cached_property

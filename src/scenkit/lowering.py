@@ -9,8 +9,6 @@ is the first argument), e.g. ``B.s0 > A.s0`` for ``A follows B``. Lowering
 assigns qualified names, constraint ids and provenance.
 """
 
-from __future__ import annotations
-
 import re
 import string
 from typing import NamedTuple

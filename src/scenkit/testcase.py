@@ -9,13 +9,12 @@ input data hold only these signals; every other assignment, such as a lane
 width, is an environmental condition, so each value is written once.
 """
 
-from __future__ import annotations
-
 import hashlib
 import math
 import os
 import shutil
 import sys
+from collections import Counter
 from collections.abc import Iterable
 from pathlib import Path
 from typing import NamedTuple
@@ -27,12 +26,13 @@ from .canonical import (
     NUMBERS,
     SOURCE_REF,
     STRING,
+    TEXT,
     Choice,
     Field,
     List,
     Number,
     Record,
-    content_hash,
+    document_text,
     dumps_canonical,
 )
 from .concretize import ConcreteScenario, check_source, concrete_hash
@@ -98,24 +98,28 @@ def check_timing(dt: float, duration: float) -> None:
                         f"samples per signal")
 
 
-def synthesize_traces(scenario: LogicalScenario, concrete: ConcreteScenario,
-                      duration: float, dt: float) -> list[TimeSeries]:
-    """The kinematic signals: position ``<i>.s`` and speed ``<i>.v`` of every
-    instance with ``scalar-initial`` parameters, which needs both ``s0`` and
-    ``v0`` declared and assigned. Every other assignment is an environmental
-    condition."""
+def _grid(scenario: LogicalScenario, duration: float, dt: float) -> tuple[list, dict]:
+    """The sample times, and the ``scalar-initial`` parameters of each
+    instance by local name: what the traces of one export share."""
     check_timing(dt, duration)
-    check_source(scenario, concrete)
-
-    count = math.floor(duration / dt) + 1
-    times = [i * dt for i in range(count)]
-
     initial: dict[str, dict] = {}
     for parameter in scenario.parameters:
         if parameter.kind == "scalar-initial":
             instance, _, local = parameter.name.partition(".")
             initial.setdefault(instance, {})[local] = parameter
+    return [i * dt for i in range(math.floor(duration / dt) + 1)], initial
 
+
+def synthesize_traces(scenario: LogicalScenario, concrete: ConcreteScenario,
+                      duration: float, dt: float, grid: tuple | None = None) -> list[TimeSeries]:
+    """The kinematic signals: position ``<i>.s`` and speed ``<i>.v`` of every
+    instance with ``scalar-initial`` parameters, which needs both ``s0`` and
+    ``v0`` declared and assigned. Every other assignment is an environmental
+    condition. ``grid`` is ``_grid(scenario, duration, dt)``, made once per
+    export rather than once per case."""
+    times, initial = _grid(scenario, duration, dt) if grid is None else grid
+    check_source(scenario, concrete)
+    count = len(times)
     traces: list[TimeSeries] = []
     for instance, parameters in initial.items():
         s0 = concrete.assignments.get(f"{instance}.s0")
@@ -141,21 +145,34 @@ def recover_assignments(concrete: ConcreteScenario, traces: list[TimeSeries]) ->
     return recovered
 
 
-def assemble_test_case(concrete: ConcreteScenario, traces: list[TimeSeries],
-                       meta: dict, expected: ExpectedBehavior) -> TestCase:
-    """Build a test case; the unique id is a content hash, so identical inputs
-    always produce the identical id."""
-    work_product_ref = meta.get("work_product_ref", "")
-    preconditions = meta.get("preconditions", "")
-    configuration = meta.get("configuration", "")
-    if not work_product_ref:
-        raise IncompleteField("work_product_ref")
-    if not preconditions:
-        raise IncompleteField("preconditions")
-    if not configuration:
-        raise IncompleteField("configuration")
+_META_KEYS = ("work_product_ref", "preconditions", "configuration")
+
+
+def _header(meta: dict, expected: ExpectedBehavior) -> tuple[tuple, object]:
+    """The fields ``meta`` gives a test case, checked, and the sha256 state
+    of its unique-id digest up to the value of the last key, ``"source"``:
+    what the cases of one export share. The digest is ``content_hash`` of
+    ``{"source": <concrete hash>, "meta": ..., "expected": ...}``."""
+    fields = tuple(meta.get(key, "") for key in _META_KEYS)
+    for key, value in zip(_META_KEYS, fields):
+        if not value:
+            raise IncompleteField(key)
     if not expected.description:
         raise IncompleteField("expected_behavior")
+    text = dumps_canonical({"source": "", "meta": dict(zip(_META_KEYS, fields)),
+                            "expected": EXPECTED.encode(expected)})
+    # "source" sorts last: the text ends with its empty value and the brace
+    return fields, hashlib.sha256(text[:-len('""\n}\n')].encode("utf-8"))
+
+
+def assemble_test_case(concrete: ConcreteScenario, traces: list[TimeSeries],
+                       meta: dict, expected: ExpectedBehavior,
+                       header: tuple | None = None) -> TestCase:
+    """Build a test case; the unique id is a content hash, so identical inputs
+    always produce the identical id. ``header`` is ``_header(meta,
+    expected)``, made once per export rather than once per case."""
+    fields, digest = _header(meta, expected) if header is None else header
+    work_product_ref, preconditions, configuration = fields
     if not traces:
         raise IncompleteField("input_data")
 
@@ -172,16 +189,11 @@ def assemble_test_case(concrete: ConcreteScenario, traces: list[TimeSeries],
         raise IncompleteField("environmental_conditions")
 
     source_hash = concrete_hash(concrete)
-    digest_input = {
-        "source": source_hash,
-        "meta": {"work_product_ref": work_product_ref, "preconditions": preconditions,
-                 "configuration": configuration},
-        "expected": EXPECTED.encode(expected),
-    }
-    unique_id = "tc-" + content_hash(digest_input)[:16]
+    digest = digest.copy()
+    digest.update(f'"{source_hash}"\n}}\n'.encode("ascii"))  # a hex digest needs no escape
 
     return TestCase(
-        unique_id=unique_id,
+        unique_id="tc-" + digest.hexdigest()[:16],
         work_product_ref=work_product_ref,
         preconditions=preconditions,
         configuration=configuration,
@@ -220,6 +232,64 @@ testcase_to_dict = TESTCASE.encode
 testcase_from_dict = TESTCASE.decode
 serialize_testcase = TESTCASE.dumps
 deserialize_testcase = TESTCASE.loads
+
+# The indent of a series of ``input_data`` in a test case file.
+_SERIES_INDENT = "\n    "
+
+
+class Export:
+    """What one export of ``scenarios`` renders once rather than once per
+    case: the timing grid and each instance's kinematic parameters
+    (``_grid``), the checked header and its digest state (``_header``), the
+    text of the expected behaviour, and the text of each trace that recurs
+    in a later case: a position trace of the same ``(instance, s0, v0)``, a
+    speed trace of the same ``(instance, v0)``. Those are keyed on exact
+    float bits, so ``-0.0`` and ``0.0`` differ, and counted in one pass over
+    the suite; each text is dropped after its last use, so a suite without
+    repeats keeps none."""
+
+    def __init__(self, scenario: LogicalScenario, scenarios: list[ConcreteScenario],
+                 duration: float, dt: float, meta: dict, expected: ExpectedBehavior):
+        self.scenario, self.duration, self.dt = scenario, duration, dt
+        self.meta, self.expected = meta, expected
+        self.grid = _grid(scenario, duration, dt)
+        self.header = _header(meta, expected)
+        self.expected_text = EXPECTED.write(expected, "\n  ")
+        self.write = TESTCASE.writer(input_data=List(TEXT), expected_behavior=TEXT)
+        uses = Counter(key for concrete in scenarios for key in self._keys(concrete))
+        self.repeats = {key: [count, None] for key, count in uses.items()
+                        if count > 1 and key is not None}  # key: [uses left, text]
+
+    def _keys(self, concrete: ConcreteScenario):
+        """The key of each trace, in trace order; None where ``s0`` or ``v0``
+        is not a float. Floats that are equal and not zero have the same
+        bits; a zero is keyed by its hex form, which keeps its sign."""
+        for instance in self.grid[1]:
+            s0 = concrete.assignments.get(f"{instance}.s0")
+            v0 = concrete.assignments.get(f"{instance}.v0")
+            floats = type(s0) is type(v0) is float
+            yield (instance, "s", s0 or s0.hex(), v0 or v0.hex()) if floats else None
+            yield (instance, "v", v0 or v0.hex()) if floats else None
+
+    def _series(self, key, trace: TimeSeries) -> str:
+        entry = self.repeats.get(key)
+        if entry is None:
+            return SERIES.write(trace, _SERIES_INDENT)
+        if entry[1] is None:
+            entry[1] = SERIES.write(trace, _SERIES_INDENT)
+        entry[0] -= 1
+        if not entry[0]:
+            del self.repeats[key]
+        return entry[1]
+
+    def render(self, concrete: ConcreteScenario) -> tuple[str, str]:
+        """The unique id and file text of the test case of ``concrete``,
+        equal to ``serialize_testcase`` of that case."""
+        traces = synthesize_traces(self.scenario, concrete, self.duration, self.dt, self.grid)
+        case = assemble_test_case(concrete, traces, self.meta, self.expected, self.header)
+        texts = [self._series(key, trace) for key, trace in zip(self._keys(concrete), traces)]
+        return case.unique_id, document_text(
+            self.write, case._replace(input_data=texts, expected=self.expected_text))
 
 
 # Payload bytes an export writes itself before it hands the rest of its case
@@ -292,10 +362,16 @@ def _listed_files(manifest_path: Path) -> set[str]:
             and os.path.basename(name) == name}
 
 
-def export_suite(cases: Iterable[TestCase], destination) -> dict:
+def _render(case: TestCase) -> tuple[str, str]:
+    return case.unique_id, serialize_testcase(case)
+
+
+def export_suite(cases: Iterable, destination, render=_render) -> dict:
     """Write one file per case plus a manifest; re-export is byte-identical.
 
-    ``cases`` may be a generator: each case is serialized, hashed and written
+    ``render(item)`` gives the unique id and file text of each item of
+    ``cases``: a ``TestCase``, or what an ``Export``'s ``render`` takes.
+    ``cases`` may be a generator: each case is rendered, hashed and written
     to a staging directory as it arrives. Once ``HANDOFF_BYTES`` of payload
     are written, the remaining files go through a pipe to a writer process,
     so the system time of creating them overlaps with encoding; smaller
@@ -315,11 +391,12 @@ def export_suite(cases: Iterable[TestCase], destination) -> dict:
     staged = 0
     writer = None
     try:
-        for case in cases:
-            if case.unique_id in entries:
-                raise DuplicateId(f"duplicate test case id {case.unique_id!r}")
-            payload = serialize_testcase(case).encode("utf-8")
-            file_name = f"{case.unique_id}.json"
+        for item in cases:
+            unique_id, text = render(item)
+            if unique_id in entries:
+                raise DuplicateId(f"duplicate test case id {unique_id!r}")
+            payload = text.encode("utf-8")
+            file_name = f"{unique_id}.json"
             if writer is None:
                 (staging / file_name).write_bytes(payload)
                 staged += len(payload)
@@ -329,8 +406,8 @@ def export_suite(cases: Iterable[TestCase], destination) -> dict:
                 name = file_name.encode("utf-8")
                 writer.stdin.write(len(name).to_bytes(4, "big") + len(payload).to_bytes(8, "big")
                                    + name + payload)
-            entries[case.unique_id] = {
-                "unique_id": case.unique_id,
+            entries[unique_id] = {
+                "unique_id": unique_id,
                 "hash": hashlib.sha256(payload).hexdigest(),
                 "file": file_name,
             }

@@ -6,8 +6,6 @@ lowercase-with-hyphens before validation, so ``Two Lane Motorway`` and
 ``two-lane-motorway`` denote the same term.
 """
 
-from __future__ import annotations
-
 import re
 from functools import cached_property, partial
 from typing import NamedTuple

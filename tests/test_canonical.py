@@ -1,9 +1,12 @@
 """``dumps_canonical`` must produce exactly the bytes of the ``json`` reference,
-and refuse the ``NaN``/``Infinity`` spelling that no JSON loader here reads."""
+and refuse the ``NaN``/``Infinity`` spelling that no JSON loader here reads.
+Each record table's compiled writer must produce exactly the bytes of
+``dumps_canonical`` of the record's encoding."""
 
 import hashlib
 import json
 import math
+import re
 import sys
 
 import pytest
@@ -11,8 +14,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenkit.canonical import check_numbers, content_hash, dumps_canonical
-from scenkit.concretize import ConcreteScenario
+from scenkit.concretize import CONCRETE, SUITE, ConcreteScenario, CoverageReport
 from scenkit.errors import Finding, SchemaViolation
+from scenkit.functional import FUNCTIONAL
+from scenkit.logical import LOGICAL
+from scenkit.lowering import CATALOG
+from scenkit.testcase import (
+    EXPECTED,
+    MANIFEST,
+    TESTCASE,
+    Check,
+    ExpectedBehavior,
+    TimeSeries,
+)
+from scenkit import testcase as tcmod
+from scenkit.vocabulary import VOCABULARY, vocabulary_from_dict
+
+from conftest import DATA, random_logical
+from test_acceptance import (
+    random_concrete_obj,
+    random_functional_obj,
+    random_testcase_obj,
+    random_vocabulary_doc,
+)
 
 
 def reference(value) -> str:
@@ -124,3 +148,82 @@ def test_value_too_deep_to_encode_is_a_schema_violation():
         dumps_canonical({"source_ref": value})
     with pytest.raises(SchemaViolation, match="nested too deeply to encode"):
         content_hash(value)
+
+
+def check_writer(record, value):
+    """``record.dumps`` and ``record.digest`` against the reference,
+    ``dumps_canonical(record.encode(value))``."""
+    try:
+        expected = dumps_canonical(record.encode(value))
+    except SchemaViolation as exc:
+        with pytest.raises(SchemaViolation, match=re.escape(str(exc))):
+            record.dumps(value)
+        return
+    assert record.dumps(value) == expected
+    assert record.digest(value) == hashlib.sha256(expected.encode("utf-8")).hexdigest()
+
+
+def random_suite(rng):
+    coverage = CoverageReport(rng.random(), rng.random(), rng.randint(0, 9), rng.randint(0, 9))
+    return ([random_concrete_obj(rng) for _ in range(rng.randint(0, 3))],
+            coverage if rng.random() < 0.5 else None)
+
+
+def random_manifest(rng):
+    cases = [{"unique_id": f"tc-{n}", "hash": f"{rng.getrandbits(256):064x}", "file": f"tc-{n}.json"}
+             for n in range(rng.randint(0, 3))]
+    return {"case_count": len(cases), "cases": cases, "suite_hash": f"{rng.getrandbits(256):064x}"}
+
+
+# A catalog's relation templates are read, never written.
+CATALOG_DOCUMENT = {key: value for key, value in json.loads((DATA / "catalog.json").read_text())
+                    .items() if key != "relations"}
+# format: (record, a value of it from a random.Random), the values from A8's generators
+FORMATS = {
+    "vocabulary": (VOCABULARY, lambda rng: vocabulary_from_dict(random_vocabulary_doc(rng))),
+    "catalog": (CATALOG, lambda rng: CATALOG.decode(CATALOG_DOCUMENT)),
+    "functional": (FUNCTIONAL, random_functional_obj),
+    "logical": (LOGICAL, lambda rng: random_logical(rng, max_parameters=5, max_constraints=3)),
+    "concrete": (CONCRETE, random_concrete_obj),
+    "suite": (SUITE, random_suite),
+    "expected": (EXPECTED, lambda rng: random_testcase_obj(rng).expected),
+    "testcase": (TESTCASE, random_testcase_obj),
+    "manifest": (MANIFEST, random_manifest),
+}
+
+
+@pytest.mark.parametrize("name", list(FORMATS))
+@settings(max_examples=50, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_record_writer_matches_the_reference(name, rng):
+    record, make = FORMATS[name]
+    check_writer(record, make(rng))
+
+
+def _deep():
+    value = 0
+    for _ in range(sys.getrecursionlimit()):
+        value = {"x": [value]}
+    return value
+
+
+def _case(samples, dt=0.5, bound=10.0):
+    return tcmod.TestCase(unique_id="tc-0", work_product_ref="req", preconditions="p", configuration="c",
+                    environmental_conditions={"r1.w": 3.5},
+                    input_data=(TimeSeries(parameter="c1.s", unit="m", dt=dt, samples=samples),),
+                    expected=ExpectedBehavior("keeps a gap", (Check("gap", ">=", bound, 0.5),)),
+                    source_ref={"scenario_id": "s", "hash": "0" * 64})
+
+
+@pytest.mark.parametrize("record, value", [
+    (TESTCASE, _case((0.0, -0.0, 0.0))),
+    (TESTCASE, _case((-0.0, 0.0, -0.0))),
+    (TESTCASE, _case((1.0, 2.0), dt=1)),
+    (TESTCASE, _case((1.0,), bound=10)),
+    (TESTCASE, _case((1.0, math.nan))),
+    (TESTCASE, _case((1.0,), bound=math.nan)),
+    (CONCRETE, ConcreteScenario("x", {"scenario_id": "s"}, {"a.x": 1.0}, provenance={"x": _deep()})),
+], ids=["zero-then-negative-zero", "negative-zero-then-zero", "int-dt", "int-bound", "nan-sample",
+        "nan-bound", "too-deep"])
+def test_record_writer_matches_the_reference_fixed(record, value):
+    check_writer(record, value)

@@ -1,14 +1,17 @@
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from scenkit import concretize as cz
 from scenkit import expressions
-from scenkit.cli import generate_suite, main
+from scenkit.cli import COMMANDS, generate_suite, main
 from scenkit.logical import deserialize_logical
 
 from conftest import DATA, make_logical, replaced
@@ -773,3 +776,50 @@ def test_package_import_loads_no_module():
     result = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
                             capture_output=True, text=True, timeout=60, check=True)
     assert result.stdout == "[]\n"
+
+
+def test_import_builds_no_forward_reference():
+    """A record's field types are evaluated where the record is defined, so
+    ``typing.NamedTuple`` builds no ``ForwardRef`` from a string annotation."""
+    code = ("import sys, typing; sys.path.insert(0, sys.argv[1]); calls = []; "
+            "init = typing.ForwardRef.__init__; "
+            "typing.ForwardRef.__init__ = lambda self, *a, **k: calls.append(a) or init(self, *a, **k); "
+            "import scenkit.cli; print(len(calls))")
+    result = subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src")],
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout == "0\n"
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_only_the_named_subcommand_gets_its_arguments(command, monkeypatch, capsys):
+    """Every other subparser adds only its ``-h``; the named one has all its
+    options, ``--json`` among them."""
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(self.prog)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    counts = Counter(added)
+    assert {name: counts[f"scenkit {name}"] > 1 for name in COMMANDS} == {
+        name: name == command for name in COMMANDS}
+    assert f"usage: scenkit {command} [-h]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method", ["pairwise", "equivalence", "boundary"])
+def test_a_suite_enumerates_its_component_rows_once(tmp_path, monkeypatch, capsys, method):
+    """The suite builder and the coverage count share one enumeration of each
+    constraint component's level rows."""
+    assert main(["lower", "--vocab", VOCAB, "--catalog", CATALOG, "--out", str(tmp_path),
+                 SCENARIO]) == 0
+    calls = []
+    components = cz._components
+    monkeypatch.setattr(cz, "_components", lambda *args: calls.append(args) or components(*args))
+    assert main(["concretize", "--method", method, "--out", str(tmp_path / "suite"),
+                 str(tmp_path / "s1.logical.json")]) == 0
+    assert len(calls) == 1

@@ -17,6 +17,7 @@ from scenkit.logical import LogicalScenario, Parameter
 from scenkit import testcase as tcmod
 from scenkit.testcase import (
     ExpectedBehavior,
+    Export,
     assemble_test_case,
     deserialize_testcase,
     export_suite,
@@ -254,6 +255,33 @@ def test_export_rejects_duplicate_ids(tmp_path):
     with pytest.raises(DuplicateId):
         export_suite([case, case], tmp_path / "out")
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_export_renders_repeated_traces_once_and_tells_signed_zeros_apart(tmp_path):
+    """Each file equals ``serialize_testcase`` of its case. With ``v0 = -0.0``
+    the position samples are ``s0 + -0.0``, so ``s0 = 0.0`` and ``s0 = -0.0``
+    write ``0.0`` and ``-0.0``: rendered traces are keyed on float bits."""
+    scenario = kinematic_scenario()
+    rows = [(0.0, -0.0, 3.0), (-0.0, -0.0, 3.0), (0.0, -0.0, 3.5), (-0.0, -0.0, 3.5),
+            (5.0, 2.0, 3.0), (5.0, 2.0, 4.0), (7.0, 2.0, 4.0)]
+    suite = [concrete_for(scenario, {"c1.s0": s0, "c1.v0": v0, "r1.lane_width": width})
+             ._replace(scenario_id=f"kin-{n}") for n, (s0, v0, width) in enumerate(rows)]
+    export = Export(scenario, suite, 2.0, 1.0, META, EXPECTED)
+    # positions (0.0, -0.0), (-0.0, -0.0) and (5.0, 2.0); speeds -0.0 and 2.0
+    assert len(export.repeats) == 5
+    manifest = export_suite(suite, tmp_path / "out", export.render)
+    assert export.repeats == {}  # each text is dropped after its last use
+    files = {}
+    for concrete in suite:
+        case = assemble_test_case(concrete, synthesize_traces(scenario, concrete, 2.0, 1.0),
+                                  META, EXPECTED)
+        text = (tmp_path / "out" / f"{case.unique_id}.json").read_text(encoding="utf-8")
+        assert text == serialize_testcase(case)
+        files[concrete.scenario_id] = text
+    assert manifest["case_count"] == len(rows)
+    for n in range(4):  # rows 0 and 2 start at 0.0, rows 1 and 3 at -0.0
+        assert f'"samples": [\n        {("0.0", "-0.0")[n % 2]},' in files[f"kin-{n}"]
+    assert Export(scenario, suite[1:5:3], 2.0, 1.0, META, EXPECTED).repeats == {}
 
 
 def test_export_empty_suite(tmp_path):
