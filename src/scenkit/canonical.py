@@ -20,11 +20,13 @@ infinity, and ``json`` would write a bare ``NaN`` that no loader here reads.
 
 Every artifact format is declared as field tables: a ``Record`` lists one
 ``Field`` per JSON key. ``Record.decode`` reads a loaded document through its
-table and raises a ``SchemaViolation`` naming the record and the key;
-``Record.encode`` builds the dict that ``dumps_canonical`` writes.
-``Record.dumps`` writes the same text straight from a record's attributes,
-through a writer compiled from the table, and ``dumps_canonical`` of
-``Record.encode`` is its reference. A rule beyond one field's JSON type lives
+table and raises a ``SchemaViolation`` naming the record and the key.
+Production code writes an artifact or a hash only through a table's writer:
+``Record.dumps`` and ``Record.digest`` write straight from a record's
+attributes, through a writer compiled from the table, and hand it to
+``dumps_canonical``, which makes every whole document. ``Record.encode``
+builds a record's dict; it is the tests' reference, since ``dumps_canonical``
+of it must equal the writer's text. A rule beyond one field's JSON type lives
 with the module that owns the record.
 """
 
@@ -98,24 +100,15 @@ def _encode(value, indent: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def document_text(write, value) -> str:
+def dumps_canonical(value, write=_encode) -> str:
     """``write(value, indent)`` as a whole document: from the first column,
-    with a trailing newline. A value nested too deeply to encode, or a float
+    with a trailing newline. By default, ``value`` is a JSON value; a table's
+    writer writes a record. A value nested too deeply to encode, or a float
     that is not finite, is a ``SchemaViolation``."""
     try:
         return write(value, "\n") + "\n"
     except RecursionError as exc:
         raise SchemaViolation("value nested too deeply to encode") from exc
-
-
-def dumps_canonical(obj) -> str:
-    """``obj`` as canonical JSON."""
-    return document_text(_encode, obj)
-
-
-def content_hash(obj) -> str:
-    """sha256 hex digest of the canonical serialization of ``obj``."""
-    return hashlib.sha256(dumps_canonical(obj).encode("utf-8")).hexdigest()
 
 
 def load_json(source: str, loads=json.loads):
@@ -132,7 +125,7 @@ def load_json(source: str, loads=json.loads):
 # Each type reads a loaded JSON value with ``decode(value, where, key)``:
 # ``where`` names the record holding the value and ``key`` its key there, or
 # ``key`` is None and ``where`` names the value. ``encode``, unless None,
-# turns a read value back into JSON values. A type that nests records also
+# turns a read value back into JSON values. A type that nests values also
 # has ``write(value, indent)``, which writes the canonical JSON text of its
 # encoding without building it; ``indent`` is as in ``_encode``.
 
@@ -266,6 +259,11 @@ class Map:
         return dict(value) if encode is None else {name: encode(item)
                                                    for name, item in value.items()}
 
+    def write(self, value, indent: str) -> str:
+        write, inner = _writer(self.item), indent + "  "
+        items = [encode_basestring(key) + ": " + write(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+
 
 NUMBERS = Map(NUMBER)
 check_numbers = NUMBERS.decode  # (value, what): an object of finite numbers, as floats
@@ -380,7 +378,7 @@ class Record:
     def dumps(self, value) -> str:
         """A document as canonical JSON text, equal to
         ``dumps_canonical(self.encode(value))``."""
-        return document_text(self.write, value)
+        return dumps_canonical(value, self.write)
 
     def digest(self, value) -> str:
         """The content hash of a document."""

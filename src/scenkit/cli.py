@@ -89,7 +89,7 @@ def _build_suite(logical: LogicalScenario, args, seed: int):
     """Build the suite and measure its coverage; returns (scenarios, coverage,
     the suite file's text)."""
     scenarios, coverage = generate_suite(logical, args.method, args.k, args.n, seed)
-    return scenarios, coverage, dumps_canonical(cz.suite_to_dict(scenarios, coverage))
+    return scenarios, coverage, cz.SUITE.dumps((scenarios, coverage))
 
 
 def _emit_findings(path, findings, as_json):

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from . import expressions
 from .canonical import (EMPTY, NUMBER, REQUIRED, SCENARIO_ID, SOURCE_REF, STRING, Choice, Field,
-                        List, Number, Object, Record, Union, content_hash)
+                        List, Number, Object, Record, Union)
 from .errors import Finding, Report, SchemaViolation, UnboundConstraintParameter
 
 DISTRIBUTION_TYPES = ("uniform", "truncated-gaussian")
@@ -142,7 +142,7 @@ class LogicalScenario(_LogicalScenario):
     def digest(self) -> str:
         """The content hash of the canonical serialization (``logical_hash``),
         computed once per scenario."""
-        return content_hash(logical_to_dict(self))
+        return LOGICAL.digest(self)
 
 
 class CompiledScenario:

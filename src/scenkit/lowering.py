@@ -73,10 +73,11 @@ def _check_templates(templates: tuple[Parameter, ...], where: str) -> None:
 class _ConstraintTemplate:
     """A constraint record whose ``id`` may be left out, and in which
     ``"expr": "lhs <op> rhs"`` is short for, and replaced by, its ``lhs``,
-    ``op`` and ``rhs``."""
+    ``op`` and ``rhs``: it is read, and written as those three."""
 
     plural = "objects"
     record = constraint_record(id="")
+    encode, write = record.encode, record.write
 
     def decode(self, value, where: str, key=None) -> Constraint:
         if isinstance(value, dict) and "expr" in value:

@@ -32,7 +32,6 @@ from .canonical import (
     List,
     Number,
     Record,
-    document_text,
     dumps_canonical,
 )
 from .concretize import ConcreteScenario, check_source, concrete_hash
@@ -151,16 +150,15 @@ _META_KEYS = ("work_product_ref", "preconditions", "configuration")
 def _header(meta: dict, expected: ExpectedBehavior) -> tuple[tuple, object]:
     """The fields ``meta`` gives a test case, checked, and the sha256 state
     of its unique-id digest up to the value of the last key, ``"source"``:
-    what the cases of one export share. The digest is ``content_hash`` of
-    ``{"source": <concrete hash>, "meta": ..., "expected": ...}``."""
+    what the cases of one export share. The digest is ``HEADER.digest`` of
+    ``(expected, fields, <concrete hash>)``."""
     fields = tuple(meta.get(key, "") for key in _META_KEYS)
     for key, value in zip(_META_KEYS, fields):
         if not value:
             raise IncompleteField(key)
     if not expected.description:
         raise IncompleteField("expected_behavior")
-    text = dumps_canonical({"source": "", "meta": dict(zip(_META_KEYS, fields)),
-                            "expected": EXPECTED.encode(expected)})
+    text = HEADER.dumps((expected, fields, ""))
     # "source" sorts last: the text ends with its empty value and the brace
     return fields, hashlib.sha256(text[:-len('""\n}\n')].encode("utf-8"))
 
@@ -224,6 +222,10 @@ MANIFEST = Record(dict, Field("case_count", INTEGER),
                   Field("cases", List(Record(dict, Field("unique_id", STRING),
                                              Field("hash", STRING), Field("file", STRING)))),
                   Field("suite_hash", STRING), tag=("format", "manifest/1"), name="manifest")
+# What a unique id hashes: (expected behaviour, the ``_META_KEYS`` fields, source hash)
+HEADER = Record(tuple, Field("expected", EXPECTED),
+                Field("meta", Record(tuple, *[Field(key, STRING) for key in _META_KEYS])),
+                Field("source", STRING))
 
 
 expected_from_dict = EXPECTED.decode
@@ -288,8 +290,8 @@ class Export:
         traces = synthesize_traces(self.scenario, concrete, self.duration, self.dt, self.grid)
         case = assemble_test_case(concrete, traces, self.meta, self.expected, self.header)
         texts = [self._series(key, trace) for key, trace in zip(self._keys(concrete), traces)]
-        return case.unique_id, document_text(
-            self.write, case._replace(input_data=texts, expected=self.expected_text))
+        return case.unique_id, dumps_canonical(
+            case._replace(input_data=texts, expected=self.expected_text), self.write)
 
 
 # Payload bytes an export writes itself before it hands the rest of its case
@@ -418,9 +420,8 @@ def export_suite(cases: Iterable, destination, render=_render) -> dict:
         listed = [entries[unique_id] for unique_id in sorted(entries)]
         suite_hash = hashlib.sha256(
             "".join(sorted(e["hash"] for e in listed)).encode("ascii")).hexdigest()
-        manifest = MANIFEST.encode({"case_count": len(listed), "cases": listed,
-                                    "suite_hash": suite_hash})
-        (staging / "manifest.json").write_bytes(dumps_canonical(manifest).encode("utf-8"))
+        manifest = dict([MANIFEST.tag], case_count=len(listed), cases=listed, suite_hash=suite_hash)
+        (staging / "manifest.json").write_bytes(MANIFEST.dumps(manifest).encode("utf-8"))
         if not destination.exists():
             staging.rename(destination)
             return manifest

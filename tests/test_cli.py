@@ -733,6 +733,34 @@ def _tree(root: Path) -> dict:
             for path in root.rglob("*") if path.is_file()}
 
 
+def _quick_start_and_random_export(out: Path) -> dict:
+    """The trees of the README quick-start pipeline and of a 300-case random
+    suite of its logical scenario, exported."""
+    assert main(["pipeline", "--vocab", VOCAB, "--catalog", CATALOG, "--out", str(out / "run"),
+                 "--method", "pairwise", "--seed", "42", SCENARIO] + EXPORT_ARGS) == 0
+    logical = str(out / "run" / "logical" / "s1.logical.json")
+    assert main(["concretize", "--out", str(out / "random"), "--method", "random", "--n", "300",
+                 logical]) == 0
+    assert main(["export", "--logical", logical, "--out", str(out / "cases"),
+                 str(out / "random" / "s1.suite.json")] + EXPORT_ARGS) == 0
+    return _tree(out)
+
+
+def test_no_artifact_or_hash_is_written_from_a_record_dict(tmp_path, monkeypatch, capsys):
+    """Every file and content hash comes from a table's compiled writer:
+    with ``Record.encode``, which builds a record's dict, made to raise, the
+    trees are byte-identical to those of a run that may call it."""
+    import scenkit.canonical
+
+    expected = _quick_start_and_random_export(tmp_path / "reference")
+
+    def refuse(self, value):
+        raise AssertionError(f"{self.name or 'a record'} was encoded to a dict")
+
+    monkeypatch.setattr(scenkit.canonical.Record, "encode", refuse)
+    assert _quick_start_and_random_export(tmp_path / "writers") == expected
+
+
 @pytest.mark.parametrize("command", ["lower", "concretize", "pipeline"])
 def test_a_scenario_id_read_twice_is_rejected(tmp_path, capsys, command):
     """A second file of an id already read in the run exits 3, naming both

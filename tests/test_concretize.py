@@ -417,9 +417,9 @@ def test_compiled_checks_match_holds():
 
 def test_logical_hash_is_computed_once_per_scenario(monkeypatch):
     calls = []
-    original = scenkit.logical.content_hash
-    monkeypatch.setattr(scenkit.logical, "content_hash",
-                        lambda document: calls.append(1) or original(document))
+    original = scenkit.logical.LOGICAL.digest
+    monkeypatch.setattr(scenkit.logical.LOGICAL, "digest",
+                        lambda scenario: calls.append(1) or original(scenario))
     scenario = make_logical([("t1.s0", 0, 200), ("c1.s0", 0, 200)],
                             [("t1.s0", ">", "c1.s0")])
     suite = sample_random(scenario, 20, seed=1)
