@@ -40,8 +40,7 @@ def _read(path) -> str:
 
 def generate_suite(scenario: LogicalScenario, method: str, k: int, n: int, seed: int):
     """Build a concrete suite and measure its coverage; returns (scenarios,
-    coverage). A suite built from levels enumerates each constraint
-    component's level rows once, for both."""
+    coverage)."""
     boundary = {p.name: cz.boundary_values(p) for p in scenario.parameters}
     if method == "random":
         scenarios = cz.sample_random(scenario, n, seed)
@@ -56,9 +55,8 @@ def generate_suite(scenario: LogicalScenario, method: str, k: int, n: int, seed:
                   for p in scenario.parameters}
     else:
         raise ScenarioError(f"unknown method {method!r}")
-    components = cz.level_components(scenario, levels)
-    scenarios = cz.pairwise_cover(scenario, levels, method, components)
-    return scenarios, cz.coverage_metrics(scenario, levels, scenarios, components)
+    scenarios = cz.pairwise_cover(scenario, levels, method)
+    return scenarios, cz.coverage_metrics(scenario, levels, scenarios)
 
 
 def _write(target: Path, text: str) -> None:

@@ -8,7 +8,6 @@ reads a row tuple in parameter order.
 """
 
 import random
-from itertools import product
 from typing import NamedTuple
 
 from .canonical import (
@@ -205,9 +204,12 @@ def _components(scenario: LogicalScenario,
     Components share no constraint and no parameter, so a level row satisfies
     every constraint iff each constraint without parameters holds and the
     row's values at each component's positions form one of its feasible
-    partial rows. Raises ``InfeasibleLevels`` naming a false constraint
-    without parameters, or the constraints of the first component with no
-    feasible partial row.
+    partial rows. These are built one position at a time, each check due
+    where its last parameter is placed, extending by each level in ascending
+    order only the prefixes that pass every check due so far (chronological
+    backtracking; Haralick & Elliott, Artif. Intell. 14, 1980). Raises
+    ``InfeasibleLevels`` naming a false constraint without parameters, or the
+    constraints of the first component with no feasible partial row.
     """
     compiled = scenario.compiled
     for constraint, positions, check in zip(scenario.constraints, compiled.positions,
@@ -216,14 +218,21 @@ def _components(scenario: LogicalScenario,
             raise InfeasibleLevels(f"constraint {constraint.id} is false: {constraint.describe()}")
     components = []
     for positions, numbers in compiled.components():
-        checks = [compiled.checks[n] for n in numbers]
+        due: list[list] = [[] for _ in positions]  # per depth, the checks its position completes
+        for n in numbers:
+            due[positions.index(compiled.positions[n][-1])].append(compiled.checks[n])
         full: list = [None] * len(value_lists)
-        rows = []
-        for row in product(*(value_lists[p] for p in positions)):
-            for position, value in zip(positions, row):
-                full[position] = value
-            if all(check(full) for check in checks):
-                rows.append(row)
+        rows: list[tuple] = [()]
+        for position, checks in zip(positions, due):
+            extended = []
+            for prefix in rows:
+                for placed, value in zip(positions, prefix):
+                    full[placed] = value
+                for value in value_lists[position]:
+                    full[position] = value
+                    if all(check(full) for check in checks):
+                        extended.append(prefix + (value,))
+            rows = extended
         if not rows:
             ids = ", ".join(scenario.constraints[n].id for n in numbers)
             raise InfeasibleLevels(
@@ -312,14 +321,8 @@ def _density_rows(layout: _PairLayout, value_lists: list[list[float]],
     return suite
 
 
-def level_components(scenario: LogicalScenario, levels: dict) -> list:
-    """``_components`` of ``levels``, enumerated once for both
-    ``pairwise_cover`` and ``coverage_metrics`` of one suite."""
-    return _components(scenario, _value_lists(scenario, levels))
-
-
-def pairwise_cover(scenario: LogicalScenario, levels: dict, method: str = "pairwise",
-                   components: list | None = None) -> list[ConcreteScenario]:
+def pairwise_cover(scenario: LogicalScenario, levels: dict,
+                   method: str = "pairwise") -> list[ConcreteScenario]:
     """Covering suite: every feasible level pair appears in >= 1 scenario.
 
     Feasibility is decided per constraint component (``_components``), so the
@@ -328,14 +331,12 @@ def pairwise_cover(scenario: LogicalScenario, levels: dict, method: str = "pairw
     enumerated. Without constraints, a shape that Bose's orthogonal array
     fits gets its ``s * s`` rows; every other suite is built by
     ``_density_rows``. ``method`` labels the scenarios and their ids.
-    ``components``, if given, is ``level_components(scenario, levels)``.
     """
     value_lists = _value_lists(scenario, levels)
     names = scenario.compiled.names
     if not names:
         return []
-    if components is None:
-        components = _components(scenario, value_lists)
+    components = _components(scenario, value_lists)
     wrap = _wrapper(scenario, method)
     if len(names) == 1:
         values = [row[0] for row in components[0][1]] if components else value_lists[0]
@@ -432,19 +433,16 @@ def _feasible_pairs(layout: _PairLayout, components: list) -> int:
     return pairs
 
 
-def coverage_metrics(scenario: LogicalScenario, levels: dict, scenarios: list[ConcreteScenario],
-                     components: list | None = None) -> CoverageReport:
-    """Mechanical pair and boundary coverage, exact until the final division.
-    ``components``, if given, is ``level_components(scenario, levels)``."""
+def coverage_metrics(scenario: LogicalScenario, levels: dict,
+                     scenarios: list[ConcreteScenario]) -> CoverageReport:
+    """Mechanical pair and boundary coverage, exact until the final division."""
     for concrete in scenarios:
         check_source(scenario, concrete)
 
     value_lists = _value_lists(scenario, levels)
     layout = _PairLayout(value_lists)
     try:
-        if components is None:
-            components = _components(scenario, value_lists)
-        feasible = _feasible_pairs(layout, components)
+        feasible = _feasible_pairs(layout, _components(scenario, value_lists))
     except InfeasibleLevels:
         feasible = 0  # no level row satisfies every constraint
     names = scenario.compiled.names

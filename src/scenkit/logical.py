@@ -186,11 +186,11 @@ class CompiledScenario:
 def range_findings(name: str, lo: float, hi: float,
                    distribution: Distribution | None) -> list[Finding]:
     """``NON_FINITE_RANGE``, ``EMPTY_RANGE`` and ``BAD_DISTRIBUTION`` findings
-    for one parameter. A bound, mean or stddev must be a finite number."""
+    for one parameter. The width ``hi - lo``, a mean and a stddev must be finite."""
     findings = []
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not math.isfinite(hi - lo):  # also every range with a bound that is not finite
         findings.append(Finding("NON_FINITE_RANGE",
-                                f"{name}: range [{lo}, {hi}] is not finite", (name,)))
+                                f"{name}: width of range [{lo}, {hi}] is not finite", (name,)))
     elif lo > hi:
         findings.append(Finding("EMPTY_RANGE", f"{name}: range [{lo}, {hi}] is empty", (name,)))
     if distribution is None:
@@ -226,8 +226,7 @@ def validate_logical(scenario: LogicalScenario) -> Report:
                                        parameter.distribution))
 
     env = {p.name: (p.lo, p.hi) for p in scenario.parameters}
-    non_finite = {p.name for p in scenario.parameters
-                  if not (math.isfinite(p.lo) and math.isfinite(p.hi))}
+    non_finite = {f.elements[0] for f in findings if f.code == "NON_FINITE_RANGE"}
     for constraint in scenario.constraints:
         unknown = constraint.variables() - set(env)
         if unknown:

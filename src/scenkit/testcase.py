@@ -388,7 +388,8 @@ def export_suite(cases: Iterable, destination, render=_render) -> dict:
     destination = Path(destination)
     staging = destination.parent / (destination.name + ".staging")
     created = [directory for directory in staging.parents if not directory.exists()]
-    staging.mkdir(parents=True, exist_ok=True)
+    shutil.rmtree(staging, ignore_errors=True)  # left behind by an export that was killed
+    staging.mkdir(parents=True)
     entries = {}
     staged = 0
     writer = None

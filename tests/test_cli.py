@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from scenkit import concretize as cz
 from scenkit import expressions
 from scenkit.cli import COMMANDS, generate_suite, main
 from scenkit.logical import deserialize_logical
@@ -403,8 +402,9 @@ def _golden_logical(tmp_path, old, new):
     return str(path)
 
 
-@pytest.mark.parametrize("bounds", ["400.0, 1e309", "NaN, 5000.0", "400.0, 1" + "0" * 400],
-                         ids=["inf", "nan", "integer-beyond-float"])
+@pytest.mark.parametrize("bounds", ["400.0, 1e309", "NaN, 5000.0", "400.0, 1" + "0" * 400,
+                                    "-1e308, 1e308"],
+                         ids=["inf", "nan", "integer-beyond-float", "width-beyond-float"])
 @pytest.mark.parametrize("method", ["random", "boundary", "pairwise"])
 def test_concretize_rejects_non_finite_range(tmp_path, capsys, bounds, method):
     logical_path = _golden_logical(tmp_path, CURVE_RADIUS, f'"range": [{bounds}]')
@@ -838,16 +838,3 @@ def test_only_the_named_subcommand_gets_its_arguments(command, monkeypatch, caps
         name: name == command for name in COMMANDS}
     assert f"usage: scenkit {command} [-h]" in capsys.readouterr().out
 
-
-@pytest.mark.parametrize("method", ["pairwise", "equivalence", "boundary"])
-def test_a_suite_enumerates_its_component_rows_once(tmp_path, monkeypatch, capsys, method):
-    """The suite builder and the coverage count share one enumeration of each
-    constraint component's level rows."""
-    assert main(["lower", "--vocab", VOCAB, "--catalog", CATALOG, "--out", str(tmp_path),
-                 SCENARIO]) == 0
-    calls = []
-    components = cz._components
-    monkeypatch.setattr(cz, "_components", lambda *args: calls.append(args) or components(*args))
-    assert main(["concretize", "--method", method, "--out", str(tmp_path / "suite"),
-                 str(tmp_path / "s1.logical.json")]) == 0
-    assert len(calls) == 1

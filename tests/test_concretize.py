@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -440,7 +441,7 @@ def encode_cases(draw):
         st.sampled_from(["-0.0", "0.0", "1.0", "2.0"]), min_size=1, max_size=4))]
         for n in names}
     constraints = []
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, 4))):
         # any pair of positions, or one against a number
         a, b = draw(st.sampled_from(names)), draw(st.sampled_from(names + ["1.5"]))
         constraints.append((a, draw(st.sampled_from(COMPARATORS)), b))
@@ -478,6 +479,27 @@ def test_feasible_pairs_match_the_product(case):
     layout = _PairLayout(value_lists)
     assert _feasible_pairs(layout, components) == functools.reduce(
         operator.or_, (layout.encode(row)[0] for row in feasible), 0)
+
+
+def test_components_extend_only_prefixes_that_pass_their_due_checks():
+    """On the strict chain p0 < p1 < ... < p5 over 10 levels, each check is
+    evaluated only on prefixes that passed every earlier check: at most
+    10 * (C(10, 1) + ... + C(10, 5)) calls, where the level product takes 10**6."""
+    names = [f"p{i}" for i in range(6)]
+    scenario = make_logical([(n, 0, 9) for n in names],
+                            [(a, "<", b) for a, b in zip(names, names[1:])])
+    compiled = scenario.compiled
+    calls = []
+
+    def counted(check):
+        return lambda row: calls.append(None) or check(row)
+
+    compiled.checks = tuple(counted(check) for check in compiled.checks)
+    value_lists = [[float(v) for v in range(10)] for _ in names]
+    [(positions, rows)] = _components(scenario, value_lists)
+    assert positions == tuple(range(6))
+    assert rows == [tuple(map(float, row)) for row in itertools.combinations(range(10), 6)]
+    assert len(calls) <= 10 * sum(math.comb(10, j) for j in range(1, 6)) == 6370
 
 
 @st.composite

@@ -157,7 +157,7 @@ def test_equality_comparator_is_exact():
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
-                                    (0.0, math.nan)])
+                                    (0.0, math.nan), (-1e308, 1e308)])
 def test_non_finite_range(lo, hi):
     # the constraint gets no interval check on a range already reported
     scenario = LogicalScenario(

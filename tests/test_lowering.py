@@ -204,6 +204,7 @@ CORRELATION = {"kind": "correlation", "target": "A.v0", "source": "B.v0",
 @pytest.mark.parametrize("where, value, error", [
     ("range", [0.0, float("inf")], BadRange),
     ("range", [float("nan"), 5.0], BadRange),
+    ("range", [-1e308, 1e308], BadRange),
     ("mean", float("nan"), BadDistribution),
     ("stddev", float("inf"), BadDistribution),
     ("slope", float("inf"), SchemaViolation),

@@ -393,6 +393,31 @@ def test_export_onto_a_file_removes_staging(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
+def _leave_staging(tmp_path):
+    """What an export killed after staging a file leaves behind."""
+    (tmp_path / "out.staging").mkdir()
+    (tmp_path / "out.staging" / "old.json").write_text("{}")
+
+
+def test_leftover_staging_is_not_carried_into_a_new_destination(tmp_path):
+    _leave_staging(tmp_path)
+    case = build_case()
+    export_suite([case], tmp_path / "out")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+        [f"{case.unique_id}.json", "manifest.json"])
+
+
+def test_leftover_staging_does_not_fail_a_reexport(tmp_path):
+    old, new = build_case(0.0), build_case(1.0)
+    export_suite([old], tmp_path / "out")
+    _leave_staging(tmp_path)
+    export_suite([new], tmp_path / "out")  # deletes the file only the old manifest lists
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+        [f"{new.unique_id}.json", "manifest.json"])
+
+
 def test_check_timing_caps_samples_per_signal():
     limit = tcmod.MAX_SAMPLES
     tcmod.check_timing(1.0, limit - 1.0)  # exactly MAX_SAMPLES samples
