@@ -200,6 +200,14 @@ def cmd_export(args) -> int:
     inputs = _export_inputs(args)
     logical = deserialize_logical(_read(args.logical))
     scenarios = cz.suite_from_dict(load_json(_read(args.suite), json.loads))
+    status = EXIT_OK
+    for concrete in scenarios:  # each must be a concrete scenario of the logical one
+        findings = cz.check_concrete(logical, concrete)
+        if findings:
+            _emit_findings(f"{args.suite}#{concrete.scenario_id}", findings, args.json)
+            status = EXIT_FINDINGS
+    if status != EXIT_OK:
+        return status
     manifest = _export_cases(logical, scenarios, args, inputs, args.out)
     print(f"{args.suite} -> {args.out} ({manifest['case_count']} test cases)")
     return EXIT_OK

@@ -8,6 +8,7 @@ reads a row tuple in parameter order.
 """
 
 import random
+from collections import Counter
 from typing import NamedTuple
 
 from .canonical import (
@@ -366,23 +367,30 @@ def _draw(rng: random.Random, parameter: Parameter) -> float:
 
 
 def sample_random(scenario: LogicalScenario, n: int, seed: int) -> list[ConcreteScenario]:
-    """Rejection sampling: draw per-parameter, accept if all constraints hold."""
+    """Rejection sampling: draw per-parameter, accept if all constraints hold.
+    Each rejected draw is counted against the first constraint it breaks."""
     if n < 1:
         raise BadN(f"n must be >= 1, got {n}")
     compiled = scenario.compiled
     wrap = _wrapper(scenario, "random", seed)
     rng = random.Random(seed)
     accepted: list[ConcreteScenario] = []
+    rejected: Counter = Counter()
     budget = n * ATTEMPTS_PER_SAMPLE
     attempts = 0
     while len(accepted) < n:
         if attempts >= budget:
+            counts = ", ".join(f"{name} ({count})" for name, count in rejected.most_common())
             raise SamplingExhausted(
                 f"accepted {len(accepted)}/{n} after {attempts} attempts; "
-                "the feasible region is empty or nearly empty")
+                f"the feasible region is empty or nearly empty; draws rejected by {counts}")
         attempts += 1
         row = tuple(_draw(rng, p) for p in scenario.parameters)
-        if all(check(row) for check in compiled.checks):
+        for constraint, check in zip(scenario.constraints, compiled.checks):
+            if not check(row):
+                rejected[constraint.id] += 1
+                break
+        else:
             accepted.append(wrap(dict(zip(compiled.names, row)), len(accepted)))
     return accepted
 

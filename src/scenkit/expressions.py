@@ -25,10 +25,12 @@ COMPARATORS = ("<=", ">=", "<", ">", "=")
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
             "=": operator.eq}
 
+# An instance id, or one part of a qualified parameter name
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)"
+    rf"|(?P<name>{IDENTIFIER.pattern}(?:\.{IDENTIFIER.pattern})*)"
     r"|(?P<op><=|>=|[-+*()<>=])"
     r")"
 )

@@ -28,6 +28,7 @@ from .errors import (
     UnknownTerm,
     line_apart,
 )
+from .expressions import IDENTIFIER
 from .vocabulary import REF, Term, Vocabulary, normalize_name
 
 
@@ -113,6 +114,9 @@ class _Builder:
         self.by_id: dict[str, EntityInstance] = {}
 
     def declare(self, instance_id: str, term: Term, line: int):
+        if not IDENTIFIER.fullmatch(instance_id):
+            raise ScenarioSyntaxError(f"bad instance id {instance_id!r}: an id is a letter or "
+                                      "'_', then letters, digits or '_'", line=line)
         instance = EntityInstance(instance_id=instance_id, term=term.name, line=line)
         self.by_id.setdefault(instance_id, instance)
         self.instances.append(instance)

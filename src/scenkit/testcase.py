@@ -6,7 +6,9 @@ time-sequenced input data, and expected behavior with acceptable variations.
 Input traces use constant-velocity kinematics: an instance with initial
 position ``s0`` and speed ``v0`` yields position ``s(t) = s0 + v0*t``. The
 input data hold only these signals; every other assignment, such as a lane
-width, is an environmental condition, so each value is written once.
+width, is an environmental condition, so each value is written once. An
+export is compiled once, as an ``Export``: its checks, sample times and
+signal plan are made before its first case, and every case reads them.
 """
 
 import hashlib
@@ -97,107 +99,56 @@ def check_timing(dt: float, duration: float) -> None:
                         f"samples per signal")
 
 
-def _grid(scenario: LogicalScenario, duration: float, dt: float) -> tuple[list, dict]:
-    """The sample times, and the ``scalar-initial`` parameters of each
-    instance by local name: what the traces of one export share."""
-    check_timing(dt, duration)
-    initial: dict[str, dict] = {}
-    for parameter in scenario.parameters:
-        if parameter.kind == "scalar-initial":
-            instance, _, local = parameter.name.partition(".")
-            initial.setdefault(instance, {})[local] = parameter
-    return [i * dt for i in range(math.floor(duration / dt) + 1)], initial
-
-
-def synthesize_traces(scenario: LogicalScenario, concrete: ConcreteScenario,
-                      duration: float, dt: float, grid: tuple | None = None) -> list[TimeSeries]:
-    """The kinematic signals: position ``<i>.s`` and speed ``<i>.v`` of every
-    instance with ``scalar-initial`` parameters, which needs both ``s0`` and
-    ``v0`` declared and assigned. Every other assignment is an environmental
-    condition. ``grid`` is ``_grid(scenario, duration, dt)``, made once per
-    export rather than once per case."""
-    times, initial = _grid(scenario, duration, dt) if grid is None else grid
-    check_source(scenario, concrete)
-    count = len(times)
+def synthesize_traces(export: "Export", concrete: ConcreteScenario) -> list[TimeSeries]:
+    """The kinematic signals of ``concrete`` on ``export.times``: for each
+    entry of ``export.plan``, the position ``s0 + v0*t`` and the speed
+    ``v0``, which need both assigned."""
+    check_source(export.scenario, concrete)
+    count = len(export.times)
     traces: list[TimeSeries] = []
-    for instance, parameters in initial.items():
-        s0 = concrete.assignments.get(f"{instance}.s0")
-        v0 = concrete.assignments.get(f"{instance}.v0")
-        if "s0" not in parameters or "v0" not in parameters or s0 is None or v0 is None:
-            raise MissingKinematicInputs(
-                f"instance {instance!r} needs both s0 and v0 for trace synthesis")
-        traces.append(TimeSeries(parameter=f"{instance}.s", unit=parameters["s0"].unit,
-                                 dt=dt, samples=tuple([s0 + v0 * t for t in times])))
-        traces.append(TimeSeries(parameter=f"{instance}.v", unit=parameters["v0"].unit,
-                                 dt=dt, samples=(v0,) * count))
+    for position, s0_parameter, speed, v0_parameter in export.plan:
+        s0 = concrete.assignments.get(s0_parameter.name)
+        v0 = concrete.assignments.get(v0_parameter.name)
+        if s0 is None or v0 is None:
+            raise MissingKinematicInputs(f"{s0_parameter.name} and {v0_parameter.name} must "
+                                         "both be assigned for trace synthesis")
+        traces.append(TimeSeries(parameter=position, unit=s0_parameter.unit, dt=export.dt,
+                                 samples=tuple([s0 + v0 * t for t in export.times])))
+        traces.append(TimeSeries(parameter=speed, unit=v0_parameter.unit, dt=export.dt,
+                                 samples=(v0,) * count))
     return traces
 
 
-def recover_assignments(concrete: ConcreteScenario, traces: list[TimeSeries]) -> dict:
-    """Invert trace synthesis: ``s0`` and ``v0`` from the t=0 samples of the
-    ``s`` and ``v`` signals."""
-    recovered: dict[str, float] = {}
-    for trace in traces:
-        instance, _, local = trace.parameter.rpartition(".")
-        if local in ("s", "v") and f"{instance}.{local}0" in concrete.assignments:
-            recovered[f"{instance}.{local}0"] = trace.samples[0]
-    return recovered
-
-
-_META_KEYS = ("work_product_ref", "preconditions", "configuration")
-
-
-def _header(meta: dict, expected: ExpectedBehavior) -> tuple[tuple, object]:
-    """The fields ``meta`` gives a test case, checked, and the sha256 state
-    of its unique-id digest up to the value of the last key, ``"source"``:
-    what the cases of one export share. The digest is ``HEADER.digest`` of
-    ``(expected, fields, <concrete hash>)``."""
-    fields = tuple(meta.get(key, "") for key in _META_KEYS)
-    for key, value in zip(_META_KEYS, fields):
-        if not value:
-            raise IncompleteField(key)
-    if not expected.description:
-        raise IncompleteField("expected_behavior")
-    text = HEADER.dumps((expected, fields, ""))
-    # "source" sorts last: the text ends with its empty value and the brace
-    return fields, hashlib.sha256(text[:-len('""\n}\n')].encode("utf-8"))
-
-
-def assemble_test_case(concrete: ConcreteScenario, traces: list[TimeSeries],
-                       meta: dict, expected: ExpectedBehavior,
-                       header: tuple | None = None) -> TestCase:
+def assemble_test_case(export: "Export", concrete: ConcreteScenario,
+                       traces: list[TimeSeries]) -> TestCase:
     """Build a test case; the unique id is a content hash, so identical inputs
-    always produce the identical id. ``header`` is ``_header(meta,
-    expected)``, made once per export rather than once per case."""
-    fields, digest = _header(meta, expected) if header is None else header
-    work_product_ref, preconditions, configuration = fields
+    always produce the identical id. Each trace must start at the value of
+    its source assignment (``export.sources``); every assignment that is no
+    source is an environmental condition."""
     if not traces:
         raise IncompleteField("input_data")
-
-    recovered = recover_assignments(concrete, traces)
-    for name, value in recovered.items():
-        if concrete.assignments.get(name) != value:
+    for trace in traces:
+        name = export.sources.get(trace.parameter)
+        if concrete.assignments.get(name) != trace.samples[0]:
             raise TraceMismatch(
-                f"trace for {name!r} starts at {value!r}, assignment is "
-                f"{concrete.assignments.get(name)!r}")
+                f"trace {trace.parameter!r} starts at {trace.samples[0]!r}, its source "
+                f"{name!r} is {concrete.assignments.get(name)!r}")
 
     environmental = {name: value for name, value in concrete.assignments.items()
-                     if name not in recovered}
+                     if name not in export.inputs}
     if not environmental:
         raise IncompleteField("environmental_conditions")
 
     source_hash = concrete_hash(concrete)
-    digest = digest.copy()
+    digest = export.digest.copy()
     digest.update(f'"{source_hash}"\n}}\n'.encode("ascii"))  # a hex digest needs no escape
 
     return TestCase(
-        unique_id="tc-" + digest.hexdigest()[:16],
-        work_product_ref=work_product_ref,
-        preconditions=preconditions,
-        configuration=configuration,
+        "tc-" + digest.hexdigest()[:16],
+        *export.fields,  # work_product_ref, preconditions, configuration
         environmental_conditions=environmental,
         input_data=tuple(traces),
-        expected=expected,
+        expected=export.expected,
         source_ref={"scenario_id": concrete.scenario_id, "hash": source_hash},
     )
 
@@ -222,6 +173,7 @@ MANIFEST = Record(dict, Field("case_count", INTEGER),
                   Field("cases", List(Record(dict, Field("unique_id", STRING),
                                              Field("hash", STRING), Field("file", STRING)))),
                   Field("suite_hash", STRING), tag=("format", "manifest/1"), name="manifest")
+_META_KEYS = ("work_product_ref", "preconditions", "configuration")
 # What a unique id hashes: (expected behaviour, the ``_META_KEYS`` fields, source hash)
 HEADER = Record(tuple, Field("expected", EXPECTED),
                 Field("meta", Record(tuple, *[Field(key, STRING) for key in _META_KEYS])),
@@ -240,22 +192,54 @@ _SERIES_INDENT = "\n    "
 
 
 class Export:
-    """What one export of ``scenarios`` renders once rather than once per
-    case: the timing grid and each instance's kinematic parameters
-    (``_grid``), the checked header and its digest state (``_header``), the
-    text of the expected behaviour, and the text of each trace that recurs
-    in a later case: a position trace of the same ``(instance, s0, v0)``, a
-    speed trace of the same ``(instance, v0)``. Those are keyed on exact
-    float bits, so ``-0.0`` and ``0.0`` differ, and counted in one pass over
-    the suite; each text is dropped after its last use, so a suite without
-    repeats keeps none."""
+    """The compiled form of one export of ``scenarios``, made once. The
+    constructor checks, in this order, the timing, the metadata and the
+    expected behaviour (``IncompleteField``), and that every instance with
+    ``scalar-initial`` parameters declares both ``s0`` and ``v0``
+    (``MissingKinematicInputs``). It then holds:
+
+    - ``times``, the sample times;
+    - the signal plan: ``plan``, for each such instance ``<i>``, the signal
+      ``<i>.s`` with the ``s0`` parameter and ``<i>.v`` with ``v0``; and
+      ``sources``, the assignment each signal starts from, whose names are
+      the ``inputs``;
+    - ``fields``, the metadata, and ``digest``, the sha256 state of the
+      unique id up to the value of its last key, ``"source"``;
+    - the text of the expected behaviour, and the text of each trace that
+      recurs in a later case: a position trace of the same ``(signal, s0,
+      v0)``, a speed trace of the same ``(signal, v0)``. Those are keyed
+      on exact float bits, so ``-0.0`` and ``0.0`` differ, and counted in
+      one pass over the suite; each text is dropped after its last use, so a
+      suite without repeats keeps none."""
 
     def __init__(self, scenario: LogicalScenario, scenarios: list[ConcreteScenario],
                  duration: float, dt: float, meta: dict, expected: ExpectedBehavior):
-        self.scenario, self.duration, self.dt = scenario, duration, dt
-        self.meta, self.expected = meta, expected
-        self.grid = _grid(scenario, duration, dt)
-        self.header = _header(meta, expected)
+        check_timing(dt, duration)
+        self.fields = tuple(meta.get(key, "") for key in _META_KEYS)
+        for key, value in zip(_META_KEYS, self.fields):
+            if not value:
+                raise IncompleteField(key)
+        if not expected.description:
+            raise IncompleteField("expected_behavior")
+        initial: dict[str, dict] = {}
+        for parameter in scenario.parameters:
+            if parameter.kind == "scalar-initial":
+                instance, _, local = parameter.name.partition(".")
+                initial.setdefault(instance, {})[local] = parameter
+        self.plan, self.sources = [], {}
+        for instance, parameters in initial.items():
+            if "s0" not in parameters or "v0" not in parameters:
+                raise MissingKinematicInputs(
+                    f"instance {instance!r} needs both s0 and v0 for trace synthesis")
+            position, speed = f"{instance}.s", f"{instance}.v"
+            self.plan.append((position, parameters["s0"], speed, parameters["v0"]))
+            self.sources.update({position: parameters["s0"].name, speed: parameters["v0"].name})
+        self.inputs = set(self.sources.values())
+        self.scenario, self.dt, self.expected = scenario, dt, expected
+        self.times = [i * dt for i in range(math.floor(duration / dt) + 1)]
+        text = HEADER.dumps((expected, self.fields, ""))
+        # "source" sorts last: the text ends with its empty value and the brace
+        self.digest = hashlib.sha256(text[:-len('""\n}\n')].encode("utf-8"))
         self.expected_text = EXPECTED.write(expected, "\n  ")
         self.write = TESTCASE.writer(input_data=List(TEXT), expected_behavior=TEXT)
         uses = Counter(key for concrete in scenarios for key in self._keys(concrete))
@@ -266,12 +250,16 @@ class Export:
         """The key of each trace, in trace order; None where ``s0`` or ``v0``
         is not a float. Floats that are equal and not zero have the same
         bits; a zero is keyed by its hex form, which keeps its sign."""
-        for instance in self.grid[1]:
-            s0 = concrete.assignments.get(f"{instance}.s0")
-            v0 = concrete.assignments.get(f"{instance}.v0")
+        for position, s0_parameter, speed, v0_parameter in self.plan:
+            s0 = concrete.assignments.get(s0_parameter.name)
+            v0 = concrete.assignments.get(v0_parameter.name)
             floats = type(s0) is type(v0) is float
-            yield (instance, "s", s0 or s0.hex(), v0 or v0.hex()) if floats else None
-            yield (instance, "v", v0 or v0.hex()) if floats else None
+            yield (position, s0 or s0.hex(), v0 or v0.hex()) if floats else None
+            yield (speed, v0 or v0.hex()) if floats else None
+
+    def case(self, concrete: ConcreteScenario) -> TestCase:
+        """The test case of ``concrete``."""
+        return assemble_test_case(self, concrete, synthesize_traces(self, concrete))
 
     def _series(self, key, trace: TimeSeries) -> str:
         entry = self.repeats.get(key)
@@ -287,9 +275,9 @@ class Export:
     def render(self, concrete: ConcreteScenario) -> tuple[str, str]:
         """The unique id and file text of the test case of ``concrete``,
         equal to ``serialize_testcase`` of that case."""
-        traces = synthesize_traces(self.scenario, concrete, self.duration, self.dt, self.grid)
-        case = assemble_test_case(concrete, traces, self.meta, self.expected, self.header)
-        texts = [self._series(key, trace) for key, trace in zip(self._keys(concrete), traces)]
+        case = self.case(concrete)
+        texts = [self._series(key, trace)
+                 for key, trace in zip(self._keys(concrete), case.input_data)]
         return case.unique_id, dumps_canonical(
             case._replace(input_data=texts, expected=self.expected_text), self.write)
 

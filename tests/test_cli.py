@@ -838,3 +838,41 @@ def test_only_the_named_subcommand_gets_its_arguments(command, monkeypatch, caps
         name: name == command for name in COMMANDS}
     assert f"usage: scenkit {command} [-h]" in capsys.readouterr().out
 
+
+
+def test_export_checks_every_concrete_scenario_before_writing(tmp_path, capsys):
+    """A suite edited to break its logical scenario (a value out of range, an
+    undeclared and a missing assignment) exports no case."""
+    assert main(README_PIPELINE + ["--out", str(tmp_path / "run")]) == 0
+    suite = tmp_path / "run" / "concrete" / "s1.suite.json"
+    document = json.loads(suite.read_text())
+    assignments = document["scenarios"][0]["assignments"]
+    assignments.update({"c1.s0": 5000.0, "t1.s0": -3.0, "bogus.x": 1.0})
+    del assignments["r1.curve_radius"]
+    suite.write_text(json.dumps(document))
+    scenario_id = document["scenarios"][0]["scenario_id"]
+    logical = str(tmp_path / "run" / "logical" / "s1.logical.json")
+    out = tmp_path / "cases"
+    export = ["export", "--logical", logical, "--out", str(out), str(suite)] + EXPORT_ARGS
+    capsys.readouterr()
+    assert main(export) == 1
+    printed = capsys.readouterr().out
+    assert printed.startswith(f"{suite}#{scenario_id}: 4 finding(s)\n")
+    for code in ("UNKNOWN_ASSIGNMENT", "MISSING_ASSIGNMENT", "RANGE"):
+        assert f"[{code}]" in printed
+    assert main(export + ["--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["path"] == f"{suite}#{scenario_id}"
+    assert sorted(f["code"] for f in report["findings"]) == [
+        "MISSING_ASSIGNMENT", "RANGE", "RANGE", "UNKNOWN_ASSIGNMENT"]
+    assert not out.exists() and not (tmp_path / "cases.staging").exists()
+
+
+@pytest.mark.parametrize("instance_id", ["c-1", "9c", "c.x"])
+def test_dsl_instance_id_must_be_an_identifier(tmp_path, capsys, instance_id):
+    """Every id the DSL accepts can be named in a constraint expression."""
+    scenario = tmp_path / "ids.scn"
+    scenario.write_text("scenario s3\nroad r1 is two-lane-motorway\nr1 geometry straight\n"
+                        f"truck t1\ncar {instance_id}\n{instance_id} follows t1\n")
+    assert main(["validate", "--vocab", VOCAB, str(scenario)]) == 3
+    assert f"line 5: bad instance id {instance_id!r}" in capsys.readouterr().err

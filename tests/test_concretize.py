@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -204,6 +205,22 @@ def test_sample_random_exhaustion():
                             [("a.x", ">", "a.y + 0.9999")])
     with pytest.raises(SamplingExhausted):
         sample_random(scenario, 5, seed=0)
+
+
+def test_sample_random_exhaustion_names_the_rejecting_constraints():
+    """On a three-car ``follows`` cycle every draw breaks a constraint; each
+    is counted against the first one it breaks, and the most come first."""
+    scenario = make_logical([("c1.s0", 0, 200), ("c2.s0", 0, 200), ("c3.s0", 0, 200)],
+                            [("c2.s0", ">", "c1.s0"), ("c3.s0", ">", "c2.s0"),
+                             ("c1.s0", ">", "c3.s0")])
+    with pytest.raises(SamplingExhausted) as excinfo:
+        sample_random(scenario, 2, seed=0)
+    message = str(excinfo.value)
+    assert message.startswith("accepted 0/2 after 2000 attempts")
+    counts = [(name, int(count)) for name, count in re.findall(r"(c\d{3}) \((\d+)\)", message)]
+    assert [name for name, _ in counts] == ["c000", "c001", "c002"]
+    assert sum(count for _, count in counts) == 2000
+    assert [count for _, count in counts] == sorted((count for _, count in counts), reverse=True)
 
 
 def test_derive_seed_spreads():

@@ -41,6 +41,7 @@ from scenkit.logical import (
 )
 from scenkit.lowering import load_parameter_catalog, lower_to_logical
 from scenkit.testcase import (
+    Export,
     assemble_test_case,
     deserialize_testcase,
     load_expected,
@@ -312,8 +313,9 @@ VOCABULARY = load_vocabulary((DATA / "vocabulary.json").read_text())
 
 def export_one(concrete, expected):
     """One concrete scenario through trace synthesis, assembly and encoding."""
-    traces = synthesize_traces(S1, concrete, 2.0, 1.0)
-    return serialize_testcase(assemble_test_case(concrete, traces, META, expected))
+    export = Export(S1, [], 2.0, 1.0, META, expected)
+    traces = synthesize_traces(export, concrete)
+    return serialize_testcase(assemble_test_case(export, concrete, traces))
 
 
 DOCS = {

@@ -22,7 +22,6 @@ from scenkit.testcase import (
     deserialize_testcase,
     export_suite,
     load_expected,
-    recover_assignments,
     serialize_testcase,
     synthesize_traces,
 )
@@ -49,6 +48,11 @@ def kinematic_scenario():
     )
 
 
+def compiled(scenario, duration, dt, meta=META, expected=EXPECTED):
+    """The compiled form of an export of ``scenario``, with no suite."""
+    return Export(scenario, [], duration, dt, meta, expected)
+
+
 def concrete_for(scenario, assignments):
     return ConcreteScenario(scenario_id=f"{scenario.scenario_id}-random-0000",
                             source_ref=source_ref_for(scenario),
@@ -58,7 +62,7 @@ def concrete_for(scenario, assignments):
 def test_synthesize_constant_velocity():
     scenario = kinematic_scenario()
     concrete = concrete_for(scenario, {"c1.s0": 0.0, "c1.v0": 25.0, "r1.lane_width": 3.5})
-    traces = {t.parameter: t for t in synthesize_traces(scenario, concrete, 2.0, 1.0)}
+    traces = {t.parameter: t for t in synthesize_traces(compiled(scenario, 2.0, 1.0), concrete)}
     assert traces["c1.s"].samples == (0.0, 25.0, 50.0)
     assert traces["c1.v"].samples == (25.0, 25.0, 25.0)
     assert set(traces) == {"c1.s", "c1.v"}  # a static value is no signal
@@ -68,7 +72,7 @@ def test_synthesize_constant_velocity():
 def test_synthesize_sample_count():
     scenario = kinematic_scenario()
     concrete = concrete_for(scenario, {"c1.s0": 1.0, "c1.v0": 2.0, "r1.lane_width": 3.0})
-    traces = synthesize_traces(scenario, concrete, 1.0, 0.25)
+    traces = synthesize_traces(compiled(scenario, 1.0, 0.25), concrete)
     assert all(len(t.samples) == 5 for t in traces)
 
 
@@ -77,7 +81,7 @@ def test_synthesize_bad_timing():
     concrete = concrete_for(scenario, {"c1.s0": 0.0, "c1.v0": 1.0, "r1.lane_width": 3.0})
     for duration, dt in ((0.0, 0.1), (1.0, 0.0), (1.0, 2.0), (1.0, -0.1)):
         with pytest.raises(BadTiming):
-            synthesize_traces(scenario, concrete, duration, dt)
+            synthesize_traces(compiled(scenario, duration, dt), concrete)
 
 
 def test_synthesize_requires_both_kinematic_inputs():
@@ -86,7 +90,7 @@ def test_synthesize_requires_both_kinematic_inputs():
         parameters=(Parameter("c1.s0", "m", 0.0, 10.0, kind="scalar-initial"),))
     concrete = concrete_for(scenario, {"c1.s0": 1.0})
     with pytest.raises(MissingKinematicInputs):
-        synthesize_traces(scenario, concrete, 1.0, 0.5)
+        synthesize_traces(compiled(scenario, 1.0, 0.5), concrete)
 
 
 def test_synthesize_source_checked():
@@ -94,7 +98,7 @@ def test_synthesize_source_checked():
     concrete = ConcreteScenario(scenario_id="x", source_ref={"scenario_id": "other"},
                                 assignments={})
     with pytest.raises(SourceMismatch):
-        synthesize_traces(scenario, concrete, 1.0, 0.5)
+        synthesize_traces(compiled(scenario, 1.0, 0.5), concrete)
 
 
 def test_synthesize_rejects_a_stale_revision():
@@ -103,7 +107,7 @@ def test_synthesize_rejects_a_stale_revision():
                                                              "hash": "0" * 64},
                                 assignments={"c1.s0": 0.0, "c1.v0": 1.0, "r1.lane_width": 3.0})
     with pytest.raises(SourceMismatch, match="different revision"):
-        synthesize_traces(scenario, concrete, 1.0, 0.5)
+        synthesize_traces(compiled(scenario, 1.0, 0.5), concrete)
 
 
 @pytest.mark.parametrize("missing", ["c1.s0", "c1.v0"])
@@ -112,7 +116,7 @@ def test_synthesize_requires_kinematic_assignments(missing):
     assignments = {"c1.s0": 0.0, "c1.v0": 1.0, "r1.lane_width": 3.0}
     del assignments[missing]
     with pytest.raises(MissingKinematicInputs):
-        synthesize_traces(scenario, concrete_for(scenario, assignments), 1.0, 0.5)
+        synthesize_traces(compiled(scenario, 1.0, 0.5), concrete_for(scenario, assignments))
 
 
 def test_static_scenario_has_no_input_data():
@@ -120,9 +124,10 @@ def test_static_scenario_has_no_input_data():
         Parameter("r1.lane_width", "m", 2.5, 4.25),
         Parameter("r1.curve_radius", "m", 400.0, 5000.0)))
     concrete = concrete_for(scenario, {"r1.lane_width": 3.0, "r1.curve_radius": 900.0})
-    assert synthesize_traces(scenario, concrete, 1.0, 0.5) == []
+    export = compiled(scenario, 1.0, 0.5)
+    assert synthesize_traces(export, concrete) == []
     with pytest.raises(IncompleteField) as excinfo:
-        assemble_test_case(concrete, [], META, EXPECTED)
+        assemble_test_case(export, concrete, [])
     assert excinfo.value.field == "input_data"
 
 
@@ -131,24 +136,36 @@ def test_other_initial_values_are_environmental_conditions():
         Parameter("c1.a0", "m/s^2", -3.0, 3.0, kind="scalar-initial"),))
     assignments = {"c1.s0": 1.0, "c1.v0": 2.0, "r1.lane_width": 3.0, "c1.a0": -1.5}
     concrete = concrete_for(scenario, assignments)
-    traces = synthesize_traces(scenario, concrete, 1.0, 0.5)
+    export = compiled(scenario, 1.0, 0.5)
+    traces = synthesize_traces(export, concrete)
     assert [t.parameter for t in traces] == ["c1.s", "c1.v"]
-    case = assemble_test_case(concrete, traces, META, EXPECTED)
+    case = assemble_test_case(export, concrete, traces)
     assert case.environmental_conditions == {"r1.lane_width": 3.0, "c1.a0": -1.5}
 
 
-def test_recover_assignments_inverts_synthesis():
+def test_each_signal_starts_at_its_source_assignment():
     scenario = kinematic_scenario()
     concrete = concrete_for(scenario, {"c1.s0": 7.0, "c1.v0": 3.0, "r1.lane_width": 4.0})
-    traces = synthesize_traces(scenario, concrete, 2.0, 0.5)
-    assert recover_assignments(concrete, traces) == {"c1.s0": 7.0, "c1.v0": 3.0}
+    export = compiled(scenario, 2.0, 0.5)
+    assert export.sources == {"c1.s": "c1.s0", "c1.v": "c1.v0"}
+    for trace in synthesize_traces(export, concrete):
+        assert trace.samples[0] == concrete.assignments[export.sources[trace.parameter]]
+
+
+def test_export_rejects_missing_v0_before_rendering_a_case():
+    scenario = LogicalScenario(scenario_id="kin", parameters=(
+        Parameter("c1.s0", "m", 0.0, 10.0, kind="scalar-initial"),
+        Parameter("r1.lane_width", "m", 2.5, 4.25)))
+    suite = [concrete_for(scenario, {"c1.s0": 1.0, "r1.lane_width": 3.0})]
+    with pytest.raises(MissingKinematicInputs, match="'c1' needs both s0 and v0"):
+        Export(scenario, suite, 2.0, 1.0, META, EXPECTED)
 
 
 def test_assemble_has_six_fields():
     scenario = kinematic_scenario()
     concrete = concrete_for(scenario, {"c1.s0": 0.0, "c1.v0": 25.0, "r1.lane_width": 3.5})
-    traces = synthesize_traces(scenario, concrete, 2.0, 1.0)
-    case = assemble_test_case(concrete, traces, META, EXPECTED)
+    export = compiled(scenario, 2.0, 1.0)
+    case = assemble_test_case(export, concrete, synthesize_traces(export, concrete))
     assert case.unique_id.startswith("tc-")
     assert case.work_product_ref == META["work_product_ref"]
     assert case.preconditions and case.configuration
@@ -160,35 +177,37 @@ def test_assemble_has_six_fields():
 def test_assemble_id_is_content_derived():
     scenario = kinematic_scenario()
     concrete = concrete_for(scenario, {"c1.s0": 0.0, "c1.v0": 25.0, "r1.lane_width": 3.5})
-    traces = synthesize_traces(scenario, concrete, 2.0, 1.0)
-    first = assemble_test_case(concrete, traces, META, EXPECTED)
-    second = assemble_test_case(concrete, traces, META, EXPECTED)
+    export = compiled(scenario, 2.0, 1.0)
+    traces = synthesize_traces(export, concrete)
+    first = assemble_test_case(export, concrete, traces)
+    second = assemble_test_case(export, concrete, traces)
     assert first.unique_id == second.unique_id
-    other = assemble_test_case(concrete, traces, dict(META, configuration="alt"), EXPECTED)
+    other = assemble_test_case(compiled(scenario, 2.0, 1.0, dict(META, configuration="alt")),
+                               concrete, traces)
     assert other.unique_id != first.unique_id
 
 
 def test_assemble_rejects_empty_fields():
     scenario = kinematic_scenario()
     concrete = concrete_for(scenario, {"c1.s0": 0.0, "c1.v0": 25.0, "r1.lane_width": 3.5})
-    traces = synthesize_traces(scenario, concrete, 2.0, 1.0)
     for missing in ("work_product_ref", "preconditions", "configuration"):
         with pytest.raises(IncompleteField) as excinfo:
-            assemble_test_case(concrete, traces, dict(META, **{missing: ""}), EXPECTED)
+            compiled(scenario, 2.0, 1.0, dict(META, **{missing: ""}))
         assert excinfo.value.field == missing
     with pytest.raises(IncompleteField):
-        assemble_test_case(concrete, traces, META, ExpectedBehavior(description=""))
+        compiled(scenario, 2.0, 1.0, META, ExpectedBehavior(description=""))
     with pytest.raises(IncompleteField):
-        assemble_test_case(concrete, [], META, EXPECTED)
+        assemble_test_case(compiled(scenario, 2.0, 1.0), concrete, [])
 
 
 def test_assemble_detects_trace_mismatch():
     scenario = kinematic_scenario()
     concrete = concrete_for(scenario, {"c1.s0": 0.0, "c1.v0": 25.0, "r1.lane_width": 3.5})
-    traces = synthesize_traces(scenario, concrete, 2.0, 1.0)
+    export = compiled(scenario, 2.0, 1.0)
+    traces = synthesize_traces(export, concrete)
     tampered = concrete_for(scenario, {"c1.s0": 5.0, "c1.v0": 25.0, "r1.lane_width": 3.5})
     with pytest.raises(TraceMismatch):
-        assemble_test_case(tampered, traces, META, EXPECTED)
+        assemble_test_case(export, tampered, traces)
 
 
 def test_expected_behavior_loading():
@@ -207,8 +226,7 @@ def build_case(position=0.0):
     scenario = kinematic_scenario()
     concrete = concrete_for(scenario, {"c1.s0": position, "c1.v0": 25.0,
                                        "r1.lane_width": 3.5})
-    traces = synthesize_traces(scenario, concrete, 2.0, 1.0)
-    return assemble_test_case(concrete, traces, META, EXPECTED)
+    return compiled(scenario, 2.0, 1.0).case(concrete)
 
 
 def test_serialize_round_trip():
@@ -273,8 +291,7 @@ def test_export_renders_repeated_traces_once_and_tells_signed_zeros_apart(tmp_pa
     assert export.repeats == {}  # each text is dropped after its last use
     files = {}
     for concrete in suite:
-        case = assemble_test_case(concrete, synthesize_traces(scenario, concrete, 2.0, 1.0),
-                                  META, EXPECTED)
+        case = compiled(scenario, 2.0, 1.0).case(concrete)
         text = (tmp_path / "out" / f"{case.unique_id}.json").read_text(encoding="utf-8")
         assert text == serialize_testcase(case)
         files[concrete.scenario_id] = text
@@ -431,8 +448,7 @@ def long_case(position):
     scenario = kinematic_scenario()
     concrete = concrete_for(scenario, {"c1.s0": position, "c1.v0": 25.0,
                                        "r1.lane_width": 3.5})
-    return assemble_test_case(concrete, synthesize_traces(scenario, concrete, 1500.0, 0.1),
-                              META, EXPECTED)
+    return compiled(scenario, 1500.0, 0.1).case(concrete)
 
 
 @pytest.fixture
