@@ -3,7 +3,10 @@
 Subcommands mirror the development phases: ``validate`` (functional),
 ``lower`` (functional -> logical), ``concretize`` (logical -> concrete),
 ``export`` (concrete -> test cases), and ``pipeline`` (everything). All
-randomness flows from ``--seed``; no environment entropy is consulted.
+randomness flows from ``--seed``; no environment entropy is consulted. The
+stages' rules live in their modules (``concretize.generate_suite`` chooses
+and measures every suite); this one reads and writes files and reports.
+With ``--json``, each stdout line is one JSON object.
 
 Exit codes: 0 ok, 1 findings, 2 I/O, 3 syntax, 4 infeasible, 5 internal.
 """
@@ -18,7 +21,7 @@ from pathlib import Path
 
 from . import concretize as cz
 from . import testcase as tc
-from .canonical import dumps_canonical, load_json
+from .canonical import load_json
 from .errors import ScenarioError, ScenarioSyntaxError, SchemaViolation
 from .functional import check_consistency, parse_functional
 from .logical import LogicalScenario, deserialize_logical, serialize_logical, validate_logical
@@ -36,27 +39,6 @@ def _read(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ScenarioSyntaxError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
-
-
-def generate_suite(scenario: LogicalScenario, method: str, k: int, n: int, seed: int):
-    """Build a concrete suite and measure its coverage; returns (scenarios,
-    coverage)."""
-    boundary = {p.name: cz.boundary_values(p) for p in scenario.parameters}
-    if method == "random":
-        scenarios = cz.sample_random(scenario, n, seed)
-        return scenarios, cz.coverage_metrics(scenario, boundary, scenarios)
-    if method == "boundary":
-        levels = boundary
-    elif method == "equivalence":
-        levels = {p.name: cz.equivalence_classes(p, k) for p in scenario.parameters}
-    elif method == "pairwise":
-        levels = {p.name: sorted(set(boundary[p.name])
-                                 | set(cz.equivalence_classes(p, k)))
-                  for p in scenario.parameters}
-    else:
-        raise ScenarioError(f"unknown method {method!r}")
-    scenarios = cz.pairwise_cover(scenario, levels, method)
-    return scenarios, cz.coverage_metrics(scenario, levels, scenarios)
 
 
 def _write(target: Path, text: str) -> None:
@@ -86,17 +68,17 @@ def _claim(seen: dict, scenario_id: str, path) -> None:
 def _build_suite(logical: LogicalScenario, args, seed: int):
     """Build the suite and measure its coverage; returns (scenarios, coverage,
     the suite file's text)."""
-    scenarios, coverage = generate_suite(logical, args.method, args.k, args.n, seed)
+    scenarios, coverage = cz.generate_suite(logical, args.method, args.k, args.n, seed)
     return scenarios, coverage, cz.SUITE.dumps((scenarios, coverage))
 
 
 def _emit_findings(path, findings, as_json):
     if as_json:
-        print(dumps_canonical({
+        print(json.dumps({
             "path": str(path),
             "findings": [{"code": f.code, "message": f.message, "elements": list(f.elements)}
                          for f in findings],
-        }), end="")
+        }, sort_keys=True))
     else:
         status = "OK" if not findings else f"{len(findings)} finding(s)"
         print(f"{path}: {status}")
@@ -153,7 +135,8 @@ def cmd_lower(args) -> int:
             continue
         target = out / f"{logical.scenario_id}.logical.json"
         _write(target, serialize_logical(logical))
-        print(f"{path} -> {target}")
+        if not args.json:
+            print(f"{path} -> {target}")
     return worst
 
 
@@ -169,8 +152,9 @@ def cmd_concretize(args) -> int:
         target = out / f"{logical.scenario_id}.suite.json"
         scenarios, coverage, text = _build_suite(logical, args, cz.derive_seed(args.seed, index))
         _write(target, text)
-        print(f"{path} -> {target} ({len(scenarios)} scenarios, "
-              f"pair coverage {coverage.pair_coverage:.3f})")
+        if not args.json:
+            print(f"{path} -> {target} ({len(scenarios)} scenarios, "
+                  f"pair coverage {coverage.pair_coverage:.3f})")
     return EXIT_OK
 
 
@@ -193,7 +177,7 @@ def _export_cases(logical, scenarios, args, inputs, destination) -> dict:
         raise SchemaViolation(f"scenario {logical.scenario_id!r}: no concrete scenario to export")
     expected, meta = inputs
     export = tc.Export(logical, scenarios, args.duration, args.dt, meta, expected)
-    return tc.export_suite(scenarios, destination, export.render)
+    return tc.export_suite(map(export.render, scenarios), destination)
 
 
 def cmd_export(args) -> int:
@@ -209,7 +193,8 @@ def cmd_export(args) -> int:
     if status != EXIT_OK:
         return status
     manifest = _export_cases(logical, scenarios, args, inputs, args.out)
-    print(f"{args.suite} -> {args.out} ({manifest['case_count']} test cases)")
+    if not args.json:
+        print(f"{args.suite} -> {args.out} ({manifest['case_count']} test cases)")
     return EXIT_OK
 
 
@@ -245,7 +230,7 @@ def cmd_pipeline(args) -> int:
             "pair_coverage": coverage.pair_coverage,
         })
     if args.json:
-        print(dumps_canonical({"scenarios": summary}), end="")
+        print(json.dumps({"scenarios": summary}, sort_keys=True))
     else:
         for entry in summary:
             print(f"{entry['scenario_id']}: {entry['case_count']} test cases, "
@@ -254,8 +239,7 @@ def cmd_pipeline(args) -> int:
 
 
 def _add_method(parser):
-    parser.add_argument("--method", default="pairwise",
-                        choices=["boundary", "equivalence", "pairwise", "random"])
+    parser.add_argument("--method", default="pairwise", choices=cz.METHODS)
     parser.add_argument("--k", type=int, default=2, help="equivalence classes per parameter")
     parser.add_argument("--n", type=int, default=10, help="sample count for --method random")
     parser.add_argument("--seed", type=int, default=0)

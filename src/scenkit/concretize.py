@@ -1,10 +1,11 @@
 """Derive concrete scenarios from a logical scenario.
 
-Generators propose full assignments, the checker disposes: constraints are
-verified by substitution only, so feasibility logic lives in one place.
-All generators are pure functions of their inputs and the seed. Every
-consumer evaluates constraints through the scenario's compiled form, which
-reads a row tuple in parameter order.
+``generate_suite`` chooses each method's levels, builds the suite and
+measures its coverage. Generators propose full assignments, the checker
+disposes: constraints are verified by substitution only, so feasibility
+logic lives in one place. All generators are pure functions of their inputs
+and the seed. Every consumer evaluates constraints through the scenario's
+compiled form, which reads a row tuple in parameter order.
 """
 
 import random
@@ -29,6 +30,7 @@ from .errors import (
     Finding,
     InfeasibleLevels,
     SamplingExhausted,
+    ScenarioError,
     SchemaViolation,
     SourceMismatch,
 )
@@ -395,6 +397,28 @@ def sample_random(scenario: LogicalScenario, n: int, seed: int) -> list[Concrete
     return accepted
 
 
+METHODS = ("boundary", "equivalence", "pairwise", "random")
+
+
+def generate_suite(scenario: LogicalScenario, method: str, k: int, n: int, seed: int):
+    """Build a concrete suite by one of ``METHODS`` and measure its coverage;
+    returns (scenarios, coverage)."""
+    boundary = {p.name: boundary_values(p) for p in scenario.parameters}
+    if method == "random":
+        scenarios = sample_random(scenario, n, seed)
+        return scenarios, coverage_metrics(scenario, boundary, scenarios)
+    if method == "boundary":
+        levels = boundary
+    elif method == "equivalence":
+        levels = {p.name: equivalence_classes(p, k) for p in scenario.parameters}
+    elif method == "pairwise":
+        levels = {p.name: boundary[p.name] + equivalence_classes(p, k) for p in scenario.parameters}
+    else:
+        raise ScenarioError(f"unknown method {method!r}")
+    scenarios = pairwise_cover(scenario, levels, method)
+    return scenarios, coverage_metrics(scenario, levels, scenarios)
+
+
 def derive_seed(master: int, index: int) -> int:
     """64-bit splitmix-style mix for per-scenario seed derivation."""
     z = (master ^ (index * 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF
@@ -474,6 +498,16 @@ def coverage_metrics(scenario: LogicalScenario, levels: dict,
     )
 
 
+def _distinct_ids(suite: tuple, where: str) -> tuple:
+    """A suite lists each scenario id once."""
+    seen: set[str] = set()
+    for concrete in suite[0]:
+        if concrete.scenario_id in seen:
+            raise SchemaViolation(f"{where}: scenario {concrete.scenario_id!r} is listed twice")
+        seen.add(concrete.scenario_id)
+    return suite
+
+
 CONCRETE = Record(ConcreteScenario, Field("scenario_id", STRING), Field("source_ref", SOURCE_REF),
                   Field("assignments", NUMBERS), Field("method", STRING),
                   Field("seed", INTEGER, None),
@@ -485,7 +519,7 @@ COVERAGE = Record(CoverageReport, Field("pair_coverage", NUMBER),
 # (scenarios, coverage or None)
 SUITE = Record(tuple, Field("scenarios", List(CONCRETE)),
                Field("coverage", COVERAGE, None, omit=True), tag=("format", "concrete-suite/1"),
-               name="suite")
+               check=_distinct_ids, name="suite")
 
 
 concrete_to_dict = CONCRETE.encode
@@ -500,10 +534,4 @@ def suite_to_dict(scenarios: list[ConcreteScenario], coverage: CoverageReport | 
 
 
 def suite_from_dict(document: dict) -> list[ConcreteScenario]:
-    scenarios, _ = SUITE.decode(document)
-    seen: set[str] = set()
-    for concrete in scenarios:
-        if concrete.scenario_id in seen:
-            raise SchemaViolation(f"suite: scenario {concrete.scenario_id!r} is listed twice")
-        seen.add(concrete.scenario_id)
-    return list(scenarios)
+    return list(SUITE.decode(document)[0])

@@ -352,16 +352,11 @@ def _listed_files(manifest_path: Path) -> set[str]:
             and os.path.basename(name) == name}
 
 
-def _render(case: TestCase) -> tuple[str, str]:
-    return case.unique_id, serialize_testcase(case)
-
-
-def export_suite(cases: Iterable, destination, render=_render) -> dict:
+def export_suite(cases: Iterable[tuple[str, str]], destination) -> dict:
     """Write one file per case plus a manifest; re-export is byte-identical.
 
-    ``render(item)`` gives the unique id and file text of each item of
-    ``cases``: a ``TestCase``, or what an ``Export``'s ``render`` takes.
-    ``cases`` may be a generator: each case is rendered, hashed and written
+    ``cases`` holds each case's unique id and file text, as ``Export.render``
+    gives them; it may be a generator: each case is hashed and written
     to a staging directory as it arrives. Once ``HANDOFF_BYTES`` of payload
     are written, the remaining files go through a pipe to a writer process,
     so the system time of creating them overlaps with encoding; smaller
@@ -382,8 +377,7 @@ def export_suite(cases: Iterable, destination, render=_render) -> dict:
     staged = 0
     writer = None
     try:
-        for item in cases:
-            unique_id, text = render(item)
+        for unique_id, text in cases:
             if unique_id in entries:
                 raise DuplicateId(f"duplicate test case id {unique_id!r}")
             payload = text.encode("utf-8")

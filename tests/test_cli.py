@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from scenkit import expressions
-from scenkit.cli import COMMANDS, generate_suite, main
+from scenkit.cli import COMMANDS, main
+from scenkit.concretize import generate_suite
 from scenkit.logical import deserialize_logical
 
 from conftest import DATA, make_logical, replaced
@@ -866,6 +867,46 @@ def test_export_checks_every_concrete_scenario_before_writing(tmp_path, capsys):
     assert sorted(f["code"] for f in report["findings"]) == [
         "MISSING_ASSIGNMENT", "RANGE", "RANGE", "UNKNOWN_ASSIGNMENT"]
     assert not out.exists() and not (tmp_path / "cases.staging").exists()
+
+
+def test_export_json_prints_one_report_per_line(tmp_path, capsys):
+    """With ``--json``, each broken scenario's findings report is one line."""
+    assert main(README_PIPELINE + ["--out", str(tmp_path / "run")]) == 0
+    suite = tmp_path / "run" / "concrete" / "s1.suite.json"
+    document = json.loads(suite.read_text())
+    for concrete in document["scenarios"][:2]:
+        concrete["assignments"]["c1.s0"] = 5000.0
+    suite.write_text(json.dumps(document))
+    logical = str(tmp_path / "run" / "logical" / "s1.logical.json")
+    capsys.readouterr()
+    assert main(["export", "--logical", logical, "--out", str(tmp_path / "cases"), str(suite),
+                 "--json"] + EXPORT_ARGS) == 1
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [report["path"] for report in reports] == [
+        f"{suite}#{concrete['scenario_id']}" for concrete in document["scenarios"][:2]]
+    assert [[f["code"] for f in report["findings"]] for report in reports] == [["RANGE"]] * 2
+
+
+def test_json_stdout_is_one_object_per_line(tmp_path, capsys):
+    """With ``--json``, ``lower``, ``concretize`` and ``export`` print no
+    progress line, and ``validate`` and ``pipeline`` one object per line."""
+    bad = tmp_path / "bad.scn"
+    bad.write_text("scenario s9\nroad r1 is two-lane-motorway\n")
+    assert main(["validate", "--vocab", VOCAB, "--json", str(bad), str(bad)]) == 1
+    assert [json.loads(line)["path"] for line in capsys.readouterr().out.splitlines()] == [
+        str(bad)] * 2
+    logical = str(tmp_path / "logical" / "s1.logical.json")
+    suite = str(tmp_path / "concrete" / "s1.suite.json")
+    for argv in (["lower", "--vocab", VOCAB, "--catalog", CATALOG,
+                  "--out", str(tmp_path / "logical"), SCENARIO],
+                 ["concretize", "--out", str(tmp_path / "concrete"), logical],
+                 ["export", "--logical", logical, "--out", str(tmp_path / "cases"), suite]
+                 + EXPORT_ARGS):
+        assert main(argv + ["--json"]) == 0
+        assert capsys.readouterr().out == ""
+    assert main(README_PIPELINE + ["--out", str(tmp_path / "run"), "--json"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert [entry["case_count"] for entry in json.loads(line)["scenarios"]] == [22]
 
 
 @pytest.mark.parametrize("instance_id", ["c-1", "9c", "c.x"])

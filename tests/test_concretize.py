@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import scenkit.logical
 from scenkit.concretize import (
+    SUITE,
     ConcreteScenario,
     _components,
     _feasible_pairs,
@@ -270,6 +271,15 @@ def test_suite_to_dict_structure():
     assert len(document["scenarios"]) == len(suite)
     assert document["coverage"]["pair_coverage"] == 1.0
     assert concrete_from_dict(document["scenarios"][0]) == suite[0]
+
+
+def test_suite_loads_rejects_a_repeated_id():
+    scenario = make_logical([("a.x", 0, 1), ("a.y", 0, 1)])
+    suite = pairwise_cover(scenario, {"a.x": [0.0, 1.0], "a.y": [0.0, 1.0]})
+    suite[1] = suite[1]._replace(scenario_id=suite[0].scenario_id)
+    message = f"suite: scenario {suite[0].scenario_id!r} is listed twice"
+    with pytest.raises(SchemaViolation, match=re.escape(message)):
+        SUITE.loads(SUITE.dumps((suite, None)))
 
 
 def test_generators_never_emit_violations():

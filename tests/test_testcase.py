@@ -53,6 +53,12 @@ def compiled(scenario, duration, dt, meta=META, expected=EXPECTED):
     return Export(scenario, [], duration, dt, meta, expected)
 
 
+def rendered(cases):
+    """The ``(unique_id, text)`` pair of each test case, its text from
+    ``serialize_testcase``, the byte reference of every case file."""
+    return ((case.unique_id, serialize_testcase(case)) for case in cases)
+
+
 def concrete_for(scenario, assignments):
     return ConcreteScenario(scenario_id=f"{scenario.scenario_id}-random-0000",
                             source_ref=source_ref_for(scenario),
@@ -248,7 +254,7 @@ def test_to_dict_field_names():
 
 def test_export_suite(tmp_path):
     cases = [build_case(float(i)) for i in range(3)]
-    manifest = export_suite(cases, tmp_path / "out")
+    manifest = export_suite(rendered(cases), tmp_path / "out")
     assert manifest["case_count"] == 3
     assert sorted(e["unique_id"] for e in manifest["cases"]) == [e["unique_id"]
                                                                 for e in manifest["cases"]]
@@ -262,8 +268,8 @@ def test_export_suite(tmp_path):
 
 def test_export_is_reproducible(tmp_path):
     cases = [build_case(float(i)) for i in range(2)]
-    export_suite(cases, tmp_path / "a")
-    export_suite(cases, tmp_path / "b")
+    export_suite(rendered(cases), tmp_path / "a")
+    export_suite(rendered(cases), tmp_path / "b")
     for name in ("manifest.json", f"{cases[0].unique_id}.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -271,7 +277,7 @@ def test_export_is_reproducible(tmp_path):
 def test_export_rejects_duplicate_ids(tmp_path):
     case = build_case()
     with pytest.raises(DuplicateId):
-        export_suite([case, case], tmp_path / "out")
+        export_suite(rendered([case, case]), tmp_path / "out")
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
@@ -287,7 +293,7 @@ def test_export_renders_repeated_traces_once_and_tells_signed_zeros_apart(tmp_pa
     export = Export(scenario, suite, 2.0, 1.0, META, EXPECTED)
     # positions (0.0, -0.0), (-0.0, -0.0) and (5.0, 2.0); speeds -0.0 and 2.0
     assert len(export.repeats) == 5
-    manifest = export_suite(suite, tmp_path / "out", export.render)
+    manifest = export_suite(map(export.render, suite), tmp_path / "out")
     assert export.repeats == {}  # each text is dropped after its last use
     files = {}
     for concrete in suite:
@@ -302,7 +308,7 @@ def test_export_renders_repeated_traces_once_and_tells_signed_zeros_apart(tmp_pa
 
 
 def test_export_empty_suite(tmp_path):
-    manifest = export_suite([], tmp_path / "out")
+    manifest = export_suite(rendered([]), tmp_path / "out")
     assert manifest["case_count"] == 0
     assert json.loads((tmp_path / "out" / "manifest.json").read_text())["cases"] == []
 
@@ -357,8 +363,8 @@ def test_check_timing_accepts_dt_equal_to_duration():
 
 def test_export_streams_a_generator(tmp_path):
     cases = [build_case(float(i)) for i in range(3)]
-    listed = export_suite(cases, tmp_path / "a")
-    streamed = export_suite((case for case in cases), tmp_path / "b")
+    listed = export_suite(list(rendered(cases)), tmp_path / "a")
+    streamed = export_suite(rendered(case for case in cases), tmp_path / "b")
     assert streamed == listed
     for path in (tmp_path / "a").iterdir():
         assert (tmp_path / "b" / path.name).read_bytes() == path.read_bytes()
@@ -381,24 +387,24 @@ FAILURES = {"duplicate-id": DuplicateId, "generator-raises": TraceMismatch}
 @pytest.mark.parametrize("kind", sorted(FAILURES))
 def test_failed_stream_leaves_no_trace(tmp_path, kind):
     with pytest.raises(FAILURES[kind]):
-        export_suite(_failing_stream(kind), tmp_path / "out")
+        export_suite(rendered(_failing_stream(kind)), tmp_path / "out")
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("kind", sorted(FAILURES))
 def test_failed_stream_removes_created_parents(tmp_path, kind):
     with pytest.raises(FAILURES[kind]):
-        export_suite(_failing_stream(kind), tmp_path / "a" / "b" / "out")
+        export_suite(rendered(_failing_stream(kind)), tmp_path / "a" / "b" / "out")
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("kind", sorted(FAILURES))
 def test_failed_stream_keeps_existing_destination(tmp_path, kind):
     destination = tmp_path / "out"
-    export_suite([build_case(float(i)) for i in range(3)], destination)
+    export_suite(rendered([build_case(float(i)) for i in range(3)]), destination)
     before = {p.name: p.read_bytes() for p in destination.iterdir()}
     with pytest.raises(FAILURES[kind]):
-        export_suite(_failing_stream(kind), destination)
+        export_suite(rendered(_failing_stream(kind)), destination)
     assert {p.name: p.read_bytes() for p in destination.iterdir()} == before
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
@@ -406,7 +412,7 @@ def test_failed_stream_keeps_existing_destination(tmp_path, kind):
 def test_export_onto_a_file_removes_staging(tmp_path):
     (tmp_path / "out").write_text("not a directory")
     with pytest.raises(OSError):
-        export_suite([build_case()], tmp_path / "out")
+        export_suite(rendered([build_case()]), tmp_path / "out")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
@@ -419,7 +425,7 @@ def _leave_staging(tmp_path):
 def test_leftover_staging_is_not_carried_into_a_new_destination(tmp_path):
     _leave_staging(tmp_path)
     case = build_case()
-    export_suite([case], tmp_path / "out")
+    export_suite(rendered([case]), tmp_path / "out")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
         [f"{case.unique_id}.json", "manifest.json"])
@@ -427,9 +433,9 @@ def test_leftover_staging_is_not_carried_into_a_new_destination(tmp_path):
 
 def test_leftover_staging_does_not_fail_a_reexport(tmp_path):
     old, new = build_case(0.0), build_case(1.0)
-    export_suite([old], tmp_path / "out")
+    export_suite(rendered([old]), tmp_path / "out")
     _leave_staging(tmp_path)
-    export_suite([new], tmp_path / "out")  # deletes the file only the old manifest lists
+    export_suite(rendered([new]), tmp_path / "out")  # deletes the file only the old manifest lists
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
         [f"{new.unique_id}.json", "manifest.json"])
@@ -469,10 +475,10 @@ def writers(monkeypatch):
 
 def test_large_export_through_the_writer_is_byte_identical(tmp_path, monkeypatch, writers):
     cases = [long_case(float(i)) for i in range(4)]
-    handed_off = export_suite(cases, tmp_path / "writer")
+    handed_off = export_suite(rendered(cases), tmp_path / "writer")
     assert [writer.returncode for writer in writers] == [0]
     monkeypatch.setattr(tcmod, "HANDOFF_BYTES", math.inf)
-    in_process = export_suite(cases, tmp_path / "in-process")
+    in_process = export_suite(rendered(cases), tmp_path / "in-process")
     assert len(writers) == 1
     assert handed_off == in_process
     files = {p.name: p.read_bytes() for p in (tmp_path / "writer").iterdir()}
@@ -488,7 +494,8 @@ def test_large_export_through_the_writer_is_byte_identical(tmp_path, monkeypatch
 def test_failed_writer_raises_and_leaves_no_trace(tmp_path, monkeypatch, writers, source):
     monkeypatch.setattr(tcmod, "_WRITER_SOURCE", source)
     with pytest.raises(OSError):
-        export_suite([long_case(float(i)) for i in range(4)], tmp_path / "a" / "b" / "out")
+        export_suite(rendered([long_case(float(i)) for i in range(4)]),
+                     tmp_path / "a" / "b" / "out")
     assert [writer.returncode for writer in writers] == [1]
     assert list(tmp_path.iterdir()) == []
 
@@ -501,7 +508,7 @@ def test_exception_after_the_handoff_reaps_the_writer(tmp_path, writers, error):
         raise error("generator failed after the hand-off")
 
     with pytest.raises(error):
-        export_suite(stream(), tmp_path / "a" / "out")
+        export_suite(rendered(stream()), tmp_path / "a" / "out")
     assert len(writers) == 1 and writers[0].returncode is not None
     assert list(tmp_path.iterdir()) == []
 
@@ -513,14 +520,14 @@ def test_small_export_starts_no_process(tmp_path, monkeypatch):
         raise OSError("a small export started a process")
 
     monkeypatch.setattr(subprocess, "Popen", refuse)
-    assert export_suite([build_case(float(i)) for i in range(3)], tmp_path / "out")[
+    assert export_suite(rendered([build_case(float(i)) for i in range(3)]), tmp_path / "out")[
         "case_count"] == 3
 
 
 def test_large_export_without_an_interpreter_path_writes_in_process(tmp_path, monkeypatch,
                                                                     writers):
     monkeypatch.setattr(tcmod.sys, "executable", "")
-    assert export_suite([long_case(float(i)) for i in range(3)], tmp_path / "out")[
+    assert export_suite(rendered([long_case(float(i)) for i in range(3)]), tmp_path / "out")[
         "case_count"] == 3
     assert writers == []
 
@@ -528,10 +535,10 @@ def test_large_export_without_an_interpreter_path_writes_in_process(tmp_path, mo
 def test_reexport_deletes_the_files_only_the_old_manifest_lists(tmp_path):
     destination = tmp_path / "out"
     old = [build_case(float(i)) for i in range(3)]
-    export_suite(old, destination)
+    export_suite(rendered(old), destination)
     (destination / "notes.json").write_text("{}")
     new = [old[0], build_case(9.0)]
-    export_suite(new, destination)
+    export_suite(rendered(new), destination)
     assert sorted(p.name for p in destination.iterdir()) == sorted(
         [f"{case.unique_id}.json" for case in new] + ["manifest.json", "notes.json"])
 
@@ -551,7 +558,7 @@ def test_reexport_keeps_files_no_valid_manifest_lists(tmp_path, manifest):
         path.write_text("{}")
     (destination / "manifest.json").write_text(manifest)
     case = build_case()
-    export_suite([case], destination)
+    export_suite(rendered([case]), destination)
     assert sorted(p.name for p in destination.iterdir()) == sorted(
         [f"{case.unique_id}.json", "manifest.json", "sub", "x.json", "x.txt"])
     assert (destination / "sub" / "x.json").exists() and (tmp_path / "x.json").exists()
