@@ -10,6 +10,10 @@ Expression ASTs are plain tuples:
     ("add", a, b) | ("sub", a, b) | ("mul", a, b)
 
 A tree deeper than ``MAX_DEPTH`` levels is a ``ScenarioSyntaxError``.
+
+A tree is evaluated (``eval_expr``, ``compile_expr``) or read as an affine
+form over a box of ranges (``affine_expr``); ``comparison_possible`` judges
+one comparison over a box by that form.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections import Counter
 
 from .errors import ScenarioSyntaxError
 
@@ -225,24 +230,44 @@ def compile_comparison(lhs, op: str, rhs, index):
     return lambda row: compare(left(row), right(row))
 
 
-def interval_expr(node, env) -> tuple[float, float]:
-    """Evaluate over an environment of ``name -> (lo, hi)`` intervals."""
+def affine_expr(node, box) -> tuple[dict[str, float], float, float]:
+    """``node`` as ``(terms, lo, hi)``: the sum of ``coefficient * name`` over
+    ``terms`` plus a constant in ``[lo, hi]``, over ``box`` (``name -> (lo, hi)``).
+    A product of two varying sides is bounded over ``box`` into the constant, so
+    the form is exact for linear trees (affine arithmetic; de Figueiredo &
+    Stolfi, Numer. Algorithms 37, 2004)."""
     head = node[0]
     if head == "num":
-        return node[1], node[1]
+        return {}, node[1], node[1]
     if head == "var":
-        return env[node[1]]
+        return {node[1]: 1.0}, 0.0, 0.0
     if head == "neg":
-        lo, hi = interval_expr(node[1], env)
-        return -hi, -lo
-    alo, ahi = interval_expr(node[1], env)
-    blo, bhi = interval_expr(node[2], env)
-    if head == "add":
-        return alo + blo, ahi + bhi
+        return affine_expr(("mul", ("num", -1.0), node[1]), box)
     if head == "sub":
-        return alo - bhi, ahi - blo
-    products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-    return min(products), max(products)
+        return affine_expr(("add", node[1], ("neg", node[2])), box)
+    a, b = affine_expr(node[1], box), affine_expr(node[2], box)
+    if head == "add":
+        terms = Counter(a[0])
+        terms.update(b[0])  # like terms: their coefficients add
+        return terms, a[1] + b[1], a[2] + b[2]
+    for (terms, lo, hi), (factor_terms, c, c_hi) in ((a, b), (b, a)):
+        if not factor_terms and c == c_hi:  # a constant factor scales the terms
+            lo, hi = (hi * c, lo * c) if c < 0 else (lo * c, hi * c)
+            return {name: coefficient * c for name, coefficient in terms.items()}, lo, hi
+    products = [x * y for x in affine_range(a, box) for y in affine_range(b, box)]
+    if any(math.isnan(p) for p in products):
+        return {}, math.nan, math.nan
+    return {}, min(products), max(products)
+
+
+def affine_range(form, box) -> tuple[float, float]:
+    """The least and greatest value of ``affine_expr``'s ``form`` over ``box``:
+    each term at the endpoint its coefficient's sign picks."""
+    terms, lo, hi = form
+    for name, coefficient in terms.items():
+        low, high = box[name][::-1] if coefficient < 0 else box[name]
+        lo, hi = lo + coefficient * low, hi + coefficient * high
+    return lo, hi
 
 
 def format_expr(node) -> str:
@@ -271,16 +296,16 @@ def comparison_holds(lhs: float, op: str, rhs: float) -> bool:
     return _COMPARE[op](lhs, rhs)
 
 
-def comparison_possible(lhs: tuple[float, float], op: str, rhs: tuple[float, float]) -> bool:
-    """Best-case interval check: can the comparison hold for any point values?"""
-    llo, lhi = lhs
-    rlo, rhi = rhs
-    if op == "<":
-        return llo < rhi
-    if op == "<=":
-        return llo <= rhi
-    if op == ">":
-        return lhi > rlo
-    if op == ">=":
-        return lhi >= rlo
-    return llo <= rhi and rlo <= lhi
+def comparison_possible(lhs, op: str, rhs, box) -> bool:
+    """Can ``lhs op rhs`` hold at some point of ``box``? Not if the range of
+    ``lhs - rhs`` rules it out, is not NaN (an overflow gives no verdict), and
+    the tree is false at the corner the terms' signs pick (terms round apart)."""
+    form = affine_expr(("sub", lhs, rhs), box)
+    lo, hi = affine_range(form, box)
+    lowest = op in ("<", "<=") or (op == "=" and lo > 0.0)  # toward the least value
+    if math.isnan(lo) or math.isnan(hi) or (
+            lo <= 0.0 <= hi if op == "=" else comparison_holds(lo if lowest else hi, op, 0.0)):
+        return True
+    # each name at the endpoint (a bool indexes ``bounds``) that moves lhs - rhs the way tested
+    corner = {name: bounds[(form[0].get(name, 0.0) < 0) == lowest] for name, bounds in box.items()}
+    return comparison_holds(eval_expr(lhs, corner), op, eval_expr(rhs, corner))

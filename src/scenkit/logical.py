@@ -3,7 +3,9 @@
 A LogicalScenario is the machine-facing contract between the linguistic
 front end and the concretization back end: named parameters with closed
 ranges and optional distributions, plus inequality and correlation
-constraints over those parameters.
+constraints over those parameters. A constraint is its comparisons of
+expression trees, one for an inequality and two for a correlation's band:
+its checks, ``holds`` and ``validate_logical`` all read those.
 """
 
 import math
@@ -40,6 +42,25 @@ class Parameter(NamedTuple):
         return self.lo, self.hi
 
 
+class _Comparisons:
+    """A constraint is its ``comparisons()``: ``(lhs, op, rhs)`` trees that all hold."""
+
+    def variables(self) -> set[str]:
+        return {name for lhs, _, rhs in self.comparisons()
+                for name in expressions.expr_variables(lhs) | expressions.expr_variables(rhs)}
+
+    def holds(self, env: dict[str, float]) -> bool:
+        return all(expressions.comparison_holds(expressions.eval_expr(lhs, env), op,
+                                                expressions.eval_expr(rhs, env))
+                   for lhs, op, rhs in self.comparisons())
+
+    def compile(self, index: dict[str, int]) -> Callable[[tuple], bool]:
+        """``holds`` as a closure over a row tuple; ``index`` maps names to positions."""
+        checks = [expressions.compile_comparison(lhs, op, rhs, index)
+                  for lhs, op, rhs in self.comparisons()]
+        return checks[0] if len(checks) == 1 else lambda row: all(c(row) for c in checks)
+
+
 # A record with a ``cached_property`` is a subclass of its named tuple: the
 # subclass has the instance ``__dict__`` that the property caches in.
 class _Inequality(NamedTuple):
@@ -50,7 +71,7 @@ class _Inequality(NamedTuple):
     provenance: tuple[tuple[str, str], ...] = ()
 
 
-class Inequality(_Inequality):
+class Inequality(_Inequality, _Comparisons):
     kind = "inequality"  # the record's tag; a class attribute, not a field
 
     @cached_property
@@ -58,19 +79,9 @@ class Inequality(_Inequality):
         """The ``(lhs, rhs)`` expression ASTs, parsed once per instance."""
         return expressions.parse_expression(self.lhs), expressions.parse_expression(self.rhs)
 
-    def variables(self) -> set[str]:
+    def comparisons(self) -> tuple:
         lhs, rhs = self.parsed
-        return expressions.expr_variables(lhs) | expressions.expr_variables(rhs)
-
-    def holds(self, env: dict[str, float]) -> bool:
-        lhs, rhs = self.parsed
-        return expressions.comparison_holds(expressions.eval_expr(lhs, env), self.op,
-                                            expressions.eval_expr(rhs, env))
-
-    def compile(self, index: dict[str, int]) -> Callable[[tuple], bool]:
-        """``holds`` as a closure over a row tuple; ``index`` maps names to positions."""
-        lhs, rhs = self.parsed
-        return expressions.compile_comparison(lhs, self.op, rhs, index)
+        return ((lhs, self.op, rhs),)
 
     def describe(self) -> str:
         return f"{self.lhs} {self.op} {self.rhs}"
@@ -82,9 +93,7 @@ class Inequality(_Inequality):
         return self._replace(id=id, lhs=lhs, rhs=rhs, provenance=provenance)
 
 
-class Correlation(NamedTuple):
-    """target within slope*source + intercept, plus/minus tolerance (inclusive)."""
-
+class _Correlation(NamedTuple):
     id: str
     target: str
     source: str
@@ -92,20 +101,19 @@ class Correlation(NamedTuple):
     intercept: float
     tolerance: float
     provenance: tuple[tuple[str, str], ...] = ()
+
+
+class Correlation(_Correlation, _Comparisons):
+    """target within slope*source + intercept, plus/minus tolerance (inclusive):
+    ``d <= tolerance`` and ``d >= -tolerance`` for the tree ``d`` of
+    ``target - (slope*source + intercept)``."""
+
     kind = "correlation"  # the record's tag; a class attribute, not a field
 
-    def variables(self) -> set[str]:
-        return {self.target, self.source}
-
-    def holds(self, env: dict[str, float]) -> bool:
-        center = self.slope * env[self.source] + self.intercept
-        return abs(env[self.target] - center) <= self.tolerance
-
-    def compile(self, index: dict[str, int]) -> Callable[[tuple], bool]:
-        """``holds`` as a closure over a row tuple; ``index`` maps names to positions."""
-        target, source = index[self.target], index[self.source]
-        slope, intercept, tolerance = self.slope, self.intercept, self.tolerance
-        return lambda row: abs(row[target] - (slope * row[source] + intercept)) <= tolerance
+    def comparisons(self) -> tuple:
+        d = ("sub", ("var", self.target),
+             ("add", ("mul", ("num", self.slope), ("var", self.source)), ("num", self.intercept)))
+        return (d, "<=", ("num", self.tolerance)), (d, ">=", ("num", -self.tolerance))
 
     def describe(self) -> str:
         return (f"{self.target} = {self.slope!r}*{self.source} + {self.intercept!r} "
@@ -236,18 +244,8 @@ def validate_logical(scenario: LogicalScenario) -> Report:
             continue
         if constraint.variables() & non_finite:
             continue  # no interval check on a range already reported as not finite
-        if isinstance(constraint, Inequality):
-            lhs = expressions.interval_expr(constraint.parsed[0], env)
-            rhs = expressions.interval_expr(constraint.parsed[1], env)
-            possible = expressions.comparison_possible(lhs, constraint.op, rhs)
-        else:
-            source_lo, source_hi = env[constraint.source]
-            center = sorted((constraint.slope * source_lo + constraint.intercept,
-                             constraint.slope * source_hi + constraint.intercept))
-            band = (center[0] - constraint.tolerance, center[1] + constraint.tolerance)
-            target = env[constraint.target]
-            possible = band[0] <= target[1] and target[0] <= band[1]
-        if not possible:
+        if not all(expressions.comparison_possible(lhs, op, rhs, env)
+                   for lhs, op, rhs in constraint.comparisons()):
             findings.append(Finding("INTERVAL_INFEASIBLE",
                                     f"constraint {constraint.id} ({constraint.describe()}) "
                                     "cannot be satisfied within the declared ranges",

@@ -917,3 +917,43 @@ def test_dsl_instance_id_must_be_an_identifier(tmp_path, capsys, instance_id):
                         f"truck t1\ncar {instance_id}\n{instance_id} follows t1\n")
     assert main(["validate", "--vocab", VOCAB, str(scenario)]) == 3
     assert f"line 5: bad instance id {instance_id!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["lower", "pipeline"])
+def test_a_car_that_follows_itself_is_infeasible_when_lowered(tmp_path, capsys, command):
+    """``c1 follows c1`` lowers to ``c1.s0 > c1.s0``: the functional level has no
+    ranges to judge it by, the logical level rejects it before writing."""
+    scenario = tmp_path / "self.scn"
+    scenario.write_text(Path(SCENARIO).read_text().replace("c1 follows t1", "c1 follows c1"))
+    assert main(["validate", "--vocab", VOCAB, str(scenario)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    argv = [command, "--vocab", VOCAB, "--catalog", CATALOG, "--out", str(out), "--json",
+            str(scenario)]
+    assert main(argv + (EXPORT_ARGS if command == "pipeline" else [])) == 4
+    (line,) = capsys.readouterr().out.splitlines()
+    findings = [(f["code"], f["elements"]) for f in json.loads(line)["findings"]]
+    assert findings == [("INTERVAL_INFEASIBLE", ["c000"])]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lhs, rhs", [("c1.s0 - c1.s0", "1"), ("c1.s0 + t1.s0", "c1.s0 + 250")])
+@pytest.mark.parametrize("method", ["pairwise", "random"])
+def test_concretize_rejects_a_repeated_variable_before_any_level(tmp_path, capsys, lhs, rhs,
+                                                                 method):
+    """A constraint that names a parameter on both sides is judged with its
+    like terms collected: ``t1.s0`` is at most 200."""
+    assert main(["lower", "--vocab", VOCAB, "--catalog", CATALOG,
+                 "--out", str(tmp_path), SCENARIO]) == 0
+    path = tmp_path / "s1.logical.json"
+    document = json.loads(path.read_text())
+    document["constraints"].append({"id": "c001", "kind": "inequality", "lhs": lhs, "op": ">",
+                                    "rhs": rhs})
+    path.write_text(json.dumps(document))
+    capsys.readouterr()
+    out = tmp_path / "suites"
+    assert main(["concretize", "--out", str(out), "--method", method, "--json", str(path)]) == 4
+    (line,) = capsys.readouterr().out.splitlines()
+    findings = [(f["code"], f["elements"]) for f in json.loads(line)["findings"]]
+    assert findings == [("INTERVAL_INFEASIBLE", ["c001"])]
+    assert not out.exists()

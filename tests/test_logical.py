@@ -82,6 +82,49 @@ def test_correlation_band_feasibility():
     assert codes == ["INTERVAL_INFEASIBLE"]
 
 
+def correlation_scenario(target, source, slope, intercept, tolerance, ranges):
+    return LogicalScenario(
+        scenario_id="s", parameters=tuple(Parameter(name, "m", lo, hi) for name, lo, hi in ranges),
+        constraints=(Correlation(id="c0", target=target, source=source, slope=slope,
+                                 intercept=intercept, tolerance=tolerance),))
+
+
+def test_correlation_with_its_own_source():
+    # x = 2x +- 1 needs |x| <= 1, outside [5, 10]
+    doubled = correlation_scenario("a.x", "a.x", 2.0, 0.0, 1.0, [("a.x", 5.0, 10.0)])
+    assert [(f.code, f.elements) for f in validate_logical(doubled).findings] == [
+        ("INTERVAL_INFEASIBLE", ("c0",))]
+    # x = 1*x + 0 exactly holds everywhere
+    assert validate_logical(
+        correlation_scenario("a.x", "a.x", 1.0, 0.0, 0.0, [("a.x", 5.0, 10.0)])).ok
+
+
+def test_an_overflowing_range_gives_no_finding():
+    doubled = make_logical([("a.x", 0, 1)], [("1e308*a.x + 1e308*a.x", ">", "1")])
+    assert validate_logical(doubled).ok
+    steep = correlation_scenario("a.y", "a.x", 1e308, 0.0, 0.0,
+                                 [("a.x", -10.0, 10.0), ("a.y", 0.0, 1.0)])
+    assert validate_logical(steep).ok
+
+
+def test_correlation_holds_is_its_literal_band():
+    rng = random.Random(3)
+    for _ in range(2000):
+        slope, intercept = rng.uniform(-5, 5), rng.uniform(-50, 50)
+        tolerance = rng.choice((0.0, rng.uniform(0, 3)))
+        target = rng.choice(("a.y", "a.x"))
+        constraint = Correlation(id="c0", target=target, source="a.x", slope=slope,
+                                 intercept=intercept, tolerance=tolerance)
+        check = constraint.compile({"a.x": 0, "a.y": 1})
+        x = rng.uniform(-20, 20)
+        center = slope * x + intercept
+        for y in (center + tolerance, center - tolerance, center, center + rng.uniform(-4, 4)):
+            env = {"a.x": x, "a.y": y}
+            literal = abs(env[target] - (slope * env["a.x"] + intercept)) <= tolerance
+            assert constraint.holds(env) == literal
+            assert check((x, y)) == literal
+
+
 def grid_feasible(scenario, steps=7):
     """Brute-force oracle: constraint satisfiable on a dense grid."""
     axes = []
