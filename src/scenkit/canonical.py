@@ -21,13 +21,13 @@ infinity, and ``json`` would write a bare ``NaN`` that no loader here reads.
 Every artifact format is declared as field tables: a ``Record`` lists one
 ``Field`` per JSON key. ``Record.decode`` reads a loaded document through its
 table and raises a ``SchemaViolation`` naming the record and the key.
-Production code writes an artifact or a hash only through a table's writer:
+Every artifact and every hash is written only through a table's writer:
 ``Record.dumps`` and ``Record.digest`` write straight from a record's
 attributes, through a writer compiled from the table, and hand it to
-``dumps_canonical``, which makes every whole document. ``Record.encode``
-builds a record's dict; it is the tests' reference, since ``dumps_canonical``
-of it must equal the writer's text. A rule beyond one field's JSON type lives
-with the module that owns the record.
+``dumps_canonical``, which makes every whole document. ``Record.encode`` is
+that text read back with ``json.loads``, so a record's dict is exactly what a
+reader of its file sees. A rule beyond one field's JSON type lives with the
+module that owns the record.
 """
 
 import hashlib
@@ -124,10 +124,9 @@ def load_json(source: str, loads=json.loads):
 
 # Each type reads a loaded JSON value with ``decode(value, where, key)``:
 # ``where`` names the record holding the value and ``key`` its key there, or
-# ``key`` is None and ``where`` names the value. ``encode``, unless None,
-# turns a read value back into JSON values. A type that nests values also
-# has ``write(value, indent)``, which writes the canonical JSON text of its
-# encoding without building it; ``indent`` is as in ``_encode``.
+# ``key`` is None and ``where`` names the value. ``write(value, indent)``
+# writes a read value back as canonical JSON text; ``indent`` is as in
+# ``_encode``.
 
 def _error(where: str, key, problem: str) -> SchemaViolation:
     return SchemaViolation(f"{where} {problem}" if key is None else f"{where}: {key!r} {problem}")
@@ -137,19 +136,10 @@ def _path(where: str, key) -> str:
     return where if key is None else f"{where}.{key}"
 
 
-def _writer(kind):
-    """``kind.write``, or for a type without one, ``_encode`` of its encoding."""
-    write = getattr(kind, "write", None)
-    if write is None:
-        encode = kind.encode
-        write = _encode if encode is None else lambda value, indent: _encode(encode(value), indent)
-    return write
-
-
 class Scalar:
     """A JSON value of exactly one Python type, read and written as it is."""
 
-    encode = None
+    write = staticmethod(_encode)
 
     def __init__(self, kind: type, noun: str, plural: str):
         self.kind, self.noun, self.plural = kind, noun, plural
@@ -228,14 +218,10 @@ class List:
                 pass
         raise _error(where, key, f"must be {self.noun}")
 
-    def encode(self, value) -> list:
-        return list(value) if self.item.encode is None else list(map(self.item.encode, value))
-
     def write(self, value, indent: str) -> str:
-        write = getattr(self.item, "write", None)
-        if write is None:
-            return _encode(self.encode(value), indent)
-        inner = indent + "  "
+        if isinstance(self.item, Scalar):  # one pass, so an all-float array is joined at once
+            return _encode(value, indent)
+        write, inner = self.item.write, indent + "  "
         items = [write(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
 
@@ -254,13 +240,8 @@ class Map:
         where = _path(where, key)
         return {name: self.item.decode(item, where, name) for name, item in value.items()}
 
-    def encode(self, value) -> dict:
-        encode = self.item.encode
-        return dict(value) if encode is None else {name: encode(item)
-                                                   for name, item in value.items()}
-
     def write(self, value, indent: str) -> str:
-        write, inner = _writer(self.item), indent + "  "
+        write, inner = self.item.write, indent + "  "
         items = [encode_basestring(key) + ": " + write(value[key], inner) for key in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
 
@@ -303,7 +284,6 @@ class Record:
         self.fields = fields
         attrs = [field.attr or field.key for field in fields]
         self.readers = [(f.key, attr, f.type.decode, f.default) for f, attr in zip(fields, attrs)]
-        self.writers = [(f.key, f.type.encode, f.omit, f.default) for f in fields]
         self.keys = frozenset([f.key for f in fields] + ([tag[0]] if tag else []))
         get = (itemgetter if make is dict else attrgetter)(*attrs)
         self.get = get if len(attrs) > 1 else lambda value: (get(value),)  # always a tuple
@@ -331,12 +311,8 @@ class Record:
         return made if self.check is None else self.check(made, where)
 
     def encode(self, value) -> dict:
-        document = {} if self.tag is None else {self.tag[0]: self.tag[1]}
-        items = value if self.make is tuple else self.get(value)
-        for (key, encode, omit, default), item in zip(self.writers, items):
-            if not (omit and item == default):
-                document[key] = item if encode is None or item is None else encode(item)
-        return document
+        """A document as the dict its written text reads back as."""
+        return json.loads(self.dumps(value))
 
     @cached_property
     def write(self):
@@ -344,16 +320,18 @@ class Record:
         return self.writer()
 
     def writer(self, **types):
-        """``write(value, indent)``, compiled from the field table: the text of
-        ``dumps_canonical(self.encode(value))`` from ``indent`` on, written
-        from the value's attributes. The keys are sorted here, once, and each
-        field's type writes its value. ``types`` replaces the type of the
-        fields it names by key, e.g. with ``TEXT`` for a value written before."""
+        """``write(value, indent)``, compiled from the field table: the
+        canonical JSON text of a record from ``indent`` on, written from the
+        value's attributes. It has the tag and every field's key, but not one
+        whose ``omit`` leaves out a value equal to its default. The keys are
+        sorted here, once, and each field's type writes its value. ``types``
+        replaces the type of the fields it names by key, e.g. with ``TEXT``
+        for a value written before."""
         entries = [(self.tag[0], encode_basestring(self.tag[0]) + ": "
                     + encode_basestring(self.tag[1]), None, None, False, None)] if self.tag else []
         for n, field in enumerate(self.fields):
             entries.append((field.key, encode_basestring(field.key) + ": ", n,
-                            _writer(types.get(field.key, field.type)), field.omit, field.default))
+                            types.get(field.key, field.type).write, field.omit, field.default))
         entries.sort(key=itemgetter(0))
         get = (lambda value: value) if self.make is tuple else self.get
 
@@ -376,8 +354,7 @@ class Record:
         return self.decode(load_json(source))
 
     def dumps(self, value) -> str:
-        """A document as canonical JSON text, equal to
-        ``dumps_canonical(self.encode(value))``."""
+        """A document as canonical JSON text."""
         return dumps_canonical(value, self.write)
 
     def digest(self, value) -> str:
@@ -391,7 +368,6 @@ class Object:
     copy of the object and written as a dict."""
 
     plural = "objects"
-    encode = dict
 
     def __init__(self, make=dict, **types):
         self.make, self.types = make, types
@@ -403,6 +379,10 @@ class Object:
             if name in value:
                 kind.decode(value[name], _path(where, key), name)
         return self.make(dict(value))
+
+    @staticmethod
+    def write(value, indent: str) -> str:
+        return _encode(dict(value), indent)
 
 
 class Union:
@@ -420,9 +400,6 @@ class Union:
             raise _error(where, key, f"must be an object with a known {self.key!r}, not {tag!r}")
         return self.records[tag].decode(value, where, key)
 
-    def encode(self, value) -> dict:
-        return self.records[getattr(value, self.key)].encode(value)
-
     def write(self, value, indent: str) -> str:
         return self.records[getattr(value, self.key)].write(value, indent)
 
@@ -431,7 +408,7 @@ class _Text:
     """JSON text already written at the indent it is put at, written as it
     is; a type to write with, not to read."""
 
-    plural, encode = "texts", None
+    plural = "texts"
 
     @staticmethod
     def write(text: str, indent: str) -> str:

@@ -37,6 +37,12 @@ from .errors import (
 from .logical import LogicalScenario, Parameter
 
 ATTEMPTS_PER_SAMPLE = 1000  # rejection budget per requested sample
+# Like ``testcase.MAX_SAMPLES``, a bound past any real use that keeps memory
+# finite: every scenario of a suite is held in memory and becomes one case
+# file. A pairwise or equivalence suite over two parameters of k classes has
+# k² scenarios, so k is bounded by the square root.
+MAX_SCENARIOS = 1_000_000
+MAX_CLASSES = 1_000
 
 
 class ConcreteScenario(NamedTuple):
@@ -65,6 +71,8 @@ def equivalence_classes(parameter: Parameter, k: int) -> list[float]:
     """Midpoints of k equal-width classes over the range."""
     if k < 1:
         raise BadK(f"k must be >= 1, got {k}")
+    if k > MAX_CLASSES:
+        raise BadK(f"k must be <= {MAX_CLASSES}, got {k}")
     if parameter.lo == parameter.hi:
         return [parameter.lo]
     width = (parameter.hi - parameter.lo) / k
@@ -373,6 +381,8 @@ def sample_random(scenario: LogicalScenario, n: int, seed: int) -> list[Concrete
     Each rejected draw is counted against the first constraint it breaks."""
     if n < 1:
         raise BadN(f"n must be >= 1, got {n}")
+    if n > MAX_SCENARIOS:
+        raise BadN(f"n must be <= {MAX_SCENARIOS}, got {n}")
     compiled = scenario.compiled
     wrap = _wrapper(scenario, "random", seed)
     rng = random.Random(seed)

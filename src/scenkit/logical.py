@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import expressions
 from .canonical import (EMPTY, NUMBER, REQUIRED, SCENARIO_ID, SOURCE_REF, STRING, Choice, Field,
-                        List, Number, Object, Record, Union)
+                        List, Number, Object, Record, Union, _encode)
 from .errors import Finding, Report, SchemaViolation, UnboundConstraintParameter
 
 DISTRIBUTION_TYPES = ("uniform", "truncated-gaussian")
@@ -262,7 +262,7 @@ class _Range:
     """A ``[lo, hi]`` array of JSON numbers, read as a pair of floats."""
 
     plural = "ranges"
-    encode = list
+    write = staticmethod(_encode)  # the (lo, hi) tuple, as an array
 
     def decode(self, value, where: str, key=None) -> tuple[float, float]:
         if not (isinstance(value, list) and len(value) == 2):

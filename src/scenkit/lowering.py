@@ -77,7 +77,7 @@ class _ConstraintTemplate:
 
     plural = "objects"
     record = constraint_record(id="")
-    encode, write = record.encode, record.write
+    write = record.write
 
     def decode(self, value, where: str, key=None) -> Constraint:
         if isinstance(value, dict) and "expr" in value:

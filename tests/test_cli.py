@@ -11,7 +11,7 @@ import pytest
 
 from scenkit import expressions
 from scenkit.cli import COMMANDS, main
-from scenkit.concretize import generate_suite
+from scenkit.concretize import MAX_CLASSES, MAX_SCENARIOS, generate_suite
 from scenkit.logical import deserialize_logical
 
 from conftest import DATA, make_logical, replaced
@@ -144,6 +144,16 @@ def test_concretize_rejects_a_random_count_below_one(tmp_path, capsys, n):
     assert main(["concretize", "--out", str(out), "--method", "random", "--n", n,
                  str(tmp_path / "s1.logical.json")]) == 3
     assert f"n must be >= 1, got {n}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method, option, bound", [("equivalence", "--k", MAX_CLASSES),
+                                                    ("random", "--n", MAX_SCENARIOS)])
+def test_concretize_rejects_a_count_above_its_bound(tmp_path, capsys, method, option, bound):
+    out = tmp_path / "suites"
+    assert main(["concretize", "--out", str(out), "--method", method, option, str(bound + 1),
+                 str(DATA / "golden" / "s1.logical.json")]) == 3
+    assert f"{option[2:]} must be <= {bound}, got {bound + 1}" in capsys.readouterr().err
     assert not out.exists()
 
 

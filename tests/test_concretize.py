@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import scenkit.logical
 from scenkit.concretize import (
+    MAX_CLASSES,
+    MAX_SCENARIOS,
     SUITE,
     ConcreteScenario,
     _components,
@@ -57,8 +59,9 @@ def test_equivalence_classes():
     assert equivalence_classes(parameter, 2) == [2.5, 7.5]
     assert equivalence_classes(parameter, 1) == [5.0]
     assert equivalence_classes(Parameter("a.x", "m", 3.0, 3.0), 4) == [3.0]
-    with pytest.raises(BadK):
-        equivalence_classes(parameter, 0)
+    for k in (0, MAX_CLASSES + 1):
+        with pytest.raises(BadK):
+            equivalence_classes(parameter, k)
 
 
 def test_check_concrete_clean_and_violations():
@@ -190,7 +193,7 @@ def test_sample_random_deterministic_and_clean():
     second = sample_random(scenario, 20, seed=42)
     assert [serialize_concrete(c) for c in first] == [serialize_concrete(c) for c in second]
     assert all(check_concrete(scenario, c) == [] for c in first)
-    for n in (0, -1):
+    for n in (0, -1, MAX_SCENARIOS + 1):
         with pytest.raises(BadN):
             sample_random(scenario, n, seed=1)
 
