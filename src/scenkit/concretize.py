@@ -10,6 +10,7 @@ compiled form, which reads a row tuple in parameter order.
 
 import random
 from collections import Counter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .canonical import (
@@ -162,49 +163,24 @@ def _value_lists(scenario: LogicalScenario, levels: dict) -> list[list[float]]:
     return value_lists
 
 
-class _PairLayout:
-    """One bit per level pair ``(i, value_i, j, value_j)`` with ``i < j``, for
-    the distinct level lists of ``_value_lists``.
+def _no_pairs(value_lists: list[list[float]]) -> list:
+    """An empty set of level pairs, indexed by level: ``blocks[j][i][b]``, for
+    ``i < j``, is an int whose bit ``a`` is the pair of level ``a`` of ``i``
+    and level ``b`` of ``j``."""
+    return [[[0] * len(values) for _ in range(j)] for j, values in enumerate(value_lists)]
 
-    Every parameter value also has a one-hot bit, numbered in declaration
-    order. The pairs of value ``b`` of parameter ``j`` with all earlier
-    parameters form one block, laid out like those one-hot bits, so the pairs
-    a row adds at ``j`` are the one-hot bits of its earlier values, shifted to
-    the block of ``b``.
-    """
 
-    def __init__(self, value_lists: list[list[float]]):
-        self.onehots: list[dict] = []  # per parameter: value -> its one-hot bit
-        self.shifts: list[dict] = []  # per parameter: value -> start of its pair block
-        self.spans: list[tuple[int, int]] = []  # per parameter: (first one-hot bit, count)
-        slots = 0  # one-hot bits of the earlier parameters
-        size = 0
-        for values in value_lists:
-            self.onehots.append({v: 1 << (slots + n) for n, v in enumerate(values)})
-            self.shifts.append({v: size + n * slots for n, v in enumerate(values)})
-            self.spans.append((slots, len(values)))
-            size += len(values) * slots
-            slots += len(values)
-        self.size = size  # every distinct level pair
-
-    def encode(self, row) -> tuple[int, int]:
-        """(pairs, one-hot values) of a row; values that are not levels, and
-        ``None`` for a position left out, add no bits."""
-        pairs = values = 0
-        for onehot, shifts, value in zip(self.onehots, self.shifts, row):
-            shift = shifts.get(value)
-            if shift is not None:
-                pairs |= values << shift
-                values |= onehot[value]
-        return pairs, values
-
-    def pair_counts(self, pairs: int):
-        """The number of bits of ``pairs`` set for each parameter pair."""
-        for j, shifts in enumerate(self.shifts):
-            for start, count in self.spans[:j]:
-                field = (1 << count) - 1
-                yield sum((pairs >> (shift + start) & field).bit_count()
-                          for shift in shifts.values())
+def _mark_pairs(blocks: list, value_lists: list[list[float]], positions, rows) -> None:
+    """Add to ``blocks`` the level pairs of ``rows``, whose values sit at the
+    ascending ``positions``; a value that is not a level marks nothing."""
+    indexes = [{value: n for n, value in enumerate(value_lists[p])} for p in positions]
+    for n, j in enumerate(positions):
+        for m, i in enumerate(positions[:n]):
+            block, earlier, later = blocks[j][i], indexes[m], indexes[n]
+            for value_i, value_j in set(map(itemgetter(m, n), rows)):
+                a, b = earlier.get(value_i), later.get(value_j)
+                if a is not None and b is not None:
+                    block[b] |= 1 << a
 
 
 def _components(scenario: LogicalScenario,
@@ -266,39 +242,37 @@ def _orthogonal_array(value_lists: list[list[float]]) -> list[list[float]] | Non
             for a in range(s) for b in range(s)]
 
 
-def _density_rows(layout: _PairLayout, value_lists: list[list[float]],
-                  components: list, uncovered: int) -> list[list[float]]:
-    """Rows covering the level pairs of ``uncovered``, built one at a time by
-    the density method of the AETG family (Cohen et al., IEEE TSE 1997;
-    Bryce & Colbourn, STVR 2007).
+def _density_rows(value_lists: list[list[float]], components: list,
+                  uncovered: list) -> list[list[float]]:
+    """Rows covering the level pairs of ``uncovered`` (in the form of
+    ``_no_pairs``, emptied as they are covered), built one at a time by the
+    density method of the AETG family (Cohen et al., IEEE TSE 1997; Bryce &
+    Colbourn, STVR 2007).
 
     A row starts from the parameter pair (i, j) with the most uncovered pairs,
-    the first in ``pair_counts`` order winning ties, set to its first
-    uncovered level pair by j's value, then i's. The other parameters follow,
-    the one in the most uncovered pairs at the row's start first and
+    the first in ``(i, j) for j for i < j`` order winning ties, set to its
+    first uncovered level pair by j's level, then i's. The other parameters
+    follow, the one in the most uncovered pairs at the row's start first and
     declaration order breaking ties. Each takes the level that covers the most
     new pairs, the lowest level winning ties. A parameter of a constraint
     component takes only a level that, with the levels already placed in its
     component, matches one of the component's feasible partial rows (from
     ``_components``), so every row satisfies every constraint. Every row
-    covers its starting pair, so the loop ends.
+    covers its starting pair, so the loop ends. Each parameter pair's count of
+    uncovered pairs is kept as rows cover them, and a level is scored by one
+    bit test per placed parameter, so a row's cost does not grow with the
+    number of level pairs.
     """
     count = len(value_lists)
-    pairs = [(i, j) for j in range(count) for i in range(j)]  # pair_counts' order
-    # the pair blocks of parameter p end where those of p + 1 start
-    ends = [min(shifts.values()) for shifts in layout.shifts[1:]] + [layout.size]
+    pairs = [(i, j) for j in range(count) for i in range(j)]
+    counts = [sum(field.bit_count() for field in uncovered[j][i]) for i, j in pairs]
     home = {p: (number, k) for number, (positions, _) in enumerate(components)
             for k, p in enumerate(positions)}
     suite = []
-    while uncovered:
-        counts = list(layout.pair_counts(uncovered))
+    while any(counts):
         i, j = pairs[counts.index(max(counts))]
-        start, width = layout.spans[i]
-        for b, shift in layout.shifts[j].items():
-            field = uncovered >> (shift + start) & ((1 << width) - 1)
-            if field:
-                seed = {i: value_lists[i][(field & -field).bit_length() - 1], j: b}
-                break
+        b, field = next((b, field) for b, field in enumerate(uncovered[j][i]) if field)
+        seed = {i: (field & -field).bit_length() - 1, j: b}
         involved = [0] * count
         for (p, q), pair_count in zip(pairs, counts):
             involved[p] += pair_count
@@ -306,29 +280,36 @@ def _density_rows(layout: _PairLayout, value_lists: list[list[float]],
         order = sorted((p for p in range(count) if p not in seed), key=lambda p: -involved[p])
 
         live = [rows for _, rows in components]  # partial rows matching the levels placed
-        row: list = [None] * count
-        values = anchors = 0  # one-hot bits of the placed values; first bits of their pair blocks
-        for p in (i, j, *order):
-            value = seed.get(p)
-            if value is None:
-                levels = value_lists[p]
+        row: list = [None] * count  # level indices
+        sequence = (i, j, *order)
+        for position, p in enumerate(sequence):
+            level = seed.get(p)
+            if level is None:
+                levels = range(len(value_lists[p]))
                 if p in home:
                     number, k = home[p]
                     allowed = {partial[k] for partial in live[number]}
-                    levels = [v for v in levels if v in allowed]
-                shifts, onehots = layout.shifts[p], layout.onehots[p]
-                earlier = values & ((1 << layout.spans[p][0]) - 1)  # pairs in p's own blocks
-                later = anchors >> ends[p] << ends[p]  # blocks of placed parameters after p
-                value = max(levels, key=lambda v: (uncovered & (
-                    earlier << shifts[v] | later << onehots[v].bit_length() - 1)).bit_count())
-            row[p] = value
-            values |= layout.onehots[p][value]
-            anchors |= 1 << layout.shifts[p][value]
+                    levels = [n for n in levels if value_lists[p][n] in allowed]
+                scores = [0] * len(value_lists[p])  # new pairs per level
+                for q in sequence[:position]:
+                    if q < p:
+                        a = row[q]
+                        scores = [s + (field >> a & 1) for s, field in zip(scores, uncovered[p][q])]
+                    else:
+                        field = uncovered[q][p][row[q]]
+                        scores = [s + (field >> n & 1) for n, s in enumerate(scores)]
+                level = max(levels, key=scores.__getitem__)
+            row[p] = level
             if p in home:
                 number, k = home[p]
+                value = value_lists[p][level]
                 live[number] = [partial for partial in live[number] if partial[k] == value]
-        uncovered &= ~layout.encode(row)[0]
-        suite.append(row)
+        for number, (p, q) in enumerate(pairs):
+            block, bit = uncovered[q][p], 1 << row[p]
+            if block[row[q]] & bit:
+                block[row[q]] ^= bit
+                counts[number] -= 1
+        suite.append([values[n] for values, n in zip(value_lists, row)])
     return suite
 
 
@@ -355,9 +336,7 @@ def pairwise_cover(scenario: LogicalScenario, levels: dict,
 
     rows = None if components else _orthogonal_array(value_lists)
     if rows is None:
-        layout = _PairLayout(value_lists)
-        rows = _density_rows(layout, value_lists, components,
-                             _feasible_pairs(layout, components))
+        rows = _density_rows(value_lists, components, _feasible_pairs(value_lists, components))
     return [wrap(dict(zip(names, row)), position) for position, row in enumerate(rows)]
 
 
@@ -437,42 +416,32 @@ def derive_seed(master: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def _feasible_pairs(layout: _PairLayout, components: list) -> int:
-    """The level pairs that occur in some level row satisfying every
-    constraint, from the feasible partial rows of ``_components``.
+def _feasible_pairs(value_lists: list[list[float]], components: list) -> list:
+    """The level pairs (in the form of ``_no_pairs``) that occur in some level
+    row satisfying every constraint, from the feasible partial rows of
+    ``_components``.
 
     A pair inside one component is feasible if it occurs in a feasible
     partial row of that component; a pair across components is feasible if
     each of its values occurs in one of its own component. A parameter in no
     constraint has every level feasible.
     """
-    fields = [sum(onehot.values()) for onehot in layout.onehots]  # value bits per position
-    groups = list(fields)  # value bits of each position's component
-    pairs = 0
-    values = sum(fields)  # less the levels of a component that no feasible partial row has
+    blocks = _no_pairs(value_lists)
+    found = [(1 << len(values)) - 1 for values in value_lists]  # per position, its feasible levels
+    group = list(range(len(value_lists)))  # per position, a label shared by its component
     for positions, rows in components:
-        found = 0
-        full: list = [None] * len(fields)
-        for row in rows:
-            for position, value in zip(positions, row):
-                full[position] = value
-            row_pairs, row_values = layout.encode(full)
-            pairs |= row_pairs
-            found |= row_values
-        group = sum(fields[p] for p in positions)
-        values &= ~group | found
-        for position in positions:
-            groups[position] = group
-
-    earlier = 0  # value bits of the positions before the current one
-    for position, onehot in enumerate(layout.onehots):
-        others = values & earlier & ~groups[position]
-        if others:
-            for value, bit in onehot.items():
-                if values & bit:
-                    pairs |= others << layout.shifts[position][value]
-        earlier |= fields[position]
-    return pairs
+        _mark_pairs(blocks, value_lists, positions, rows)
+        for k, position in enumerate(positions):
+            values = set(map(itemgetter(k), rows))
+            found[position] = sum(1 << a for a, value in enumerate(value_lists[position])
+                                  if value in values)
+            group[position] = positions[0]
+    for j, levels in enumerate(found):
+        for i in range(j):
+            if group[i] != group[j]:
+                blocks[j][i] = [found[i] if levels >> b & 1 else 0
+                                for b in range(len(value_lists[j]))]
+    return blocks
 
 
 def coverage_metrics(scenario: LogicalScenario, levels: dict,
@@ -482,16 +451,21 @@ def coverage_metrics(scenario: LogicalScenario, levels: dict,
         check_source(scenario, concrete)
 
     value_lists = _value_lists(scenario, levels)
-    layout = _PairLayout(value_lists)
     try:
-        feasible = _feasible_pairs(layout, _components(scenario, value_lists))
+        feasible = _feasible_pairs(value_lists, _components(scenario, value_lists))
     except InfeasibleLevels:
-        feasible = 0  # no level row satisfies every constraint
+        feasible = _no_pairs(value_lists)  # no level row satisfies every constraint
     names = scenario.compiled.names
-    covered = 0
-    for concrete in scenarios:
-        covered |= layout.encode([concrete.assignments.get(n) for n in names])[0]
-    feasible_count = feasible.bit_count()
+    covered = _no_pairs(value_lists)
+    _mark_pairs(covered, value_lists, range(len(names)),
+                [[concrete.assignments.get(n) for n in names] for concrete in scenarios])
+    pair_count = feasible_count = covered_count = 0
+    for j, values in enumerate(value_lists):
+        for i in range(j):
+            pair_count += len(value_lists[i]) * len(values)
+            for field, covered_field in zip(feasible[j][i], covered[j][i]):
+                feasible_count += field.bit_count()
+                covered_count += (field & covered_field).bit_count()
     hit = 0
     for parameter in scenario.parameters:
         values = {c.assignments.get(parameter.name) for c in scenarios}
@@ -501,10 +475,10 @@ def coverage_metrics(scenario: LogicalScenario, levels: dict,
 
     # int / int rounds the exact ratio once; all of nothing is covered
     return CoverageReport(
-        pair_coverage=(covered & feasible).bit_count() / feasible_count if feasible_count else 1.0,
+        pair_coverage=covered_count / feasible_count if feasible_count else 1.0,
         boundary_coverage=hit / parameter_count if parameter_count else 1.0,
         scenario_count=len(scenarios),
-        infeasible_combination_count=layout.size - feasible_count,
+        infeasible_combination_count=pair_count - feasible_count,
     )
 
 

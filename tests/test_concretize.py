@@ -1,8 +1,7 @@
-import functools
 import hashlib
 import itertools
 import math
-import operator
+import pathlib
 import random
 import re
 from fractions import Fraction
@@ -18,7 +17,7 @@ from scenkit.concretize import (
     ConcreteScenario,
     _components,
     _feasible_pairs,
-    _PairLayout,
+    _orthogonal_array,
     _value_lists,
     boundary_values,
     check_concrete,
@@ -44,7 +43,13 @@ from scenkit.errors import (
     UnboundConstraintParameter,
 )
 from scenkit.expressions import COMPARATORS
-from scenkit.logical import Correlation, Inequality, LogicalScenario, Parameter
+from scenkit.logical import (
+    Correlation,
+    Inequality,
+    LogicalScenario,
+    Parameter,
+    deserialize_logical,
+)
 
 from conftest import make_logical, random_logical, source_ref_for
 
@@ -506,9 +511,12 @@ def test_feasible_pairs_match_the_product(case):
     components = _components(scenario, value_lists)
     for positions, rows in components:
         assert rows == sorted({tuple(row[p] for p in positions) for row in feasible})
-    layout = _PairLayout(value_lists)
-    assert _feasible_pairs(layout, components) == functools.reduce(
-        operator.or_, (layout.encode(row)[0] for row in feasible), 0)
+    # blocks[j][i][b] bit a: level a of p_i with level b of p_j
+    expected = [[[0] * len(values) for _ in range(j)] for j, values in enumerate(value_lists)]
+    for row in feasible:
+        for i, j in itertools.combinations(range(len(row)), 2):
+            expected[j][i][value_lists[j].index(row[j])] |= 1 << value_lists[i].index(row[i])
+    assert _feasible_pairs(value_lists, components) == expected
 
 
 def test_components_extend_only_prefixes_that_pass_their_due_checks():
@@ -579,6 +587,71 @@ def test_pairwise_cover_matches_the_reference(case):
     wanted = {((i, row[i]), (j, row[j]))
               for row in feasible for i, j in itertools.combinations(range(len(names)), 2)}
     assert suite_pairs(names, suite) >= wanted
+
+
+def reference_density_rows(scenario, value_lists):
+    """README "Rows by density" over plain sets of level pairs (i, a, j, b),
+    from the level product: a level is allowed iff some feasible row agrees
+    with every value placed so far and with that level."""
+    count = len(value_lists)
+    feasible = _feasible_rows(scenario, value_lists)
+    parameter_pairs = [(i, j) for j in range(count) for i in range(j)]
+    uncovered = {(i, row[i], j, row[j]) for row in feasible for i, j in parameter_pairs}
+    rows = []
+    while uncovered:
+        counts = {pair: sum(1 for i, _, j, _ in uncovered if (i, j) == pair)
+                  for pair in parameter_pairs}
+        # the most uncovered pairs; ties go to the first pair
+        i, j = max(parameter_pairs, key=counts.get)
+        # the first uncovered level pair, by j's level, then i's
+        b, a = min((b, a) for p, a, q, b in uncovered if (p, q) == (i, j))
+        row = {i: a, j: b}
+        # the most uncovered pairs first; ties go to the parameter declared first
+        involved = {p: sum(n for pair, n in counts.items() if p in pair) for p in range(count)}
+        for p in sorted((p for p in range(count) if p not in row), key=lambda p: -involved[p]):
+            allowed = sorted({r[p] for r in feasible if all(r[q] == v for q, v in row.items())})
+
+            def new_pairs(v, p=p):
+                return sum(1 for q, w in row.items()
+                           if ((q, w, p, v) if q < p else (p, v, q, w)) in uncovered)
+            # the most new pairs; the lowest level wins ties
+            row[p] = max(allowed, key=new_pairs)
+        rows.append([row[p] for p in range(count)])
+        uncovered -= {(i, row[i], j, row[j]) for i, j in parameter_pairs}
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(reference_cases())
+def test_pairwise_cover_follows_the_documented_density_rule(case):
+    """Row for row, the density builder makes the rows that README's rule
+    makes over plain sets, wherever Bose's orthogonal array does not apply."""
+    scenario, levels = case
+    value_lists = [sorted(levels[p.name]) for p in scenario.parameters]
+    if (len(value_lists) < 2 or not _feasible_rows(scenario, value_lists)
+            or (not scenario.compiled.components() and _orthogonal_array(value_lists))):
+        return
+    names = scenario.compiled.names
+    suite = pairwise_cover(scenario, levels)
+    assert [[c.assignments[n] for n in names] for c in suite] == reference_density_rows(
+        scenario, value_lists)
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden" / "s1.logical.json"
+
+
+@pytest.mark.parametrize("k, size, sha256", [
+    (20, 720, "518ee3e969dc10030f6b0768fb4d86d43899edc20a3bf1f79a0b61a6409e9cab"),
+    (50, 3907, "507ef5515c6f2609d15208989199fe03e67882c43f3d377eb6d9da17038a1be4"),
+])
+def test_pinned_suite_bytes_many_levels(k, size, sha256):
+    """The worked example's pairwise suite where each parameter has k classes."""
+    scenario = deserialize_logical(GOLDEN.read_text())
+    levels = {p.name: boundary_values(p) + equivalence_classes(p, k) for p in scenario.parameters}
+    suite = pairwise_cover(scenario, levels)
+    assert len(suite) == size
+    text = dumps_canonical(suite_to_dict(suite, coverage_metrics(scenario, levels, suite)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
 
 
 def test_pairwise_past_the_level_product():
