@@ -299,27 +299,26 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand's name and help line, and of the
-    arguments of ``command`` alone: a run parses one subcommand, and adding
-    the arguments of all five took about 1 ms, near a tenth of a small run."""
+    """The parser of ``command`` alone, or of all five subcommands without one
+    (for ``--help`` and for an unknown name): a run parses one subcommand, and
+    adding all five took about 1 ms, near a tenth of a small run."""
     parser = argparse.ArgumentParser(prog="scenkit",
                                      description="functional/logical/concrete scenario pipeline")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, func, add_arguments) in COMMANDS.items():
+    chosen = {command: COMMANDS[command]} if command in COMMANDS else COMMANDS
+    for name, (summary, func, add_arguments) in chosen.items():
         subparser = subparsers.add_parser(name, help=summary)
-        if name == command:
-            add_arguments(subparser)
-            subparser.add_argument("--json", action="store_true", help="machine-readable reports")
-            subparser.set_defaults(func=func)
+        add_arguments(subparser)
+        subparser.add_argument("--json", action="store_true", help="machine-readable reports")
+        subparser.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # argparse reads the first argument that names a subcommand as the subcommand:
-    # the top-level parser has no option that takes a value
-    command = next((arg for arg in argv if arg in COMMANDS), None)
-    args = build_parser(command).parse_args(argv)
+    # a subcommand is the first argument: the top-level parser's only option is -h,
+    # and with anything else first it lists all five subcommands
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ScenarioError as exc:

@@ -163,40 +163,36 @@ def _value_lists(scenario: LogicalScenario, levels: dict) -> list[list[float]]:
     return value_lists
 
 
-def _no_pairs(value_lists: list[list[float]]) -> list:
-    """An empty set of level pairs, indexed by level: ``blocks[j][i][b]``, for
-    ``i < j``, is an int whose bit ``a`` is the pair of level ``a`` of ``i``
-    and level ``b`` of ``j``."""
-    return [[[0] * len(values) for _ in range(j)] for j, values in enumerate(value_lists)]
+def _no_pairs(sizes: list[int]) -> list:
+    """An empty set of level pairs over parameters of ``sizes`` levels:
+    ``blocks[j][i][b]``, for ``i < j``, is an int whose bit ``a`` is the pair
+    of level ``a`` of ``i`` and level ``b`` of ``j``."""
+    return [[[0] * size for _ in range(j)] for j, size in enumerate(sizes)]
 
 
-def _mark_pairs(blocks: list, value_lists: list[list[float]], positions, rows) -> None:
-    """Add to ``blocks`` the level pairs of ``rows``, whose values sit at the
-    ascending ``positions``; a value that is not a level marks nothing."""
-    indexes = [{value: n for n, value in enumerate(value_lists[p])} for p in positions]
+def _mark_pairs(blocks: list, positions, rows) -> None:
+    """Add to ``blocks`` the level pairs of ``rows``, whose level indices sit at
+    the ascending ``positions``."""
     for n, j in enumerate(positions):
         for m, i in enumerate(positions[:n]):
-            block, earlier, later = blocks[j][i], indexes[m], indexes[n]
-            for value_i, value_j in set(map(itemgetter(m, n), rows)):
-                a, b = earlier.get(value_i), later.get(value_j)
-                if a is not None and b is not None:
-                    block[b] |= 1 << a
+            for a, b in set(map(itemgetter(m, n), rows)):
+                blocks[j][i][b] |= 1 << a
 
 
 def _components(scenario: LogicalScenario,
                 value_lists: list[list[float]]) -> list[tuple[tuple[int, ...], list[tuple]]]:
     """(positions, feasible partial rows) of each component of
-    ``compiled.components()``, the rows in sorted order.
+    ``compiled.components()``, as tuples of level indices in sorted order.
 
     Components share no constraint and no parameter, so a level row satisfies
     every constraint iff each constraint without parameters holds and the
-    row's values at each component's positions form one of its feasible
+    row's levels at each component's positions form one of its feasible
     partial rows. These are built one position at a time, each check due
     where its last parameter is placed, extending by each level in ascending
-    order only the prefixes that pass every check due so far (chronological
-    backtracking; Haralick & Elliott, Artif. Intell. 14, 1980). Raises
-    ``InfeasibleLevels`` naming a false constraint without parameters, or the
-    constraints of the first component with no feasible partial row.
+    order only the prefixes whose values pass every check due so far
+    (chronological backtracking; Haralick & Elliott, Artif. Intell. 14, 1980).
+    Raises ``InfeasibleLevels`` naming a false constraint without parameters,
+    or the constraints of the first component with no feasible partial row.
     """
     compiled = scenario.compiled
     for constraint, positions, check in zip(scenario.constraints, compiled.positions,
@@ -213,12 +209,12 @@ def _components(scenario: LogicalScenario,
         for position, checks in zip(positions, due):
             extended = []
             for prefix in rows:
-                for placed, value in zip(positions, prefix):
-                    full[placed] = value
-                for value in value_lists[position]:
+                for placed, level in zip(positions, prefix):
+                    full[placed] = value_lists[placed][level]
+                for level, value in enumerate(value_lists[position]):
                     full[position] = value
                     if all(check(full) for check in checks):
-                        extended.append(prefix + (value,))
+                        extended.append(prefix + (level,))
             rows = extended
         if not rows:
             ids = ", ".join(scenario.constraints[n].id for n in numbers)
@@ -228,26 +224,24 @@ def _components(scenario: LogicalScenario,
     return components
 
 
-def _orthogonal_array(value_lists: list[list[float]]) -> list[list[float]] | None:
+def _orthogonal_array(sizes: list[int]) -> list[list[int]] | None:
     """Bose's orthogonal array of strength 2 (Bose, Sankhya 3, 1938): for ``s``
     levels each, ``s`` prime, and at most ``s + 1`` parameters, the ``s * s``
     rows ``(a, b, a + b, 2a + b, ...) mod s`` show every level pair exactly
     once, which meets the lower bound. None for any other shape."""
-    s = len(value_lists[0])
-    if (s < 2 or len(value_lists) > s + 1 or any(len(values) != s for values in value_lists)
+    s = sizes[0]
+    if (s < 2 or len(sizes) > s + 1 or any(size != s for size in sizes)
             or any(s % d == 0 for d in range(2, s))):
         return None
-    return [[values[digit] for values, digit in
-             zip(value_lists, [a] + [(m * a + b) % s for m in range(s)])]
+    return [[a, *((m * a + b) % s for m in range(len(sizes) - 1))]
             for a in range(s) for b in range(s)]
 
 
-def _density_rows(value_lists: list[list[float]], components: list,
-                  uncovered: list) -> list[list[float]]:
-    """Rows covering the level pairs of ``uncovered`` (in the form of
-    ``_no_pairs``, emptied as they are covered), built one at a time by the
-    density method of the AETG family (Cohen et al., IEEE TSE 1997; Bryce &
-    Colbourn, STVR 2007).
+def _density_rows(sizes: list[int], components: list, uncovered: list) -> list[list[int]]:
+    """Rows of level indices covering the level pairs of ``uncovered`` (in the
+    form of ``_no_pairs``, emptied as they are covered), built one at a time
+    by the density method of the AETG family (Cohen et al., IEEE TSE 1997;
+    Bryce & Colbourn, STVR 2007).
 
     A row starts from the parameter pair (i, j) with the most uncovered pairs,
     the first in ``(i, j) for j for i < j`` order winning ties, set to its
@@ -256,14 +250,14 @@ def _density_rows(value_lists: list[list[float]], components: list,
     declaration order breaking ties. Each takes the level that covers the most
     new pairs, the lowest level winning ties. A parameter of a constraint
     component takes only a level that, with the levels already placed in its
-    component, matches one of the component's feasible partial rows (from
-    ``_components``), so every row satisfies every constraint. Every row
-    covers its starting pair, so the loop ends. Each parameter pair's count of
-    uncovered pairs is kept as rows cover them, and a level is scored by one
-    bit test per placed parameter, so a row's cost does not grow with the
-    number of level pairs.
+    component, matches one of the component's feasible partial rows (index
+    rows, as ``_components`` gives them), so every row satisfies every
+    constraint. Every row covers its starting pair, so the loop ends. Each
+    parameter pair's count of uncovered pairs is kept as rows cover them, and
+    a level is scored by one bit test per placed parameter, so a row's cost
+    does not grow with the number of level pairs.
     """
-    count = len(value_lists)
+    count = len(sizes)
     pairs = [(i, j) for j in range(count) for i in range(j)]
     counts = [sum(field.bit_count() for field in uncovered[j][i]) for i, j in pairs]
     home = {p: (number, k) for number, (positions, _) in enumerate(components)
@@ -280,17 +274,16 @@ def _density_rows(value_lists: list[list[float]], components: list,
         order = sorted((p for p in range(count) if p not in seed), key=lambda p: -involved[p])
 
         live = [rows for _, rows in components]  # partial rows matching the levels placed
-        row: list = [None] * count  # level indices
+        row: list = [None] * count
         sequence = (i, j, *order)
         for position, p in enumerate(sequence):
             level = seed.get(p)
             if level is None:
-                levels = range(len(value_lists[p]))
+                levels = range(sizes[p])
                 if p in home:
                     number, k = home[p]
-                    allowed = {partial[k] for partial in live[number]}
-                    levels = [n for n in levels if value_lists[p][n] in allowed]
-                scores = [0] * len(value_lists[p])  # new pairs per level
+                    levels = sorted({partial[k] for partial in live[number]})
+                scores = [0] * sizes[p]  # new pairs per level
                 for q in sequence[:position]:
                     if q < p:
                         a = row[q]
@@ -302,14 +295,13 @@ def _density_rows(value_lists: list[list[float]], components: list,
             row[p] = level
             if p in home:
                 number, k = home[p]
-                value = value_lists[p][level]
-                live[number] = [partial for partial in live[number] if partial[k] == value]
+                live[number] = [partial for partial in live[number] if partial[k] == level]
         for number, (p, q) in enumerate(pairs):
             block, bit = uncovered[q][p], 1 << row[p]
             if block[row[q]] & bit:
                 block[row[q]] ^= bit
                 counts[number] -= 1
-        suite.append([values[n] for values, n in zip(value_lists, row)])
+        suite.append(row)
     return suite
 
 
@@ -320,24 +312,24 @@ def pairwise_cover(scenario: LogicalScenario, levels: dict,
     Feasibility is decided per constraint component (``_components``), so the
     suite never contains a constraint-violating scenario, pairs without any
     feasible completion are simply excluded, and the level product is never
-    enumerated. Without constraints, a shape that Bose's orthogonal array
-    fits gets its ``s * s`` rows; every other suite is built by
-    ``_density_rows``. ``method`` labels the scenarios and their ids.
+    enumerated. One parameter lists its feasible levels. Without constraints,
+    a shape that Bose's orthogonal array fits gets its ``s * s`` rows; every
+    other suite is built by ``_density_rows``. Rows are level indices until
+    each is wrapped here. ``method`` labels the scenarios and their ids.
     """
     value_lists = _value_lists(scenario, levels)
     names = scenario.compiled.names
     if not names:
         return []
+    sizes = [len(values) for values in value_lists]
     components = _components(scenario, value_lists)
+    if len(sizes) == 1:
+        rows = components[0][1] if components else [(n,) for n in range(sizes[0])]
+    elif components or (rows := _orthogonal_array(sizes)) is None:
+        rows = _density_rows(sizes, components, _feasible_pairs(sizes, components))
     wrap = _wrapper(scenario, method)
-    if len(names) == 1:
-        values = [row[0] for row in components[0][1]] if components else value_lists[0]
-        return [wrap({names[0]: value}, i) for i, value in enumerate(values)]
-
-    rows = None if components else _orthogonal_array(value_lists)
-    if rows is None:
-        rows = _density_rows(value_lists, components, _feasible_pairs(value_lists, components))
-    return [wrap(dict(zip(names, row)), position) for position, row in enumerate(rows)]
+    return [wrap({name: values[n] for name, values, n in zip(names, value_lists, row)}, position)
+            for position, row in enumerate(rows)]
 
 
 def _draw(rng: random.Random, parameter: Parameter) -> float:
@@ -416,31 +408,28 @@ def derive_seed(master: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def _feasible_pairs(value_lists: list[list[float]], components: list) -> list:
+def _feasible_pairs(sizes: list[int], components: list) -> list:
     """The level pairs (in the form of ``_no_pairs``) that occur in some level
     row satisfying every constraint, from the feasible partial rows of
     ``_components``.
 
     A pair inside one component is feasible if it occurs in a feasible
     partial row of that component; a pair across components is feasible if
-    each of its values occurs in one of its own component. A parameter in no
+    each of its levels occurs in one of its own component. A parameter in no
     constraint has every level feasible.
     """
-    blocks = _no_pairs(value_lists)
-    found = [(1 << len(values)) - 1 for values in value_lists]  # per position, its feasible levels
-    group = list(range(len(value_lists)))  # per position, a label shared by its component
+    blocks = _no_pairs(sizes)
+    found = [(1 << size) - 1 for size in sizes]  # per position, its feasible levels
+    group = list(range(len(sizes)))  # per position, a label shared by its component
     for positions, rows in components:
-        _mark_pairs(blocks, value_lists, positions, rows)
+        _mark_pairs(blocks, positions, rows)
         for k, position in enumerate(positions):
-            values = set(map(itemgetter(k), rows))
-            found[position] = sum(1 << a for a, value in enumerate(value_lists[position])
-                                  if value in values)
+            found[position] = sum(1 << a for a in set(map(itemgetter(k), rows)))
             group[position] = positions[0]
     for j, levels in enumerate(found):
         for i in range(j):
             if group[i] != group[j]:
-                blocks[j][i] = [found[i] if levels >> b & 1 else 0
-                                for b in range(len(value_lists[j]))]
+                blocks[j][i] = [found[i] if levels >> b & 1 else 0 for b in range(sizes[j])]
     return blocks
 
 
@@ -451,18 +440,22 @@ def coverage_metrics(scenario: LogicalScenario, levels: dict,
         check_source(scenario, concrete)
 
     value_lists = _value_lists(scenario, levels)
+    sizes = [len(values) for values in value_lists]
     try:
-        feasible = _feasible_pairs(value_lists, _components(scenario, value_lists))
+        feasible = _feasible_pairs(sizes, _components(scenario, value_lists))
     except InfeasibleLevels:
-        feasible = _no_pairs(value_lists)  # no level row satisfies every constraint
-    names = scenario.compiled.names
-    covered = _no_pairs(value_lists)
-    _mark_pairs(covered, value_lists, range(len(names)),
-                [[concrete.assignments.get(n) for n in names] for concrete in scenarios])
+        feasible = _no_pairs(sizes)  # no level row satisfies every constraint
+    # the suite's values as level indices; a value that is not a level gets the index past the last
+    indexes = [{value: n for n, value in enumerate(values)} for values in value_lists]
+    covered = _no_pairs([size + 1 for size in sizes])
+    _mark_pairs(covered, range(len(sizes)),
+                [[index.get(concrete.assignments.get(name), size)
+                  for name, index, size in zip(scenario.compiled.names, indexes, sizes)]
+                 for concrete in scenarios])
     pair_count = feasible_count = covered_count = 0
-    for j, values in enumerate(value_lists):
+    for j, size in enumerate(sizes):
         for i in range(j):
-            pair_count += len(value_lists[i]) * len(values)
+            pair_count += sizes[i] * size
             for field, covered_field in zip(feasible[j][i], covered[j][i]):
                 feasible_count += field.bit_count()
                 covered_count += (field & covered_field).bit_count()

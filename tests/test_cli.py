@@ -831,8 +831,8 @@ def test_import_builds_no_forward_reference():
 
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_only_the_named_subcommand_gets_its_arguments(command, monkeypatch, capsys):
-    """Every other subparser adds only its ``-h``; the named one has all its
-    options, ``--json`` among them."""
+    """No other subparser is built; the named one has all its options,
+    ``--json`` among them."""
     added = []
     add_argument = argparse.ArgumentParser.add_argument
 

@@ -27,6 +27,7 @@ from scenkit.concretize import (
     derive_seed,
     deserialize_concrete,
     equivalence_classes,
+    generate_suite,
     pairwise_cover,
     sample_random,
     serialize_concrete,
@@ -43,6 +44,7 @@ from scenkit.errors import (
     UnboundConstraintParameter,
 )
 from scenkit.expressions import COMPARATORS
+from scenkit.functional import parse_functional
 from scenkit.logical import (
     Correlation,
     Inequality,
@@ -50,6 +52,7 @@ from scenkit.logical import (
     Parameter,
     deserialize_logical,
 )
+from scenkit.lowering import lower_to_logical
 
 from conftest import make_logical, random_logical, source_ref_for
 
@@ -498,8 +501,8 @@ def _feasible_rows(scenario, value_lists):
 @given(encode_cases())
 def test_feasible_pairs_match_the_product(case):
     """The level lists keep the first of equal levels, each component's
-    partial rows are the projections of the feasible product rows, and the
-    feasible pairs are the union of those rows' pairs."""
+    partial rows are the projections of the feasible product rows, as level
+    indices, and the feasible pairs are the union of those rows' pairs."""
     scenario, levels = case
     value_lists = [sorted(_first_distinct(levels[p.name])) for p in scenario.parameters]
     assert repr(_value_lists(scenario, levels)) == repr(value_lists)  # repr tells -0.0 from 0.0
@@ -508,6 +511,8 @@ def test_feasible_pairs_match_the_product(case):
         with pytest.raises(InfeasibleLevels):
             _components(scenario, value_lists)
         return
+    # the feasible product rows, written as level indices
+    feasible = [tuple(values.index(v) for values, v in zip(value_lists, row)) for row in feasible]
     components = _components(scenario, value_lists)
     for positions, rows in components:
         assert rows == sorted({tuple(row[p] for p in positions) for row in feasible})
@@ -515,8 +520,8 @@ def test_feasible_pairs_match_the_product(case):
     expected = [[[0] * len(values) for _ in range(j)] for j, values in enumerate(value_lists)]
     for row in feasible:
         for i, j in itertools.combinations(range(len(row)), 2):
-            expected[j][i][value_lists[j].index(row[j])] |= 1 << value_lists[i].index(row[i])
-    assert _feasible_pairs(value_lists, components) == expected
+            expected[j][i][row[j]] |= 1 << row[i]
+    assert _feasible_pairs([len(values) for values in value_lists], components) == expected
 
 
 def test_components_extend_only_prefixes_that_pass_their_due_checks():
@@ -536,7 +541,7 @@ def test_components_extend_only_prefixes_that_pass_their_due_checks():
     value_lists = [[float(v) for v in range(10)] for _ in names]
     [(positions, rows)] = _components(scenario, value_lists)
     assert positions == tuple(range(6))
-    assert rows == [tuple(map(float, row)) for row in itertools.combinations(range(10), 6)]
+    assert rows == list(itertools.combinations(range(10), 6))  # level n is the value n
     assert len(calls) <= 10 * sum(math.comb(10, j) for j in range(1, 6)) == 6370
 
 
@@ -629,7 +634,8 @@ def test_pairwise_cover_follows_the_documented_density_rule(case):
     scenario, levels = case
     value_lists = [sorted(levels[p.name]) for p in scenario.parameters]
     if (len(value_lists) < 2 or not _feasible_rows(scenario, value_lists)
-            or (not scenario.compiled.components() and _orthogonal_array(value_lists))):
+            or (not scenario.compiled.components()
+                and _orthogonal_array([len(values) for values in value_lists]))):
         return
     names = scenario.compiled.names
     suite = pairwise_cover(scenario, levels)
@@ -707,6 +713,29 @@ def test_pinned_suite_bytes_constraint_split(constraint, sha256):
     suite = pairwise_cover(scenario, level_lists)
     text = dumps_canonical(suite_to_dict(suite, coverage_metrics(scenario, level_lists, suite)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
+
+
+ROAD = "road r1 is two-lane-motorway\nr1 geometry straight\n"
+STAR4 = ("scenario star4\n" + ROAD + "truck t1\n" + "".join(f"car c{n}\n" for n in range(1, 5))
+         + "".join(f"c{n} follows t1\nc{n} lane right\n" for n in range(1, 5)) + "t1 lane right\n")
+CHAIN5 = ("scenario chain5\n" + ROAD + "".join(f"car c{n}\n" for n in range(1, 6))
+          + "".join(f"c{n} follows c{n + 1}\n" for n in range(1, 5))
+          + "".join(f"c{n} lane right\n" for n in range(1, 6)))
+
+
+@pytest.mark.parametrize("text, k, size, sha256", [
+    (STAR4, 8, 194, "328de726c081937d4c19990f47ca575490156afb6673a0e5294d82eb07f9a4c4"),
+    (CHAIN5, 3, 41, "d43cddb2400cdc1e69006accf734e5a6aa84301a0bdd24ad2f4c24ea7eadaf59"),
+    (CHAIN5, 8, 168, "0e2b5c2cf5fd6a9265cbcc69ade0cdb74a077cdf52a05cbafb6d55374f18a803"),
+], ids=["star4-k8", "chain5-k3", "chain5-k8"])
+def test_pinned_suite_bytes_multi_constraint_components(vocabulary, catalog, text, k, size,
+                                                         sha256):
+    """One component of several constraints: four cars behind one truck, and
+    five cars in a chain, each lowered from the DSL."""
+    logical = lower_to_logical(parse_functional(text, vocabulary), catalog)
+    suite = generate_suite(logical, "pairwise", k, 10, 0)
+    assert len(suite[0]) == size
+    assert hashlib.sha256(SUITE.dumps(suite).encode("utf-8")).hexdigest() == sha256
 
 
 def test_duplicate_and_signed_zero_levels():
