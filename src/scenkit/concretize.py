@@ -1,11 +1,12 @@
 """Derive concrete scenarios from a logical scenario.
 
-``generate_suite`` chooses each method's levels, builds the suite and
-measures its coverage. Generators propose full assignments, the checker
-disposes: constraints are verified by substitution only, so feasibility
-logic lives in one place. All generators are pure functions of their inputs
-and the seed. Every consumer evaluates constraints through the scenario's
-compiled form, which reads a row tuple in parameter order.
+``generate_suite`` chooses each method's levels and compiles them once
+(``compile_levels``); the suite's cover and its coverage both read that form.
+Generators propose full assignments, the checker disposes: constraints are
+verified by substitution only, so feasibility logic lives in one place. All
+generators are pure functions of their inputs and the seed. Every consumer
+evaluates constraints through the scenario's compiled form, which reads a
+row tuple in parameter order.
 """
 
 import random
@@ -144,25 +145,6 @@ def _wrapper(scenario: LogicalScenario, method: str, seed: int | None = None):
     return wrap
 
 
-def _value_lists(scenario: LogicalScenario, levels: dict) -> list[list[float]]:
-    """Each parameter's levels, ascending, keeping the first of equal values
-    (so ``-0.0`` or ``0.0``, whichever is listed first)."""
-    missing = [p.name for p in scenario.parameters if p.name not in levels]
-    if missing:
-        raise SchemaViolation(f"levels missing for parameters: {missing}")
-    value_lists: list[list[float]] = []
-    for parameter in scenario.parameters:
-        values = [float(v) for v in levels[parameter.name]]
-        if not values:
-            raise SchemaViolation(f"empty level list for {parameter.name!r}")
-        for value in values:
-            if not parameter.lo <= value <= parameter.hi:
-                raise SchemaViolation(
-                    f"level {value!r} outside range of {parameter.name!r}")
-        value_lists.append(sorted(dict.fromkeys(values)))
-    return value_lists
-
-
 def _no_pairs(sizes: list[int]) -> list:
     """An empty set of level pairs over parameters of ``sizes`` levels:
     ``blocks[j][i][b]``, for ``i < j``, is an int whose bit ``a`` is the pair
@@ -224,12 +206,37 @@ def _components(scenario: LogicalScenario,
     return components
 
 
+def compile_levels(scenario: LogicalScenario, levels: dict) -> tuple:
+    """A suite's ``levels`` as (value lists, sizes, components, feasible pairs,
+    infeasible). Each value list is ascending and keeps the first listed of
+    equal values (``-0.0`` or ``0.0``). If ``_components`` raises, no pair is
+    feasible and ``infeasible`` holds its ``InfeasibleLevels``; else None."""
+    missing = [p.name for p in scenario.parameters if p.name not in levels]
+    if missing:
+        raise SchemaViolation(f"levels missing for parameters: {missing}")
+    value_lists: list[list[float]] = []
+    for parameter in scenario.parameters:
+        values = [float(v) for v in levels[parameter.name]]
+        if not values:
+            raise SchemaViolation(f"empty level list for {parameter.name!r}")
+        for value in values:
+            if not parameter.lo <= value <= parameter.hi:
+                raise SchemaViolation(f"level {value!r} outside range of {parameter.name!r}")
+        value_lists.append(sorted(dict.fromkeys(values)))
+    sizes = [len(values) for values in value_lists]
+    try:
+        components = _components(scenario, value_lists)
+    except InfeasibleLevels as infeasible:
+        return value_lists, sizes, [], _no_pairs(sizes), infeasible
+    return value_lists, sizes, components, _feasible_pairs(sizes, components), None
+
+
 def _orthogonal_array(sizes: list[int]) -> list[list[int]] | None:
     """Bose's orthogonal array of strength 2 (Bose, Sankhya 3, 1938): for ``s``
     levels each, ``s`` prime, and at most ``s + 1`` parameters, the ``s * s``
     rows ``(a, b, a + b, 2a + b, ...) mod s`` show every level pair exactly
     once, which meets the lower bound. None for any other shape."""
-    s = sizes[0]
+    s = min(sizes, default=0)
     if (s < 2 or len(sizes) > s + 1 or any(size != s for size in sizes)
             or any(s % d == 0 for d in range(2, s))):
         return None
@@ -237,11 +244,11 @@ def _orthogonal_array(sizes: list[int]) -> list[list[int]] | None:
             for a in range(s) for b in range(s)]
 
 
-def _density_rows(sizes: list[int], components: list, uncovered: list) -> list[list[int]]:
-    """Rows of level indices covering the level pairs of ``uncovered`` (in the
-    form of ``_no_pairs``, emptied as they are covered), built one at a time
-    by the density method of the AETG family (Cohen et al., IEEE TSE 1997;
-    Bryce & Colbourn, STVR 2007).
+def _density_rows(sizes: list[int], components: list, feasible: list) -> list[list[int]]:
+    """Rows of level indices covering the level pairs of ``feasible`` (in the
+    form of ``_no_pairs``, left as it is), built one at a time by the density
+    method of the AETG family (Cohen et al., IEEE TSE 1997; Bryce & Colbourn,
+    STVR 2007).
 
     A row starts from the parameter pair (i, j) with the most uncovered pairs,
     the first in ``(i, j) for j for i < j`` order winning ties, set to its
@@ -258,6 +265,7 @@ def _density_rows(sizes: list[int], components: list, uncovered: list) -> list[l
     does not grow with the number of level pairs.
     """
     count = len(sizes)
+    uncovered = [[list(block) for block in column] for column in feasible]
     pairs = [(i, j) for j in range(count) for i in range(j)]
     counts = [sum(field.bit_count() for field in uncovered[j][i]) for i, j in pairs]
     home = {p: (number, k) for number, (positions, _) in enumerate(components)
@@ -305,29 +313,28 @@ def _density_rows(sizes: list[int], components: list, uncovered: list) -> list[l
     return suite
 
 
-def pairwise_cover(scenario: LogicalScenario, levels: dict,
+def pairwise_cover(scenario: LogicalScenario, form: tuple,
                    method: str = "pairwise") -> list[ConcreteScenario]:
-    """Covering suite: every feasible level pair appears in >= 1 scenario.
+    """Covering suite of a ``compile_levels`` form (or its ``InfeasibleLevels``):
+    every feasible level pair appears in >= 1 scenario.
 
-    Feasibility is decided per constraint component (``_components``), so the
-    suite never contains a constraint-violating scenario, pairs without any
-    feasible completion are simply excluded, and the level product is never
+    Feasibility is decided per constraint component, so the suite never
+    contains a constraint-violating scenario, pairs without any feasible
+    completion are simply excluded, and the level product is never
     enumerated. One parameter lists its feasible levels. Without constraints,
     a shape that Bose's orthogonal array fits gets its ``s * s`` rows; every
     other suite is built by ``_density_rows``. Rows are level indices until
     each is wrapped here. ``method`` labels the scenarios and their ids.
     """
-    value_lists = _value_lists(scenario, levels)
-    names = scenario.compiled.names
-    if not names:
-        return []
-    sizes = [len(values) for values in value_lists]
-    components = _components(scenario, value_lists)
+    value_lists, sizes, components, feasible, infeasible = form
+    if infeasible:
+        raise infeasible
     if len(sizes) == 1:
         rows = components[0][1] if components else [(n,) for n in range(sizes[0])]
     elif components or (rows := _orthogonal_array(sizes)) is None:
-        rows = _density_rows(sizes, components, _feasible_pairs(sizes, components))
+        rows = _density_rows(sizes, components, feasible)
     wrap = _wrapper(scenario, method)
+    names = scenario.compiled.names
     return [wrap({name: values[n] for name, values, n in zip(names, value_lists, row)}, position)
             for position, row in enumerate(rows)]
 
@@ -383,11 +390,11 @@ METHODS = ("boundary", "equivalence", "pairwise", "random")
 
 def generate_suite(scenario: LogicalScenario, method: str, k: int, n: int, seed: int):
     """Build a concrete suite by one of ``METHODS`` and measure its coverage;
-    returns (scenarios, coverage)."""
+    returns (scenarios, coverage). One ``compile_levels`` form serves both."""
     boundary = {p.name: boundary_values(p) for p in scenario.parameters}
     if method == "random":
         scenarios = sample_random(scenario, n, seed)
-        return scenarios, coverage_metrics(scenario, boundary, scenarios)
+        return scenarios, coverage_metrics(scenario, compile_levels(scenario, boundary), scenarios)
     if method == "boundary":
         levels = boundary
     elif method == "equivalence":
@@ -396,8 +403,9 @@ def generate_suite(scenario: LogicalScenario, method: str, k: int, n: int, seed:
         levels = {p.name: boundary[p.name] + equivalence_classes(p, k) for p in scenario.parameters}
     else:
         raise ScenarioError(f"unknown method {method!r}")
-    scenarios = pairwise_cover(scenario, levels, method)
-    return scenarios, coverage_metrics(scenario, levels, scenarios)
+    form = compile_levels(scenario, levels)
+    scenarios = pairwise_cover(scenario, form, method)
+    return scenarios, coverage_metrics(scenario, form, scenarios)
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -433,18 +441,13 @@ def _feasible_pairs(sizes: list[int], components: list) -> list:
     return blocks
 
 
-def coverage_metrics(scenario: LogicalScenario, levels: dict,
+def coverage_metrics(scenario: LogicalScenario, form: tuple,
                      scenarios: list[ConcreteScenario]) -> CoverageReport:
-    """Mechanical pair and boundary coverage, exact until the final division."""
+    """Pair and boundary coverage over a ``compile_levels`` form, exact until the division."""
     for concrete in scenarios:
         check_source(scenario, concrete)
 
-    value_lists = _value_lists(scenario, levels)
-    sizes = [len(values) for values in value_lists]
-    try:
-        feasible = _feasible_pairs(sizes, _components(scenario, value_lists))
-    except InfeasibleLevels:
-        feasible = _no_pairs(sizes)  # no level row satisfies every constraint
+    value_lists, sizes, _, feasible, _ = form
     # the suite's values as level indices; a value that is not a level gets the index past the last
     indexes = [{value: n for n, value in enumerate(values)} for values in value_lists]
     covered = _no_pairs([size + 1 for size in sizes])
@@ -459,11 +462,8 @@ def coverage_metrics(scenario: LogicalScenario, levels: dict,
             for field, covered_field in zip(feasible[j][i], covered[j][i]):
                 feasible_count += field.bit_count()
                 covered_count += (field & covered_field).bit_count()
-    hit = 0
-    for parameter in scenario.parameters:
-        values = {c.assignments.get(parameter.name) for c in scenarios}
-        if parameter.lo in values and parameter.hi in values:
-            hit += 1
+    hit = sum({p.lo, p.hi} <= {c.assignments.get(p.name) for c in scenarios}
+              for p in scenario.parameters)
     parameter_count = len(scenario.parameters)
 
     # int / int rounds the exact ratio once; all of nothing is covered

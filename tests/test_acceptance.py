@@ -22,6 +22,7 @@ from scenkit.concretize import (
     ConcreteScenario,
     boundary_values,
     check_concrete,
+    compile_levels,
     concrete_from_dict,
     concrete_to_dict,
     equivalence_classes,
@@ -93,7 +94,7 @@ def test_a2_generator_soundness():
                 {p.name: equivalence_classes(p, 2) for p in scenario.parameters},
             ):
                 try:
-                    suites.append(pairwise_cover(scenario, levels))
+                    suites.append(pairwise_cover(scenario, compile_levels(scenario, levels)))
                 except InfeasibleLevels:
                     pass
             try:
@@ -139,13 +140,14 @@ def test_a3_pairwise_completeness():
             levels = {n: sorted(rng.sample([0.0, 1.0, 2.0, 3.0], rng.randint(1, 4)))
                       for n in names}
             try:
-                suite = pairwise_cover(scenario, levels)
+                suite = pairwise_cover(scenario, compile_levels(scenario, levels))
             except InfeasibleLevels:
                 continue
             assert brute_force_uncovered(scenario, levels, suite) == set(), (levels, trial)
 
         cube = make_logical([("a.x", 0, 2), ("a.y", 0, 2), ("a.z", 0, 2)])
-        suite = pairwise_cover(cube, {n: [0.0, 1.0, 2.0] for n in ("a.x", "a.y", "a.z")})
+        cube_levels = {n: [0.0, 1.0, 2.0] for n in ("a.x", "a.y", "a.z")}
+        suite = pairwise_cover(cube, compile_levels(cube, cube_levels))
         assert len(suite) == 9
 
 

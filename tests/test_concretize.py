@@ -4,25 +4,28 @@ import math
 import pathlib
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scenkit.concretize
 import scenkit.logical
 from scenkit.concretize import (
     MAX_CLASSES,
     MAX_SCENARIOS,
+    METHODS,
     SUITE,
     ConcreteScenario,
     _components,
     _feasible_pairs,
     _orthogonal_array,
-    _value_lists,
     boundary_values,
     check_concrete,
     concrete_from_dict,
     concrete_to_dict,
+    compile_levels,
     coverage_metrics,
     derive_seed,
     deserialize_concrete,
@@ -118,14 +121,14 @@ def suite_pairs(names, scenarios):
 def test_pairwise_three_cubed_is_nine():
     scenario = make_logical([("a.x", 0, 2), ("a.y", 0, 2), ("a.z", 0, 2)])
     levels = {n: [0.0, 1.0, 2.0] for n in ("a.x", "a.y", "a.z")}
-    suite = pairwise_cover(scenario, levels)
+    suite = pairwise_cover(scenario, compile_levels(scenario, levels))
     assert len(suite) == 9
     assert len(suite_pairs(["a.x", "a.y", "a.z"], suite)) == 27
 
 
 def test_pairwise_single_parameter():
     scenario = make_logical([("a.x", 0, 3)])
-    suite = pairwise_cover(scenario, {"a.x": [0.0, 1.0, 2.0, 3.0]})
+    suite = pairwise_cover(scenario, compile_levels(scenario, {"a.x": [0.0, 1.0, 2.0, 3.0]}))
     assert [c.assignments["a.x"] for c in suite] == [0.0, 1.0, 2.0, 3.0]
 
 
@@ -133,9 +136,10 @@ def test_pairwise_constrained_drops_infeasible_pairs():
     scenario = make_logical([("t1.s0", 0, 200), ("c1.s0", 0, 200)],
                             [("t1.s0", ">", "c1.s0")])
     levels = {"t1.s0": [0.0, 200.0], "c1.s0": [0.0, 200.0]}
-    suite = pairwise_cover(scenario, levels)
+    form = compile_levels(scenario, levels)
+    suite = pairwise_cover(scenario, form)
     assert all(check_concrete(scenario, c) == [] for c in suite)
-    coverage = coverage_metrics(scenario, levels, suite)
+    coverage = coverage_metrics(scenario, form, suite)
     assert coverage.pair_coverage == 1.0
     assert coverage.infeasible_combination_count == 3
 
@@ -145,37 +149,40 @@ def test_no_cover_of_needs_two_parameters():
     # over p0's four levels alone (1 + 3 rows) would wrongly ask for more
     scenario = make_logical([("p0", 0, 3), ("p1", 0, 3)], [("p0", "<", "0.5")])
     levels = {"p0": [0.0, 1.0, 2.0, 3.0], "p1": [0.0, 1.0]}
-    suite = pairwise_cover(scenario, levels)
+    form = compile_levels(scenario, levels)
+    suite = pairwise_cover(scenario, form)
     assert len(suite) == 2
     assert all(check_concrete(scenario, c) == [] for c in suite)
-    assert coverage_metrics(scenario, levels, suite).pair_coverage == 1.0
+    assert coverage_metrics(scenario, form, suite).pair_coverage == 1.0
 
 
 def test_pairwise_all_levels_infeasible():
     scenario = make_logical([("t1.s0", 0, 10), ("c1.s0", 0, 10), ("a.x", 0, 1)],
                             [("a.x", "<", "2"), ("t1.s0", ">", "c1.s0")])
     with pytest.raises(InfeasibleLevels, match=r"satisfies constraints c001$"):
-        pairwise_cover(scenario, {"t1.s0": [5.0], "c1.s0": [5.0], "a.x": [0.0]})
+        pairwise_cover(scenario, compile_levels(scenario, {"t1.s0": [5.0], "c1.s0": [5.0],
+                                                           "a.x": [0.0]}))
     constant = make_logical([("a.x", 0, 1), ("a.y", 0, 1)], [("a.x", "<", "2"), ("1", ">", "2")])
     with pytest.raises(InfeasibleLevels, match=r"constraint c001 is false"):
-        pairwise_cover(constant, {"a.x": [0.0], "a.y": [0.0]})
+        pairwise_cover(constant, compile_levels(constant, {"a.x": [0.0], "a.y": [0.0]}))
 
 
 def test_pairwise_level_validation():
     scenario = make_logical([("a.x", 0, 1), ("a.y", 0, 1)])
     with pytest.raises(SchemaViolation):
-        pairwise_cover(scenario, {"a.x": [0.0]})
+        pairwise_cover(scenario, compile_levels(scenario, {"a.x": [0.0]}))
     with pytest.raises(SchemaViolation):
-        pairwise_cover(scenario, {"a.x": [], "a.y": [0.0]})
+        pairwise_cover(scenario, compile_levels(scenario, {"a.x": [], "a.y": [0.0]}))
     with pytest.raises(SchemaViolation):
-        pairwise_cover(scenario, {"a.x": [2.0], "a.y": [0.0]})
+        pairwise_cover(scenario, compile_levels(scenario, {"a.x": [2.0], "a.y": [0.0]}))
 
 
 def test_pairwise_deterministic():
     scenario = make_logical([("a.x", 0, 3), ("a.y", 0, 2), ("a.z", 0, 3)])
     levels = {"a.x": [0.0, 1.0, 2.0, 3.0], "a.y": [0.0, 1.0, 2.0], "a.z": [0.0, 2.0, 3.0]}
-    first = [serialize_concrete(c) for c in pairwise_cover(scenario, levels)]
-    second = [serialize_concrete(c) for c in pairwise_cover(scenario, levels)]
+    form = compile_levels(scenario, levels)
+    first = [serialize_concrete(c) for c in pairwise_cover(scenario, form)]
+    second = [serialize_concrete(c) for c in pairwise_cover(scenario, form)]
     assert first == second
 
 
@@ -186,7 +193,7 @@ def test_pairwise_covers_all_pairs_randomized():
         names = [f"p{i}" for i in range(width)]
         scenario = make_logical([(n, 0, 10) for n in names])
         levels = {n: [float(v) for v in range(rng.randint(1, 4))] for n in names}
-        suite = pairwise_cover(scenario, levels)
+        suite = pairwise_cover(scenario, compile_levels(scenario, levels))
         expected = set()
         for combo in itertools.product(*(levels[n] for n in names)):
             for i, j in itertools.combinations(range(width), 2):
@@ -244,7 +251,7 @@ def test_derive_seed_spreads():
 
 def test_coverage_vacuous_is_one():
     scenario = make_logical([("a.x", 0, 1)])
-    report = coverage_metrics(scenario, {"a.x": [0.0, 1.0]}, [])
+    report = coverage_metrics(scenario, compile_levels(scenario, {"a.x": [0.0, 1.0]}), [])
     assert report.pair_coverage == 1.0
     assert report.boundary_coverage == 0.0
     assert report.scenario_count == 0
@@ -255,11 +262,12 @@ def test_coverage_partial():
     levels = {"a.x": [0.0, 1.0], "a.y": [0.0, 1.0]}
     one = ConcreteScenario(scenario_id="x", source_ref=source_ref_for(scenario),
                            assignments={"a.x": 0.0, "a.y": 1.0})
-    report = coverage_metrics(scenario, levels, [one])
+    form = compile_levels(scenario, levels)
+    report = coverage_metrics(scenario, form, [one])
     assert report.pair_coverage == 0.25
     assert report.boundary_coverage == 0.0
-    full = pairwise_cover(scenario, levels)
-    report = coverage_metrics(scenario, levels, full)
+    full = pairwise_cover(scenario, form)
+    report = coverage_metrics(scenario, form, full)
     assert report.pair_coverage == 1.0
     assert report.boundary_coverage == 1.0
 
@@ -276,8 +284,9 @@ def test_serialize_round_trip():
 def test_suite_to_dict_structure():
     scenario = make_logical([("a.x", 0, 1), ("a.y", 0, 1)])
     levels = {"a.x": [0.0, 1.0], "a.y": [0.0, 1.0]}
-    suite = pairwise_cover(scenario, levels)
-    document = suite_to_dict(suite, coverage_metrics(scenario, levels, suite))
+    form = compile_levels(scenario, levels)
+    suite = pairwise_cover(scenario, form)
+    document = suite_to_dict(suite, coverage_metrics(scenario, form, suite))
     assert document["format"] == "concrete-suite/1"
     assert len(document["scenarios"]) == len(suite)
     assert document["coverage"]["pair_coverage"] == 1.0
@@ -286,7 +295,8 @@ def test_suite_to_dict_structure():
 
 def test_suite_loads_rejects_a_repeated_id():
     scenario = make_logical([("a.x", 0, 1), ("a.y", 0, 1)])
-    suite = pairwise_cover(scenario, {"a.x": [0.0, 1.0], "a.y": [0.0, 1.0]})
+    suite = pairwise_cover(scenario, compile_levels(scenario, {"a.x": [0.0, 1.0],
+                                                               "a.y": [0.0, 1.0]}))
     suite[1] = suite[1]._replace(scenario_id=suite[0].scenario_id)
     message = f"suite: scenario {suite[0].scenario_id!r} is listed twice"
     with pytest.raises(SchemaViolation, match=re.escape(message)):
@@ -317,8 +327,9 @@ def test_coverage_counts_duplicate_levels_once():
     scenario = make_logical([("t1.s0", 0, 200), ("c1.s0", 0, 200), ("c1.v0", 0, 10)],
                             [("t1.s0", ">", "c1.s0")])
     levels = {"t1.s0": [0.0, 200.0, 200.0], "c1.s0": [0.0, 0.0, 200.0], "c1.v0": [5.0, 5.0]}
-    suite = pairwise_cover(scenario, levels)
-    coverage = coverage_metrics(scenario, levels, suite)
+    form = compile_levels(scenario, levels)
+    suite = pairwise_cover(scenario, form)
+    coverage = coverage_metrics(scenario, form, suite)
     all_pairs = set()
     feasible_pairs = set()
     for row in itertools.product(*levels.values()):
@@ -339,8 +350,9 @@ def test_pinned_suite_bytes_eight_parameters():
     scenario = make_logical([(n, 0, 3) for n in PIN_NAMES],
                             [("p0", "<", "p1"), ("p2 + p3", "<=", "4")], scenario_id="pin8")
     levels = {n: [0.0, 1.0, 2.0, 3.0] for n in PIN_NAMES}
-    suite = pairwise_cover(scenario, levels)
-    text = dumps_canonical(suite_to_dict(suite, coverage_metrics(scenario, levels, suite)))
+    form = compile_levels(scenario, levels)
+    suite = pairwise_cover(scenario, form)
+    text = dumps_canonical(suite_to_dict(suite, coverage_metrics(scenario, form, suite)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PIN8_SHA256
 
 
@@ -370,7 +382,7 @@ def brute_force_coverage(scenario, levels, suite):
 def assert_coverage_matches_brute_force(scenario, levels, suite_rows):
     names = [p.name for p in scenario.parameters]
     suite = [_suite_row(names, row, scenario) for row in suite_rows]
-    report = coverage_metrics(scenario, levels, suite)
+    report = coverage_metrics(scenario, compile_levels(scenario, levels), suite)
     coverage, infeasible = brute_force_coverage(scenario, levels, suite)
     assert report.pair_coverage == coverage
     assert report.infeasible_combination_count == infeasible
@@ -428,7 +440,7 @@ def test_coverage_with_infeasible_parts(constraints, expected_infeasible):
     rows = [[0.0, 3.0, 0.0, 0.0], [3.0, 0.0, 3.0, 0.0], [0.0, 3.0, 3.0, 3.0]]
     assert_coverage_matches_brute_force(scenario, levels, rows)
     if expected_infeasible is not None:
-        report = coverage_metrics(scenario, levels, [])
+        report = coverage_metrics(scenario, compile_levels(scenario, levels), [])
         assert report.infeasible_combination_count == expected_infeasible
         assert report.pair_coverage == 1.0
 
@@ -436,9 +448,9 @@ def test_coverage_with_infeasible_parts(constraints, expected_infeasible):
 def test_constraint_on_undeclared_parameter_is_named():
     scenario = make_logical([("a.x", 0, 1), ("a.y", 0, 1)], [("a.x", "<", "zz.q + a.y")])
     levels = {"a.x": [0.0, 1.0], "a.y": [0.0, 1.0]}
-    for call in (lambda: pairwise_cover(scenario, levels),
+    for call in (lambda: pairwise_cover(scenario, compile_levels(scenario, levels)),
                  lambda: sample_random(scenario, 3, seed=0),
-                 lambda: coverage_metrics(scenario, levels, [])):
+                 lambda: coverage_metrics(scenario, compile_levels(scenario, levels), [])):
         with pytest.raises(UnboundConstraintParameter, match=r"c000.*zz\.q"):
             call()
 
@@ -505,7 +517,8 @@ def test_feasible_pairs_match_the_product(case):
     indices, and the feasible pairs are the union of those rows' pairs."""
     scenario, levels = case
     value_lists = [sorted(_first_distinct(levels[p.name])) for p in scenario.parameters]
-    assert repr(_value_lists(scenario, levels)) == repr(value_lists)  # repr tells -0.0 from 0.0
+    form_values = compile_levels(scenario, levels)[0]
+    assert repr(form_values) == repr(value_lists)  # repr tells -0.0 from 0.0
     feasible = _feasible_rows(scenario, value_lists)
     if not feasible:
         with pytest.raises(InfeasibleLevels):
@@ -581,11 +594,12 @@ def test_pairwise_cover_matches_the_reference(case):
     scenario, levels = case
     names = [p.name for p in scenario.parameters]
     feasible = _feasible_rows(scenario, [levels[n] for n in names])
+    form = compile_levels(scenario, levels)
     if not feasible:
         with pytest.raises(InfeasibleLevels):
-            pairwise_cover(scenario, levels)
+            pairwise_cover(scenario, form)
         return
-    suite = pairwise_cover(scenario, levels)
+    suite = pairwise_cover(scenario, form)
     assert all(check_concrete(scenario, c) == [] for c in suite)
     if len(names) == 1:
         assert [c.assignments[names[0]] for c in suite] == sorted({row[0] for row in feasible})
@@ -638,7 +652,7 @@ def test_pairwise_cover_follows_the_documented_density_rule(case):
                 and _orthogonal_array([len(values) for values in value_lists]))):
         return
     names = scenario.compiled.names
-    suite = pairwise_cover(scenario, levels)
+    suite = pairwise_cover(scenario, compile_levels(scenario, levels))
     assert [[c.assignments[n] for n in names] for c in suite] == reference_density_rows(
         scenario, value_lists)
 
@@ -654,10 +668,24 @@ def test_pinned_suite_bytes_many_levels(k, size, sha256):
     """The worked example's pairwise suite where each parameter has k classes."""
     scenario = deserialize_logical(GOLDEN.read_text())
     levels = {p.name: boundary_values(p) + equivalence_classes(p, k) for p in scenario.parameters}
-    suite = pairwise_cover(scenario, levels)
+    form = compile_levels(scenario, levels)
+    suite = pairwise_cover(scenario, form)
     assert len(suite) == size
-    text = dumps_canonical(suite_to_dict(suite, coverage_metrics(scenario, levels, suite)))
+    text = dumps_canonical(suite_to_dict(suite, coverage_metrics(scenario, form, suite)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_suite_compiles_its_levels_once(monkeypatch, method):
+    """The cover and its coverage read one form: per suite, the levels are
+    validated, and the component rows and feasible pairs built, once."""
+    calls = Counter()
+    for name in ("compile_levels", "_components", "_feasible_pairs"):
+        original = getattr(scenkit.concretize, name)
+        monkeypatch.setattr(scenkit.concretize, name, lambda *args, name=name, original=original:
+                            calls.update([name]) or original(*args))
+    generate_suite(deserialize_logical(GOLDEN.read_text()), method, 2, 20, 0)
+    assert calls == {"compile_levels": 1, "_components": 1, "_feasible_pairs": 1}
 
 
 def test_pairwise_past_the_level_product():
@@ -665,8 +693,9 @@ def test_pairwise_past_the_level_product():
     names = [f"p{i}" for i in range(12)]
     scenario = make_logical([(n, 0, 3) for n in names], [("p3", "<", "p7")])
     levels = {n: [0.0, 1.0, 2.0, 3.0] for n in names}
-    suite = pairwise_cover(scenario, levels)
-    assert coverage_metrics(scenario, levels, suite).pair_coverage == 1.0
+    form = compile_levels(scenario, levels)
+    suite = pairwise_cover(scenario, form)
+    assert coverage_metrics(scenario, form, suite).pair_coverage == 1.0
     assert all(check_concrete(scenario, c) == [] for c in suite)
 
 
@@ -678,7 +707,7 @@ def test_pairwise_orthogonal_array_shapes(count, levels, rows):
     names = [f"p{i}" for i in range(count)]
     scenario = make_logical([(n, 0, levels - 1) for n in names])
     level_lists = {n: [float(v) for v in range(levels)] for n in names}
-    suite = pairwise_cover(scenario, level_lists)
+    suite = pairwise_cover(scenario, compile_levels(scenario, level_lists))
     assert rows is None or len(suite) == rows
     assert len(suite_pairs(names, suite)) == count * (count - 1) // 2 * levels * levels
 
@@ -694,8 +723,9 @@ def test_pinned_suite_bytes_pairwise_shapes(count, levels, constraints, sha256):
     scenario = make_logical([(n, 0, levels - 1) for n in names], constraints,
                             scenario_id=f"pin{count}x{levels}")
     level_lists = {n: [float(v) for v in range(levels)] for n in names}
-    suite = pairwise_cover(scenario, level_lists)
-    text = dumps_canonical(suite_to_dict(suite, coverage_metrics(scenario, level_lists, suite)))
+    form = compile_levels(scenario, level_lists)
+    suite = pairwise_cover(scenario, form)
+    text = dumps_canonical(suite_to_dict(suite, coverage_metrics(scenario, form, suite)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
 
 
@@ -710,8 +740,9 @@ def test_pinned_suite_bytes_constraint_split(constraint, sha256):
     names = [f"p{i}" for i in range(8)]
     scenario = make_logical([(n, 0, 3) for n in names], [constraint], scenario_id="split8x4")
     level_lists = {n: [float(v) for v in range(4)] for n in names}
-    suite = pairwise_cover(scenario, level_lists)
-    text = dumps_canonical(suite_to_dict(suite, coverage_metrics(scenario, level_lists, suite)))
+    form = compile_levels(scenario, level_lists)
+    suite = pairwise_cover(scenario, form)
+    text = dumps_canonical(suite_to_dict(suite, coverage_metrics(scenario, form, suite)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
 
 
@@ -738,17 +769,38 @@ def test_pinned_suite_bytes_multi_constraint_components(vocabulary, catalog, tex
     assert hashlib.sha256(SUITE.dumps(suite).encode("utf-8")).hexdigest() == sha256
 
 
+CHAIN3 = ("scenario chain3\n" + ROAD + "".join(f"car c{n}\n" for n in range(1, 4))
+          + "".join(f"c{n} follows c{n + 1}\n" for n in range(1, 3))
+          + "".join(f"c{n} lane right\n" for n in range(1, 4)))
+
+
+def test_random_suite_whose_boundary_levels_admit_no_row(vocabulary, catalog):
+    """Each ``s0`` of the chain is [0, 200], so the boundary levels {0, 200}
+    admit no strictly ordered row: a random suite's coverage counts no
+    feasible pair, and a boundary suite raises the form's InfeasibleLevels."""
+    logical = lower_to_logical(parse_functional(CHAIN3, vocabulary), catalog)
+    suite = generate_suite(logical, "random", 2, 20, 0)
+    assert hashlib.sha256(SUITE.dumps(suite).encode("utf-8")).hexdigest() == (
+        "918d3f18cf1eef6e5d30709c64afd2553b2b5096ec4adf939319654cafa1824e")
+    assert len(suite[0]) == 20
+    assert suite[1].pair_coverage == 1.0
+    assert suite[1].infeasible_combination_count == 112
+    with pytest.raises(InfeasibleLevels, match=r"satisfies constraints c000, c001$"):
+        generate_suite(logical, "boundary", 2, 10, 0)
+
+
 def test_duplicate_and_signed_zero_levels():
     scenario = make_logical([("a.x", -1, 2), ("a.y", -1, 2), ("a.z", -1, 2)],
                             [("a.x", "<=", "a.y")])
     levels = {"a.x": [-0.0, 1.0, 0.0, 1.0], "a.y": [1.0, 0.0, -0.0, 1.0], "a.z": [2.0, 2.0]}
-    suite = pairwise_cover(scenario, levels)
-    assert coverage_metrics(scenario, levels, suite).pair_coverage == 1.0
+    form = compile_levels(scenario, levels)
+    suite = pairwise_cover(scenario, form)
+    assert coverage_metrics(scenario, form, suite).pair_coverage == 1.0
     # each parameter's zero is the one listed first; repr tells -0.0 from 0.0
     assert {repr(c.assignments["a.x"]) for c in suite} == {"-0.0", "1.0"}
     assert {repr(c.assignments["a.y"]) for c in suite} == {"1.0", "0.0"}
     single = make_logical([("a.x", -1, 2)])
-    suite = pairwise_cover(single, {"a.x": [1.0, 0.0, 1.0, -0.0]})
+    suite = pairwise_cover(single, compile_levels(single, {"a.x": [1.0, 0.0, 1.0, -0.0]}))
     assert [repr(c.assignments["a.x"]) for c in suite] == ["0.0", "1.0"]
 
 
@@ -758,7 +810,8 @@ def test_coverage_rejects_a_stale_revision():
                              source_ref={"scenario_id": "fixture", "hash": "0" * 64},
                              assignments={"a.x": 0.5})
     with pytest.raises(SourceMismatch, match="different revision"):
-        coverage_metrics(scenario, {"a.x": [0.0, 1.0]}, [stale])
+        coverage_metrics(scenario, compile_levels(scenario, {"a.x": [0.0, 1.0]}), [stale])
     unhashed = ConcreteScenario(scenario_id="x", source_ref={"scenario_id": "fixture"},
                                 assignments={"a.x": 0.5})
-    assert coverage_metrics(scenario, {"a.x": [0.0, 1.0]}, [unhashed]).scenario_count == 1
+    form = compile_levels(scenario, {"a.x": [0.0, 1.0]})
+    assert coverage_metrics(scenario, form, [unhashed]).scenario_count == 1

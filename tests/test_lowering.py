@@ -20,6 +20,7 @@ from scenkit.canonical import dumps_canonical
 from scenkit.concretize import (
     boundary_values,
     check_concrete,
+    compile_levels,
     coverage_metrics,
     pairwise_cover,
     suite_from_dict,
@@ -303,8 +304,8 @@ GOLDEN_DOC["constraints"].append({"id": "c001", "kind": "correlation", "target":
 # the documents of the export: two scenarios of the worked example's boundary
 # suite, the expected behaviour and one test case
 S1 = deserialize_logical((DATA / "golden" / "s1.logical.json").read_text())
-LEVELS = {p.name: boundary_values(p) for p in S1.parameters}
-SUITE = pairwise_cover(S1, LEVELS, "boundary")[:2]
+FORM = compile_levels(S1, {p.name: boundary_values(p) for p in S1.parameters})
+SUITE = pairwise_cover(S1, FORM, "boundary")[:2]
 EXPECTED = load_expected((DATA / "expected.json").read_text())
 META = {"work_product_ref": "req-001", "preconditions": "nominal", "configuration": "default"}
 SCENARIO_TEXT = (DATA / "fig_car_follows_truck.scn").read_text()
@@ -390,7 +391,7 @@ def test_loaders_raise_only_scenario_errors(vocabulary, catalog, car_follows_tru
             scenarios = suite_from_dict(json.loads(text))
             assert same_json(json.loads(dumps_canonical(suite_to_dict(scenarios))),
                              json.loads(text))
-            coverage_metrics(S1, LEVELS, scenarios)
+            coverage_metrics(S1, FORM, scenarios)
             for concrete in scenarios:
                 check_concrete(S1, concrete)
                 export_one(concrete, EXPECTED)
