@@ -1,12 +1,12 @@
 """Derive concrete scenarios from a logical scenario.
 
 ``generate_suite`` chooses each method's levels and compiles them once
-(``compile_levels``); the suite's cover and its coverage both read that form.
+(``compile_levels``), each constraint component's feasible level rows as one
+decision diagram; the suite's cover and its coverage both read that form.
 Generators propose full assignments, the checker disposes: constraints are
 verified by substitution only, so feasibility logic lives in one place. All
 generators are pure functions of their inputs and the seed. Every consumer
-evaluates constraints through the scenario's compiled form, which reads a
-row tuple in parameter order.
+evaluates constraints through the scenario's compiled form, over a row tuple.
 """
 
 import random
@@ -152,29 +152,24 @@ def _no_pairs(sizes: list[int]) -> list:
     return [[[0] * size for _ in range(j)] for j, size in enumerate(sizes)]
 
 
-def _mark_pairs(blocks: list, positions, rows) -> None:
-    """Add to ``blocks`` the level pairs of ``rows``, whose level indices sit at
-    the ascending ``positions``."""
-    for n, j in enumerate(positions):
-        for m, i in enumerate(positions[:n]):
-            for a, b in set(map(itemgetter(m, n), rows)):
-                blocks[j][i][b] |= 1 << a
-
-
 def _components(scenario: LogicalScenario,
-                value_lists: list[list[float]]) -> list[tuple[tuple[int, ...], list[tuple]]]:
-    """(positions, feasible partial rows) of each component of
-    ``compiled.components()``, as tuples of level indices in sorted order.
+                value_lists: list[list[float]]) -> list[tuple[tuple[int, ...], list]]:
+    """(positions, diagram) of each component of ``compiled.components()``: its
+    feasible partial rows as a layered decision diagram over level indices,
+    ``diagram[d][n] = {level: next node}`` for the ``d``-th of ``positions``.
+    Layers 0 and ``len(positions)`` have one node each; a node may reach no
+    end. A level row satisfies every constraint iff each constraint without
+    parameters holds and its levels on each component are a root-to-end path.
 
-    Components share no constraint and no parameter, so a level row satisfies
-    every constraint iff each constraint without parameters holds and the
-    row's levels at each component's positions form one of its feasible
-    partial rows. These are built one position at a time, each check due
-    where its last parameter is placed, extending by each level in ascending
-    order only the prefixes whose values pass every check due so far
-    (chronological backtracking; Haralick & Elliott, Artif. Intell. 14, 1980).
-    Raises ``InfeasibleLevels`` naming a false constraint without parameters,
-    or the constraints of the first component with no feasible partial row.
+    Layers are built one position at a time, each check due where its last
+    parameter is placed (Haralick & Elliott, Artif. Intell. 14, 1980). Two
+    prefixes are one node when they agree on every placed level that a check
+    not yet due reads, so the merge is exact (Bergman, Ciré, van Hoeve &
+    Hooker, Decision Diagrams for Optimization, 2016). The position placed
+    next is the one that leaves the fewest placed positions read by a check
+    not yet due; the lowest wins ties. Raises ``InfeasibleLevels`` naming a
+    false constraint without parameters, or the constraints of the first
+    component with no path.
     """
     compiled = scenario.compiled
     for constraint, positions, check in zip(scenario.constraints, compiled.positions,
@@ -182,34 +177,62 @@ def _components(scenario: LogicalScenario,
         if not positions and not check(()):
             raise InfeasibleLevels(f"constraint {constraint.id} is false: {constraint.describe()}")
     components = []
+    full: list = [None] * len(value_lists)
     for positions, numbers in compiled.components():
-        due: list[list] = [[] for _ in positions]  # per depth, the checks its position completes
-        for n in numbers:
-            due[positions.index(compiled.positions[n][-1])].append(compiled.checks[n])
-        full: list = [None] * len(value_lists)
-        rows: list[tuple] = [()]
-        for position, checks in zip(positions, due):
-            extended = []
-            for prefix in rows:
-                for placed, level in zip(positions, prefix):
-                    full[placed] = value_lists[placed][level]
+        reads = [(set(compiled.positions[n]), compiled.checks[n]) for n in numbers]
+        order, keys, diagram = [], [], []  # keys: the placed positions that a pending check reads
+        nodes: dict = {(): 0}  # per node of the layer, its levels at ``keys``
+        while len(order) < len(positions):
+            # per position not placed, the placed positions still read once it is
+            kept = {p: sorted({q for read, _ in reads if not read <= now for q in read & now})
+                    for p in set(positions) - set(order) for now in [{*order, p}]}
+            position = min(kept, key=lambda p: (len(kept[p]), p))
+            order.append(position)
+            checks = [check for read, check in reads if position in read and read <= {*order}]
+            # where each kept position sits in a node's levels extended by the new level
+            pick = [keys.index(q) if q != position else len(keys) for q in kept[position]]
+            layer, nxt = [], {}  # the layer's edges, and the next layer's nodes
+            for key in nodes:
+                layer.append(edges := {})
+                for q, level in zip(keys, key):
+                    full[q] = value_lists[q][level]
                 for level, value in enumerate(value_lists[position]):
                     full[position] = value
                     if all(check(full) for check in checks):
-                        extended.append(prefix + (level,))
-            rows = extended
-        if not rows:
+                        extended = key + (level,)
+                        edges[level] = nxt.setdefault(tuple(extended[i] for i in pick), len(nxt))
+            diagram.append(layer)
+            nodes, keys = nxt, kept[position]
+        if not nodes:
             ids = ", ".join(scenario.constraints[n].id for n in numbers)
-            raise InfeasibleLevels(
-                f"no combination of the given levels satisfies constraints {ids}")
-        components.append((positions, rows))
+            raise InfeasibleLevels(f"no combination of the given levels satisfies constraints {ids}")
+        components.append((tuple(order), diagram))
     return components
 
 
+def _paths(diagram: list, fixed: dict) -> list[int]:
+    """Per depth of a ``_components`` diagram, the levels (bit ``a`` for level
+    ``a``) on a root-to-end path taking level ``fixed[d]`` at each depth ``d`` of
+    ``fixed``: one pass forward over the edges that agree, one back to the end."""
+    steps, reached = [], {0}
+    for depth, layer in enumerate(diagram):
+        steps.append([(n, a, layer[n][a]) for n in reached
+                      for a in ((fixed[depth],) if depth in fixed else layer[n]) if a in layer[n]])
+        reached = {child for _, _, child in steps[-1]}
+    levels = [0] * len(diagram)
+    for depth in reversed(range(len(diagram))):
+        ends, reached = reached, set()
+        for n, a, child in steps[depth]:
+            if child in ends:
+                levels[depth] |= 1 << a
+                reached.add(n)
+    return levels
+
+
 def compile_levels(scenario: LogicalScenario, levels: dict) -> tuple:
-    """A suite's ``levels`` as (value lists, sizes, components, feasible pairs,
-    infeasible). Each value list is ascending and keeps the first listed of
-    equal values (``-0.0`` or ``0.0``). If ``_components`` raises, no pair is
+    """A suite's ``levels`` as (value lists, sizes, component diagrams, feasible
+    pairs, infeasible). Each value list is ascending and keeps the first listed
+    of equal values (``-0.0`` or ``0.0``). If ``_components`` raises, no pair is
     feasible and ``infeasible`` holds its ``InfeasibleLevels``; else None."""
     missing = [p.name for p in scenario.parameters if p.name not in levels]
     if missing:
@@ -256,9 +279,9 @@ def _density_rows(sizes: list[int], components: list, feasible: list) -> list[li
     follow, the one in the most uncovered pairs at the row's start first and
     declaration order breaking ties. Each takes the level that covers the most
     new pairs, the lowest level winning ties. A parameter of a constraint
-    component takes only a level that, with the levels already placed in its
-    component, matches one of the component's feasible partial rows (index
-    rows, as ``_components`` gives them), so every row satisfies every
+    component takes only a level on some path of the component's diagram
+    that takes the levels already placed in it (``_paths``; the free levels
+    of each component are found once), so every row satisfies every
     constraint. Every row covers its starting pair, so the loop ends. Each
     parameter pair's count of uncovered pairs is kept as rows cover them, and
     a level is scored by one bit test per placed parameter, so a row's cost
@@ -268,8 +291,9 @@ def _density_rows(sizes: list[int], components: list, feasible: list) -> list[li
     uncovered = [[list(block) for block in column] for column in feasible]
     pairs = [(i, j) for j in range(count) for i in range(j)]
     counts = [sum(field.bit_count() for field in uncovered[j][i]) for i, j in pairs]
-    home = {p: (number, k) for number, (positions, _) in enumerate(components)
-            for k, p in enumerate(positions)}
+    home = {p: (number, depth) for number, (positions, _) in enumerate(components)
+            for depth, p in enumerate(positions)}
+    free = [_paths(diagram, {}) for _, diagram in components]
     suite = []
     while any(counts):
         i, j = pairs[counts.index(max(counts))]
@@ -281,16 +305,18 @@ def _density_rows(sizes: list[int], components: list, feasible: list) -> list[li
             involved[q] += pair_count
         order = sorted((p for p in range(count) if p not in seed), key=lambda p: -involved[p])
 
-        live = [rows for _, rows in components]  # partial rows matching the levels placed
+        fixed: list[dict] = [{} for _ in components]  # per component, the levels placed by depth
         row: list = [None] * count
         sequence = (i, j, *order)
         for position, p in enumerate(sequence):
+            number, depth = home.get(p, (None, None))
             level = seed.get(p)
             if level is None:
                 levels = range(sizes[p])
-                if p in home:
-                    number, k = home[p]
-                    levels = sorted({partial[k] for partial in live[number]})
+                if number is not None:
+                    placed = fixed[number]
+                    allowed = _paths(components[number][1], placed) if placed else free[number]
+                    levels = [a for a in levels if allowed[depth] >> a & 1]
                 scores = [0] * sizes[p]  # new pairs per level
                 for q in sequence[:position]:
                     if q < p:
@@ -301,9 +327,8 @@ def _density_rows(sizes: list[int], components: list, feasible: list) -> list[li
                         scores = [s + (field >> n & 1) for n, s in enumerate(scores)]
                 level = max(levels, key=scores.__getitem__)
             row[p] = level
-            if p in home:
-                number, k = home[p]
-                live[number] = [partial for partial in live[number] if partial[k] == level]
+            if number is not None:
+                fixed[number][depth] = level
         for number, (p, q) in enumerate(pairs):
             block, bit = uncovered[q][p], 1 << row[p]
             if block[row[q]] & bit:
@@ -330,7 +355,8 @@ def pairwise_cover(scenario: LogicalScenario, form: tuple,
     if infeasible:
         raise infeasible
     if len(sizes) == 1:
-        rows = components[0][1] if components else [(n,) for n in range(sizes[0])]
+        levels = _paths(components[0][1], {})[0] if components else (1 << sizes[0]) - 1
+        rows = [(a,) for a in range(sizes[0]) if levels >> a & 1]
     elif components or (rows := _orthogonal_array(sizes)) is None:
         rows = _density_rows(sizes, components, feasible)
     wrap = _wrapper(scenario, method)
@@ -418,22 +444,25 @@ def derive_seed(master: int, index: int) -> int:
 
 def _feasible_pairs(sizes: list[int], components: list) -> list:
     """The level pairs (in the form of ``_no_pairs``) that occur in some level
-    row satisfying every constraint, from the feasible partial rows of
-    ``_components``.
+    row satisfying every constraint, from the diagrams of ``_components``.
 
-    A pair inside one component is feasible if it occurs in a feasible
-    partial row of that component; a pair across components is feasible if
-    each of its levels occurs in one of its own component. A parameter in no
-    constraint has every level feasible.
+    A pair inside one component is feasible if some path of its diagram takes
+    both levels: for ``i < j``, ``blocks[j][i][b]`` is the levels of ``i`` on
+    the paths that take level ``b`` of ``j``. A pair across components is
+    feasible if each of its levels is on a path of its own component. A
+    parameter in no constraint has every level feasible.
     """
     blocks = _no_pairs(sizes)
     found = [(1 << size) - 1 for size in sizes]  # per position, its feasible levels
     group = list(range(len(sizes)))  # per position, a label shared by its component
-    for positions, rows in components:
-        _mark_pairs(blocks, positions, rows)
-        for k, position in enumerate(positions):
-            found[position] = sum(1 << a for a in set(map(itemgetter(k), rows)))
-            group[position] = positions[0]
+    for positions, diagram in components:
+        free = _paths(diagram, {})
+        for depth, j in enumerate(positions):
+            found[j], group[j] = free[depth], positions[0]
+            for b in range(sizes[j]):
+                for i, levels in zip(positions, _paths(diagram, {depth: b})):
+                    if i < j:
+                        blocks[j][i][b] = levels
     for j, levels in enumerate(found):
         for i in range(j):
             if group[i] != group[j]:
@@ -450,16 +479,17 @@ def coverage_metrics(scenario: LogicalScenario, form: tuple,
     value_lists, sizes, _, feasible, _ = form
     # the suite's values as level indices; a value that is not a level gets the index past the last
     indexes = [{value: n for n, value in enumerate(values)} for values in value_lists]
-    covered = _no_pairs([size + 1 for size in sizes])
-    _mark_pairs(covered, range(len(sizes)),
-                [[index.get(concrete.assignments.get(name), size)
-                  for name, index, size in zip(scenario.compiled.names, indexes, sizes)]
-                 for concrete in scenarios])
+    rows = [[index.get(concrete.assignments.get(name), size)
+             for name, index, size in zip(scenario.compiled.names, indexes, sizes)]
+            for concrete in scenarios]
     pair_count = feasible_count = covered_count = 0
     for j, size in enumerate(sizes):
         for i in range(j):
             pair_count += sizes[i] * size
-            for field, covered_field in zip(feasible[j][i], covered[j][i]):
+            covered = [0] * (size + 1)  # bit a of covered[b]: level a of i with level b of j
+            for a, b in set(map(itemgetter(i, j), rows)):
+                covered[b] |= 1 << a
+            for field, covered_field in zip(feasible[j][i], covered):
                 feasible_count += field.bit_count()
                 covered_count += (field & covered_field).bit_count()
     hit = sum({p.lo, p.hi} <= {c.assignments.get(p.name) for c in scenarios}

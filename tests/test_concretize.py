@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import math
 import pathlib
 import random
 import re
@@ -509,12 +508,23 @@ def _feasible_rows(scenario, value_lists):
             if all(c.holds(dict(zip(names, row))) for c in scenario.constraints)]
 
 
+def _diagram_rows(positions, diagram):
+    """The root-to-end paths of a ``_components`` diagram, each as its level
+    indices in ascending position order."""
+    paths = [((), 0)]
+    for layer in diagram:
+        paths = [(path + (a,), child) for path, node in paths for a, child in layer[node].items()]
+    order = sorted(range(len(positions)), key=positions.__getitem__)
+    return sorted(tuple(path[d] for d in order) for path, _ in paths)
+
+
 @settings(max_examples=150, deadline=None)
 @given(encode_cases())
 def test_feasible_pairs_match_the_product(case):
     """The level lists keep the first of equal levels, each component's
-    partial rows are the projections of the feasible product rows, as level
-    indices, and the feasible pairs are the union of those rows' pairs."""
+    diagram paths are the projections of the feasible product rows, as level
+    indices and each once, and the feasible pairs are the union of those
+    rows' pairs."""
     scenario, levels = case
     value_lists = [sorted(_first_distinct(levels[p.name])) for p in scenario.parameters]
     form_values = compile_levels(scenario, levels)[0]
@@ -527,8 +537,11 @@ def test_feasible_pairs_match_the_product(case):
     # the feasible product rows, written as level indices
     feasible = [tuple(values.index(v) for values, v in zip(value_lists, row)) for row in feasible]
     components = _components(scenario, value_lists)
-    for positions, rows in components:
-        assert rows == sorted({tuple(row[p] for p in positions) for row in feasible})
+    assert sorted(sorted(p) for p, _ in components) == sorted(
+        list(p) for p, _ in scenario.compiled.components())
+    for positions, diagram in components:
+        assert _diagram_rows(positions, diagram) == sorted(
+            {tuple(row[p] for p in sorted(positions)) for row in feasible})
     # blocks[j][i][b] bit a: level a of p_i with level b of p_j
     expected = [[[0] * len(values) for _ in range(j)] for j, values in enumerate(value_lists)]
     for row in feasible:
@@ -538,24 +551,35 @@ def test_feasible_pairs_match_the_product(case):
 
 
 def test_components_extend_only_prefixes_that_pass_their_due_checks():
-    """On the strict chain p0 < p1 < ... < p5 over 10 levels, each check is
-    evaluated only on prefixes that passed every earlier check: at most
-    10 * (C(10, 1) + ... + C(10, 5)) calls, where the level product takes 10**6."""
+    """Over 10 levels, each check is evaluated only on a node that passed every
+    earlier check, and nodes merge on the levels a pending check reads. On the
+    strict chain p0 < p1 < ... < p5, and on five cars p0 ... p4 behind a truck
+    p5 declared last, each layer past the first keeps one placed level: at
+    most 1 + 10 * 5 nodes try 10 levels each, where the level product has
+    10**6 rows and the star's car prefixes alone number 10**5."""
     names = [f"p{i}" for i in range(6)]
-    scenario = make_logical([(n, 0, 9) for n in names],
-                            [(a, "<", b) for a, b in zip(names, names[1:])])
-    compiled = scenario.compiled
-    calls = []
+    product = list(itertools.product(range(10), repeat=6))  # level n is the value n
+    inputs = [
+        ([(a, "<", b) for a, b in zip(names, names[1:])], (0, 1, 2, 3, 4, 5),
+         list(itertools.combinations(range(10), 6))),
+        # the truck is placed as soon as one car is
+        ([(n, "<", "p5") for n in names[:5]], (0, 5, 1, 2, 3, 4),
+         [row for row in product if max(row[:5]) < row[5]]),
+    ]
+    for constraints, order, rows in inputs:
+        scenario = make_logical([(n, 0, 9) for n in names], constraints)
+        compiled = scenario.compiled
+        calls = []
 
-    def counted(check):
-        return lambda row: calls.append(None) or check(row)
+        def counted(check):
+            return lambda row: calls.append(None) or check(row)
 
-    compiled.checks = tuple(counted(check) for check in compiled.checks)
-    value_lists = [[float(v) for v in range(10)] for _ in names]
-    [(positions, rows)] = _components(scenario, value_lists)
-    assert positions == tuple(range(6))
-    assert rows == list(itertools.combinations(range(10), 6))  # level n is the value n
-    assert len(calls) <= 10 * sum(math.comb(10, j) for j in range(1, 6)) == 6370
+        compiled.checks = tuple(counted(check) for check in compiled.checks)
+        value_lists = [[float(v) for v in range(10)] for _ in names]
+        [(positions, diagram)] = _components(scenario, value_lists)
+        assert positions == order
+        assert _diagram_rows(positions, diagram) == rows
+        assert len(calls) <= 10 * (1 + 10 * (len(names) - 1)) == 510
 
 
 @st.composite
@@ -747,26 +771,72 @@ def test_pinned_suite_bytes_constraint_split(constraint, sha256):
 
 
 ROAD = "road r1 is two-lane-motorway\nr1 geometry straight\n"
-STAR4 = ("scenario star4\n" + ROAD + "truck t1\n" + "".join(f"car c{n}\n" for n in range(1, 5))
-         + "".join(f"c{n} follows t1\nc{n} lane right\n" for n in range(1, 5)) + "t1 lane right\n")
+
+
+def star(cars, truck_last=False):
+    """``cars`` cars that each follow one truck, declared before or after them."""
+    vehicles = ["truck t1\n"] + [f"car c{n}\n" for n in range(1, cars + 1)]
+    if truck_last:
+        vehicles.append(vehicles.pop(0))
+    return (f"scenario star{cars}{'last' if truck_last else ''}\n" + ROAD + "".join(vehicles)
+            + "".join(f"c{n} follows t1\nc{n} lane right\n" for n in range(1, cars + 1))
+            + "t1 lane right\n")
+
+
 CHAIN5 = ("scenario chain5\n" + ROAD + "".join(f"car c{n}\n" for n in range(1, 6))
           + "".join(f"c{n} follows c{n + 1}\n" for n in range(1, 5))
           + "".join(f"c{n} lane right\n" for n in range(1, 6)))
 
 
 @pytest.mark.parametrize("text, k, size, sha256", [
-    (STAR4, 8, 194, "328de726c081937d4c19990f47ca575490156afb6673a0e5294d82eb07f9a4c4"),
+    (star(4), 8, 194, "328de726c081937d4c19990f47ca575490156afb6673a0e5294d82eb07f9a4c4"),
     (CHAIN5, 3, 41, "d43cddb2400cdc1e69006accf734e5a6aa84301a0bdd24ad2f4c24ea7eadaf59"),
     (CHAIN5, 8, 168, "0e2b5c2cf5fd6a9265cbcc69ade0cdb74a077cdf52a05cbafb6d55374f18a803"),
-], ids=["star4-k8", "chain5-k3", "chain5-k8"])
+    (star(6), 8, 231, "d4bc88ed4e57f876efb2fc0514e9bb6ee774ea19b115f411cf04112ab68fd6bd"),
+    (star(6, truck_last=True), 8, 231,
+     "0590943ab1b8bc11fae723663886c588cbc70e0223dd08fcd28dbb39506d06bd"),
+], ids=["star4-k8", "chain5-k3", "chain5-k8", "star6-k8", "star6-truck-last-k8"])
 def test_pinned_suite_bytes_multi_constraint_components(vocabulary, catalog, text, k, size,
                                                          sha256):
-    """One component of several constraints: four cars behind one truck, and
-    five cars in a chain, each lowered from the DSL."""
+    """One component of several constraints: four or six cars behind one
+    truck, declared first or last, and five cars in a chain, each lowered from
+    the DSL."""
     logical = lower_to_logical(parse_functional(text, vocabulary), catalog)
     suite = generate_suite(logical, "pairwise", k, 10, 0)
     assert len(suite[0]) == size
     assert hashlib.sha256(SUITE.dumps(suite).encode("utf-8")).hexdigest() == sha256
+
+
+def test_eight_cars_behind_one_truck_cover_every_feasible_pair(vocabulary, catalog):
+    """At --k 2 each s0 has 4 levels, so the star's one component has 4**9
+    level rows: brute force over them finds every feasible level pair, and the
+    suite covers each one. Every scenario satisfies every constraint."""
+    logical = lower_to_logical(parse_functional(star(8), vocabulary), catalog)
+    scenarios, coverage = generate_suite(logical, "pairwise", 2, 10, 0)
+    assert all(check_concrete(logical, c) == [] for c in scenarios)
+    names = logical.compiled.names
+    levels = {p.name: sorted(set(boundary_values(p) + equivalence_classes(p, 2)))
+              for p in logical.parameters}
+    [(positions, numbers)] = logical.compiled.components()
+    assert len(positions) == 9 and all(len(levels[names[p]]) == 4 for p in positions)
+    checks = [logical.compiled.checks[n] for n in numbers]
+    row = [levels[name][0] for name in names]
+    feasible = set()  # the feasible rows of the component, at its positions
+    for values in itertools.product(*(levels[names[p]] for p in positions)):
+        for p, value in zip(positions, values):
+            row[p] = value
+        if all(check(row) for check in checks):
+            feasible.add(values)
+    # inside the component, a level pair is feasible iff some feasible row takes
+    # both its levels; across it, iff each level is in some feasible row
+    wanted = {pair for values in feasible
+              for pair in itertools.combinations(zip(positions, values), 2)}
+    single = {(p, v) for values in feasible for p, v in zip(positions, values)} | {
+        (p, v) for p, name in enumerate(names) if p not in positions for v in levels[name]}
+    wanted |= {(x, y) for x, y in itertools.combinations(sorted(single), 2)
+               if x[0] != y[0] and not {x[0], y[0]} <= set(positions)}
+    assert suite_pairs(names, scenarios) >= wanted
+    assert coverage.pair_coverage == 1.0
 
 
 CHAIN3 = ("scenario chain3\n" + ROAD + "".join(f"car c{n}\n" for n in range(1, 4))
