@@ -177,7 +177,7 @@ def _export_cases(logical, scenarios, args, inputs, destination) -> dict:
         raise SchemaViolation(f"scenario {logical.scenario_id!r}: no concrete scenario to export")
     expected, meta = inputs
     export = tc.Export(logical, scenarios, args.duration, args.dt, meta, expected)
-    return tc.export_suite(map(export.render, scenarios), destination)
+    return tc.export_suite(map(export.render, scenarios), destination, len(scenarios))
 
 
 def cmd_export(args) -> int:

@@ -8,7 +8,8 @@ position ``s0`` and speed ``v0`` yields position ``s(t) = s0 + v0*t``. The
 input data hold only these signals; every other assignment, such as a lane
 width, is an environmental condition, so each value is written once. An
 export is compiled once, as an ``Export``: its checks, sample times and
-signal plan are made before its first case, and every case reads them.
+signal plan are made before its first case, and every case reads them. Which
+process creates all of its case files is decided by size at the first case.
 """
 
 import hashlib
@@ -282,11 +283,11 @@ class Export:
             case._replace(input_data=texts, expected=self.expected_text), self.write)
 
 
-# Payload bytes an export writes itself before it hands the rest of its case
-# files to a writer process. Starting that process costs about 20 ms, and
-# creating a file costs system time that then runs on another CPU while this
-# process goes on encoding: that pays off for the 25 MB of a 2,000-case export,
-# not for the 0.1-0.3 MB of one pairwise suite, which stays below this size.
+# An export hands every case file to a writer process when its first payload
+# times its case count reaches this size. Starting the writer costs about 20 ms,
+# and the system time of creating the files then runs on another CPU while this
+# process encodes: that pays off for the 25 MB of a 2,000-case export, not for
+# the 0.1-0.3 MB of one pairwise suite, which the encoding process writes itself.
 HANDOFF_BYTES = 1 << 20
 
 # The writer: reads (name, payload) records from stdin, each a 4-byte name
@@ -352,18 +353,19 @@ def _listed_files(manifest_path: Path) -> set[str]:
             and os.path.basename(name) == name}
 
 
-def export_suite(cases: Iterable[tuple[str, str]], destination) -> dict:
+def export_suite(cases: Iterable[tuple[str, str]], destination, count: int) -> dict:
     """Write one file per case plus a manifest; re-export is byte-identical.
 
     ``cases`` holds each case's unique id and file text, as ``Export.render``
-    gives them; it may be a generator: each case is hashed and written
-    to a staging directory as it arrives. Once ``HANDOFF_BYTES`` of payload
-    are written, the remaining files go through a pipe to a writer process,
-    so the system time of creating them overlaps with encoding; smaller
-    exports never start one. When every document is written, the staging
-    directory becomes ``destination`` in one rename if ``destination`` does
-    not exist; otherwise the files are moved into it, and the case files its
-    old manifest lists that the new one does not are deleted. If anything
+    gives them, and may be a generator: each case is hashed and written to a
+    staging directory as it arrives. Who creates the case files is decided
+    once, at the first case: if its payload times ``count``, the number of
+    cases, reaches ``HANDOFF_BYTES``, a writer process creates every one, so
+    their system time overlaps with encoding; otherwise this process creates
+    every one and starts no process. When every document is written, the
+    staging directory becomes ``destination`` in one rename if ``destination``
+    does not exist; otherwise the files are moved into it, and the case files
+    its old manifest lists that the new one does not are deleted. If anything
     fails first, the writer is stopped and reaped, the staging directory and
     any parent directories made for it are removed, and ``destination`` is
     untouched.
@@ -374,7 +376,6 @@ def export_suite(cases: Iterable[tuple[str, str]], destination) -> dict:
     shutil.rmtree(staging, ignore_errors=True)  # left behind by an export that was killed
     staging.mkdir(parents=True)
     entries = {}
-    staged = 0
     writer = None
     try:
         for unique_id, text in cases:
@@ -382,11 +383,10 @@ def export_suite(cases: Iterable[tuple[str, str]], destination) -> dict:
                 raise DuplicateId(f"duplicate test case id {unique_id!r}")
             payload = text.encode("utf-8")
             file_name = f"{unique_id}.json"
+            if not entries and len(payload) * count >= HANDOFF_BYTES:
+                writer = _start_writer(staging)
             if writer is None:
                 (staging / file_name).write_bytes(payload)
-                staged += len(payload)
-                if staged >= HANDOFF_BYTES:
-                    writer = _start_writer(staging)
             else:
                 name = file_name.encode("utf-8")
                 writer.stdin.write(len(name).to_bytes(4, "big") + len(payload).to_bytes(8, "big")
